@@ -49,12 +49,17 @@ echo "== go test -race =="
 # contamination); -count=1 defeats the test cache so the shuffle is real.
 go test -race -shuffle=on -count=1 ./...
 
-echo "== golden artifacts (chunk-kernel bit-identity) =="
+echo "== golden artifacts (chunk-kernel and battery bit-identity) =="
 # The pinned fleet artifacts: any perf work on the chunk kernel (radio
 # cache, power hoisting, download ladder, calendar) must leave campaign
-# bytes untouched. A legitimate physics change regenerates the goldens
-# with -update and reviews the diff; this gate makes that step explicit.
+# bytes untouched. The pinned battery artifacts do the same for the quick
+# seed-1 battery: every table, both trace encodings and the metrics CSV,
+# so a change the other gates cannot see (it hits serial and parallel,
+# colf and JSONL alike) still fails here. A legitimate physics change
+# regenerates the goldens with -update and reviews the diff; this gate
+# makes that step explicit.
 go test ./internal/fleet -run 'TestGoldenArtifacts' -count=1
+go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -count=1
 
 echo "== battery determinism (serial vs parallel) =="
 # The whole-campaign contract: rendered tables are byte-identical for any
