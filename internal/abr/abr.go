@@ -472,6 +472,9 @@ func EvaluateWorkers(v Video, algo Algorithm, traces [][]float64, opt Options, w
 		perObs = make([]*obs.Obs, len(traces))
 		for i := range perObs {
 			perObs[i] = obs.Sub(opt.Obs)
+			// A trace emits exactly one span per chunk: reserve them all
+			// rather than doubling from empty.
+			perObs[i].Trace().Grow(v.NumChunks)
 		}
 	}
 	optFor := func(i int) Options {

@@ -29,11 +29,11 @@ func WriteTrace(w io.Writer, results []Result) error {
 func WriteTraceColf(w io.Writer, results []Result) error {
 	cw := colf.NewWriter(w)
 	for _, r := range results {
-		recs := r.Obs.Trace().Records()
-		for i := range recs {
-			if err := cw.Add(r.ID, recs[i]); err != nil {
-				return err
-			}
+		err := r.Obs.Trace().Walk(func(rec *obs.Record) error {
+			return cw.Add(r.ID, *rec)
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return cw.Close()

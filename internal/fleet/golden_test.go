@@ -42,7 +42,8 @@ func goldenArtifacts(t *testing.T, mix fleet.Mix) string {
 	}
 	var cbuf bytes.Buffer
 	cw := colf.NewWriter(&cbuf)
-	if err := cw.Sink("fleet").WriteRecords(root.Trace().Records()); err != nil {
+	err := root.Trace().Walk(func(r *obs.Record) error { return cw.Add("fleet", *r) })
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := cw.Close(); err != nil {

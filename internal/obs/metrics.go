@@ -1,6 +1,10 @@
 package obs
 
-import "sort"
+import (
+	"fmt"
+	"slices"
+	"sort"
+)
 
 // Histogram is a fixed-bucket histogram: Counts[i] counts observations
 // v <= Bounds[i] (cumulative-style "le" buckets are produced at render
@@ -90,10 +94,15 @@ func (m *Metrics) Hist(name string, bounds []float64) *Histogram {
 }
 
 // Merge folds other into m: counters add, gauges overwrite, histogram
-// buckets add (bounds must match — merged histograms come from the same
-// registration site). Keys are applied in sorted order so float
-// accumulation is deterministic regardless of map layout. Merging nil into
-// nil (or anything into a nil receiver) is a no-op.
+// buckets add. Keys are applied in sorted order so float accumulation is
+// deterministic regardless of map layout. Merging nil into nil (or
+// anything into a nil receiver) is a no-op.
+//
+// Merged histograms come from one registration site, so their bounds must
+// match value for value. Merge panics, naming the histogram and both
+// geometries, when they do not: only a code bug registers one name twice
+// with different bounds, and adding counts across buckets that mean
+// different things would corrupt the artifact without a trace.
 func (m *Metrics) Merge(other *Metrics) {
 	if m == nil || other == nil {
 		return
@@ -122,8 +131,9 @@ func (m *Metrics) Merge(other *Metrics) {
 	for _, k := range keys {
 		src := other.hists[k]
 		dst := m.Hist(k, src.Bounds)
-		if len(dst.Counts) != len(src.Counts) {
-			continue // mismatched registration; keep the first geometry
+		if !slices.Equal(dst.Bounds, src.Bounds) {
+			panic(fmt.Sprintf("obs: merging histogram %q with bounds %v into bounds %v",
+				k, src.Bounds, dst.Bounds))
 		}
 		for i, c := range src.Counts {
 			dst.Counts[i] += c

@@ -45,14 +45,16 @@ func Sub(parent *Obs) *Obs {
 	return New()
 }
 
-// MergeTagged folds other into o: trace records are appended in order with
-// the tags attached, metrics merge name-wise (counters add, gauges
-// overwrite, histogram buckets add). Determinism is the caller's half of
-// the contract: merge sub-collectors in a deterministic order (trace index,
-// sorted experiment id), never completion order. Nil receiver or source is
-// a no-op.
+// MergeTagged folds other into o: other's trace follows o's records with
+// the tags attached (Tracer.AppendTagged: the trace moves by reference and
+// other's tracer is left empty), and metrics merge name-wise (counters
+// add, gauges overwrite, histogram buckets add; other's registry is left
+// as it was). Determinism is the caller's half of the contract: merge
+// sub-collectors in a deterministic order (trace index, sorted experiment
+// id), never completion order. A nil receiver or source, and a
+// self-merge, are no-ops.
 func (o *Obs) MergeTagged(other *Obs, tags ...Field) {
-	if o == nil || other == nil {
+	if o == nil || other == nil || o == other {
 		return
 	}
 	o.tracer.AppendTagged(other.tracer, tags...)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -120,11 +121,21 @@ func TestMergeTaggedDeterministic(t *testing.T) {
 		t.Fatal("merged metrics snapshot empty")
 	}
 	// Records carry the merge tag.
-	if recs := o1.Trace().Records(); len(recs) != 3 {
+	if recs := collect(o1.Trace()); len(recs) != 3 {
 		t.Fatalf("merged records = %d, want 3", len(recs))
 	} else if f := recs[2].Fields(); f[len(f)-1].Key != "idx" || f[len(f)-1].Num != 2 {
 		t.Fatalf("last record missing idx tag: %+v", recs[2])
 	}
+}
+
+// collect returns the records Walk visits, tags attached, in walk order.
+func collect(tr *Tracer) []Record {
+	var recs []Record
+	tr.Walk(func(r *Record) error {
+		recs = append(recs, *r)
+		return nil
+	})
+	return recs
 }
 
 func TestWriteTraceJSONShape(t *testing.T) {
@@ -354,6 +365,40 @@ func TestMetricsMergeOrderIndependentInputs(t *testing.T) {
 	for i := range sa {
 		if sa[i] != sb[i] {
 			t.Fatalf("snapshot[%d]: %+v vs %+v", i, sa[i], sb[i])
+		}
+	}
+}
+
+// TestMetricsMergeChecksHistogramGeometry: histograms merge only when their
+// bounds match value for value. A different bucket count or different
+// bound values panic, naming the histogram and both geometries, instead of
+// dropping counts or adding them across buckets that mean different things.
+func TestMetricsMergeChecksHistogramGeometry(t *testing.T) {
+	merge := func(dstBounds, srcBounds []float64) (m *Metrics, panicked any) {
+		m, src := NewMetrics(), NewMetrics()
+		m.Hist("lat", dstBounds).Observe(5)
+		src.Hist("lat", srcBounds).Observe(5)
+		defer func() { panicked = recover() }()
+		m.Merge(src)
+		return m, nil
+	}
+	m, p := merge([]float64{1, 10}, []float64{1, 10})
+	if p != nil {
+		t.Fatalf("equal bounds in distinct slices panicked: %v", p)
+	}
+	if h := m.Hist("lat", nil); h.N != 2 || h.Counts[1] != 2 {
+		t.Fatalf("equal geometries did not add: counts %v, n %d", h.Counts, h.N)
+	}
+	for name, src := range map[string][]float64{
+		"bucket count": {1, 10, 100},
+		"bound values": {1, 20},
+	} {
+		_, p := merge([]float64{1, 10}, src)
+		msg, _ := p.(string)
+		for _, want := range []string{`"lat"`, "[1 10]", fmt.Sprint(src)} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s mismatch: panic %v does not name %s", name, p, want)
+			}
 		}
 	}
 }

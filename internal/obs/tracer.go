@@ -17,9 +17,11 @@
 // here and in internal/abr and internal/transport).
 package obs
 
+import "slices"
+
 // maxFields bounds the structured fields a Record carries. The array is
 // fixed-size so a Record is a plain value: building one allocates nothing,
-// and tag fields appended by MergeTagged (trace index, algorithm, …) still
+// and tag fields attached by MergeTagged (trace index, algorithm, …) still
 // fit after the four or so fields a subsystem emits.
 const maxFields = 8
 
@@ -115,12 +117,19 @@ type RecordSink interface {
 // the disabled tracer: Emit is an allocation-free no-op and Enabled reports
 // false, so hot paths can skip even building the Record.
 //
+// A tracer holds its trace as a tree. Emit appends to the tracer's own
+// records; AppendTagged (and so Obs.MergeTagged) takes over a child
+// tracer's whole trace by reference and splices it in at the point of the
+// merge. No record is copied after it is emitted: merge tags attach when
+// the trace is walked (Walk, WriteTraceJSON), so record memory is paid
+// once however many fold levels the trace passes through.
+//
 // By default records accumulate in memory until rendered — O(events). For
 // campaigns where that is the long pole, SpillTo bounds the buffer: full
 // batches stream to a RecordSink (a colf block encoder, a JSONL writer) and
 // memory stays O(spill capacity) however many records are emitted.
 type Tracer struct {
-	recs []Record
+	recordSeq
 
 	// spill state (SpillTo); nil sink means accumulate-only.
 	sink     RecordSink
@@ -129,25 +138,63 @@ type Tracer struct {
 	spilled  uint64
 }
 
+// recordSeq is a trace in emission order: a tracer's own records, with the
+// traces merged into it spliced in between them.
+type recordSeq struct {
+	recs   []Record
+	merged []mergedSeq
+}
+
+// mergedSeq is a trace taken over by a merge. It sits before recs[at] of
+// the sequence it was merged into (after every earlier merge at the same
+// point), and its tags attach to each of its records after the tags of
+// the merges inside it.
+type mergedSeq struct {
+	at   int
+	tags []Field
+	seq  recordSeq
+}
+
 // NewTracer returns an empty enabled tracer.
 func NewTracer() *Tracer { return &Tracer{} }
 
 // Enabled reports whether records are being collected.
 func (t *Tracer) Enabled() bool { return t != nil }
 
+// Grow reserves room for n more records of the tracer's own, so a caller
+// that knows how many records a tracer will receive pays for one
+// allocation instead of a doubling series. No-op on a nil tracer.
+func (t *Tracer) Grow(n int) {
+	if t == nil || n <= 0 {
+		return
+	}
+	t.recs = slices.Grow(t.recs, n)
+}
+
 // SpillTo puts the tracer in bounded-buffer mode: whenever bufCap records
 // have accumulated they are handed to sink (in emission order) and the
 // buffer resets, so tracer memory is O(bufCap) instead of O(events).
-// Records already buffered stay buffered until the next flush boundary.
-// Callers must finish with FlushSpill, which drains the tail and surfaces
-// the first sink error. In spill mode Len/Records cover only the not-yet-
-// spilled tail. No-op on a nil tracer; bufCap < 1 is treated as 1.
+// Records already buffered, merged ones included, stay buffered until the
+// next flush boundary. Callers must finish with FlushSpill, which drains
+// the tail and surfaces the first sink error. In spill mode Len and Walk
+// cover only the not-yet-spilled tail. No-op on a nil tracer; bufCap < 1
+// is treated as 1.
 func (t *Tracer) SpillTo(sink RecordSink, bufCap int) {
 	if t == nil {
 		return
 	}
 	if bufCap < 1 {
 		bufCap = 1
+	}
+	if len(t.merged) > 0 {
+		// The spill buffer is flat: materialise the merged traces once, in
+		// walk order, so the first flush hands them to the sink in place.
+		flat := make([]Record, 0, t.recordSeq.len())
+		_ = t.Walk(func(r *Record) error { // never fails
+			flat = append(flat, *r)
+			return nil
+		})
+		t.recordSeq = recordSeq{recs: flat}
 	}
 	t.sink = sink
 	t.spillCap = bufCap
@@ -176,7 +223,8 @@ func (t *Tracer) Spilled() uint64 {
 
 // spill hands the buffer to the sink and resets it, keeping the first
 // error (a truncated artifact must fail loudly at FlushSpill, not silently
-// drop batches).
+// drop batches). A spilling tracer never holds merged traces, so the
+// buffer is the whole trace.
 func (t *Tracer) spill() {
 	if err := t.sink.WriteRecords(t.recs); err != nil && t.spillErr == nil {
 		t.spillErr = err
@@ -198,38 +246,110 @@ func (t *Tracer) Emit(r Record) {
 	}
 }
 
-// Len returns the number of buffered records (0 for a nil tracer; in spill
-// mode, only the not-yet-spilled tail).
+// Len returns the number of records the tracer holds, merged ones included
+// (0 for a nil tracer; in spill mode, only the not-yet-spilled tail).
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.recs)
+	return t.recordSeq.len()
 }
 
-// Records returns the buffered records in emission order (in spill mode,
-// only the not-yet-spilled tail). The slice aliases the tracer's storage;
-// treat it as read-only.
-func (t *Tracer) Records() []Record {
+// Walk calls fn on every record the tracer holds, in emission order, with
+// merge tags attached: the tags of the innermost merge first, the
+// outermost last, up to the record's field capacity. fn gets a scratch
+// copy that is valid only for the call; the tracer itself is unchanged,
+// so a trace can be walked any number of times. Walk stops at, and
+// returns, the first error fn returns. In spill mode it covers only the
+// not-yet-spilled tail; a nil tracer walks nothing.
+func (t *Tracer) Walk(fn func(r *Record) error) error {
 	if t == nil {
 		return nil
 	}
-	return t.recs
+	w := walker{fn: fn}
+	return w.walk(&t.recordSeq)
 }
 
-// AppendTagged appends every record of other (in order), each with the
-// given tags attached, preserving determinism as long as callers merge
-// sub-tracers in a deterministic order. Appends route through Emit so a
-// spilling receiver flushes at its capacity boundaries. A nil receiver or
-// source is a no-op.
+// AppendTagged merges other into t: other's trace — its own records and
+// every trace merged into it — follows t's current records, with tags
+// attached after any tags those records already carry. Ownership moves:
+// t takes the trace by reference and other is left empty, so later emits
+// to other do not reach t. No record is copied; the tags attach when the
+// trace is walked.
+//
+// A spilling receiver (SpillTo) instead streams other's tagged records
+// through Emit, flushing at its capacity boundaries, so its memory stays
+// bounded. Determinism is preserved as long as callers merge sub-tracers
+// in a deterministic order. A nil receiver or source, and a self-merge,
+// are no-ops.
 func (t *Tracer) AppendTagged(other *Tracer, tags ...Field) {
-	if t == nil || other == nil {
+	if t == nil || other == nil || t == other {
 		return
 	}
-	for _, r := range other.recs {
-		for _, tag := range tags {
-			r = r.With(tag)
-		}
-		t.Emit(r)
+	if t.sink != nil {
+		w := walker{tags: [][]Field{tags}, fn: func(r *Record) error {
+			t.Emit(*r)
+			return nil
+		}}
+		_ = w.walk(&other.recordSeq) // never fails
+	} else {
+		t.merged = append(t.merged, mergedSeq{
+			at:   len(t.recs),
+			tags: slices.Clone(tags),
+			seq:  other.recordSeq,
+		})
 	}
+	other.recordSeq = recordSeq{}
+}
+
+// len counts the records of s and of every trace merged into it.
+func (s *recordSeq) len() int {
+	n := len(s.recs)
+	for i := range s.merged {
+		n += s.merged[i].seq.len()
+	}
+	return n
+}
+
+// walker visits a trace in emission order (see Tracer.Walk).
+type walker struct {
+	fn func(*Record) error
+	// tags holds the tags of the merges enclosing the sequence being
+	// visited, outermost first; a record takes them innermost first.
+	tags [][]Field
+	r    Record // scratch: the record handed to fn
+}
+
+func (w *walker) walk(s *recordSeq) error {
+	own := 0
+	for i := range s.merged {
+		m := &s.merged[i]
+		if err := w.visit(s.recs[own:m.at]); err != nil {
+			return err
+		}
+		own = m.at
+		w.tags = append(w.tags, m.tags)
+		err := w.walk(&m.seq)
+		w.tags = w.tags[:len(w.tags)-1]
+		if err != nil {
+			return err
+		}
+	}
+	return w.visit(s.recs[own:])
+}
+
+// visit hands each of recs to fn, with the enclosing merges' tags attached.
+func (w *walker) visit(recs []Record) error {
+	for i := range recs {
+		w.r = recs[i]
+		for l := len(w.tags) - 1; l >= 0; l-- {
+			for _, tag := range w.tags[l] {
+				w.r = w.r.With(tag)
+			}
+		}
+		if err := w.fn(&w.r); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -79,7 +79,7 @@ func AppendRecordJSON(buf []byte, scope string, r *Record) []byte {
 }
 
 // WriteTraceJSON writes the tracer's records as JSON Lines, one object per
-// record, in emission order:
+// record, in emission order (Tracer.Walk, merge tags attached):
 //
 //	{"exp":"fig17","at":12.5,"sub":"abr","name":"chunk","idx":3,...}
 //
@@ -92,12 +92,14 @@ func WriteTraceJSON(w io.Writer, scope string, t *Tracer) error {
 	}
 	bw := bufio.NewWriter(w)
 	var buf []byte
-	for i := range t.recs {
-		buf = AppendRecordJSON(buf[:0], scope, &t.recs[i])
+	err := t.Walk(func(r *Record) error {
+		buf = AppendRecordJSON(buf[:0], scope, r)
 		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
+		_, err := bw.Write(buf)
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
 }

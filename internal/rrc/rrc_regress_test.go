@@ -148,7 +148,11 @@ func TestObsTransitionRecords(t *testing.T) {
 	m.Obs = obs.New()
 	d := m.DataActivity()
 	eng.RunUntil(d + 30) // through the tail, RRC_INACTIVE, back to idle
-	recs := m.Obs.Trace().Records()
+	var recs []obs.Record
+	m.Obs.Trace().Walk(func(r *obs.Record) error {
+		recs = append(recs, *r)
+		return nil
+	})
 	if len(recs) < 4 {
 		t.Fatalf("expected a full demotion cascade in the trace, got %d records", len(recs))
 	}
