@@ -8,7 +8,7 @@
 //	fgfleet -ues 1000000 -mix mmwave
 //	fgfleet -ues 403 -shards 7 -trace t.json -metrics m.csv
 //	fgfleet -stream -trace t.colf -trace-format colf
-//	fgfleet colf2json t.colf       # decode a colf trace to JSON Lines
+//	fgrepro colf2json t.colf       # decode a colf trace to JSON Lines
 //
 // Flags:
 //
@@ -22,10 +22,7 @@
 //	                shard stats instead of a per-UE results slice
 //	-trace FILE     write sampled per-session trace records to FILE
 //	-trace-format F trace encoding: jsonl (JSON Lines) or colf (columnar
-//	                binary; decode with the colf2json subcommand)
-//	-spill MODE     trace encoding path: shard (per-shard parallel segment
-//	                encoding, stitched in shard order) or central (serial
-//	                encoding on the reduce goroutine)
+//	                binary; decode with fgrepro colf2json)
 //	-metrics FILE   write population histograms and counters (CSV)
 //	-stats          wall-clock UEs/sec and event counts on stderr
 //
@@ -34,11 +31,12 @@
 // shard starts; the same inputs are rejected by fleet.Config.Validate, so
 // the library and fgservd refuse them identically.
 //
-// The trace artifact streams to FILE as campaigns merge, so trace memory
-// is bounded regardless of -ues. The fleet determinism contract applies:
-// stdout and both artifacts are byte-identical for any -shards value,
-// including 1, in both formats, both modes, and both -spill paths. Only
-// -stats output (wall-clock) varies between runs.
+// The trace artifact streams to FILE as each campaign completes: the shards
+// encode their own trace segments in parallel and fleet.Run stitches them
+// in shard order (fleet.Spill), so trace memory is bounded regardless of
+// -ues. The fleet determinism contract applies: stdout and both artifacts
+// are byte-identical for any -shards value, including 1, in both formats
+// and both modes. Only -stats output (wall-clock) varies between runs.
 package main
 
 import (
@@ -52,22 +50,17 @@ import (
 	"fivegsim/internal/experiments"
 	"fivegsim/internal/fleet"
 	"fivegsim/internal/obs"
-	"fivegsim/internal/obs/colf"
 )
 
-// spillRecords is the tracer's bounded-buffer capacity when streaming the
-// trace artifact to disk: one colf block's worth of records.
-const spillRecords = colf.DefaultBlockRecords
-
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is the testable entry point: flags and streams in, exit status out.
 // Every failure path returns (2 for usage errors, 1 for runtime errors)
 // instead of calling os.Exit, so deferred closes always execute and tests
 // can drive the full CLI in-process.
-func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fgfleet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	ues := fs.Int("ues", 100000, "population size per mix")
@@ -79,7 +72,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	stream := fs.Bool("stream", false, "stream mode: O(shards) campaign memory, sketch-based percentiles")
 	traceOut := fs.String("trace", "", "write sampled per-session trace records to this file")
 	traceFormat := fs.String("trace-format", "jsonl", "trace encoding: jsonl or colf")
-	spillMode := fs.String("spill", "shard", "trace encoding path: shard (parallel) or central (serial)")
 	metricsOut := fs.String("metrics", "", "write population histograms and counters (CSV) to this file")
 	stats := fs.Bool("stats", false, "print wall-clock UEs/sec and event counts to stderr")
 	if err := fs.Parse(args); err != nil {
@@ -87,18 +79,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	if fs.NArg() > 0 {
-		if fs.Arg(0) == "colf2json" {
-			return colf2json("fgfleet", fs.Args()[1:], stdin, stdout, stderr)
-		}
-		fmt.Fprintf(stderr, "fgfleet: unknown argument %q (the only subcommand is colf2json)\n", fs.Arg(0))
+		fmt.Fprintf(stderr, "fgfleet: unknown argument %q (fgfleet takes flags only)\n", fs.Arg(0))
 		return 2
 	}
 	if *traceFormat != "jsonl" && *traceFormat != "colf" {
 		fmt.Fprintf(stderr, "fgfleet: -trace-format must be jsonl or colf, got %q\n", *traceFormat)
-		return 2
-	}
-	if *spillMode != "shard" && *spillMode != "central" {
-		fmt.Fprintf(stderr, "fgfleet: -spill must be shard or central, got %q\n", *spillMode)
 		return 2
 	}
 
@@ -132,18 +117,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	// The trace streams through the Spill; the collector gathers metrics.
 	var root *obs.Obs
-	if *traceOut != "" || *metricsOut != "" {
+	if *metricsOut != "" {
 		root = obs.New()
 	}
 
-	// Open the trace artifact up front and stream records into it as each
-	// campaign completes. In shard mode each campaign's shards encode their
-	// own trace segments in parallel and fleet.Run stitches them (fleet
-	// Spill); in central mode the root tracer spills full buffers through
-	// one serial encoder. Both paths produce identical bytes; both keep
-	// trace memory bounded regardless of -ues. finishTrace drains the tail
-	// and closes the file.
+	// Open the trace artifact up front; each campaign stitches its records
+	// into it. finishTrace drains the tail and closes the file.
 	finishTrace := func() error { return nil }
 	var spill *fleet.Spill
 	if *traceOut != "" {
@@ -152,7 +133,16 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "fgfleet:", err)
 			return 1
 		}
-		closeTrace := func(err error) error {
+		// Releases the file on the failure paths; finishTrace closes it,
+		// checked, on success.
+		defer f.Close()
+		if *traceFormat == "colf" {
+			spill = fleet.NewColfSpill(f, "fleet")
+		} else {
+			spill = fleet.NewJSONLSpill(f, "fleet")
+		}
+		finishTrace = func() error {
+			err := spill.Close()
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -160,34 +150,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 				return fmt.Errorf("writing %s: %w", *traceOut, err)
 			}
 			return nil
-		}
-		if *spillMode == "shard" {
-			if *traceFormat == "colf" {
-				spill = fleet.NewColfSpill(f, "fleet")
-			} else {
-				spill = fleet.NewJSONLSpill(f, "fleet")
-			}
-			finishTrace = func() error { return closeTrace(spill.Close()) }
-		} else {
-			var sink obs.RecordSink
-			var closeSink func() error
-			if *traceFormat == "colf" {
-				cw := colf.NewWriter(f)
-				sink = cw.Sink("fleet")
-				closeSink = cw.Close
-			} else {
-				jw := obs.NewTraceJSONWriter(f, "fleet")
-				sink = jw
-				closeSink = jw.Flush
-			}
-			root.Trace().SpillTo(sink, spillRecords)
-			finishTrace = func() error {
-				err := root.Trace().FlushSpill()
-				if err == nil {
-					err = closeSink()
-				}
-				return closeTrace(err)
-			}
 		}
 	}
 
@@ -273,40 +235,6 @@ func campaignUEs(r *fleet.Result) int {
 		return int(r.Stream.UEs())
 	}
 	return len(r.UEs)
-}
-
-// colf2json decodes a colf trace artifact back to JSON Lines on stdout:
-// byte-identical to what the jsonl trace format would have written for the
-// same records. "-" (or no argument) reads stdin. The input file's close
-// error is checked explicitly — the old deferred Close was silently skipped
-// by os.Exit on every path.
-func colf2json(prog string, args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	if len(args) > 1 {
-		fmt.Fprintf(stderr, "usage: %s colf2json [file.colf]  (\"-\" or no argument reads stdin)\n", prog)
-		return 2
-	}
-	in := stdin
-	var src *os.File
-	if len(args) == 1 && args[0] != "-" {
-		f, err := os.Open(args[0])
-		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", prog, err)
-			return 1
-		}
-		src = f
-		in = f
-	}
-	err := colf.DecodeToJSON(in, stdout)
-	if src != nil {
-		if cerr := src.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "%s: %v\n", prog, err)
-		return 1
-	}
-	return 0
 }
 
 // writeArtifact creates path and streams one artifact into it, reporting

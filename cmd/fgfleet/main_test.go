@@ -6,13 +6,15 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fivegsim/internal/obs/colf"
 )
 
 // runCLI drives the full CLI in-process and captures its streams.
-func runCLI(t *testing.T, stdin string, args ...string) (code int, stdout, stderr string) {
+func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
 	var out, errw bytes.Buffer
-	code = run(args, strings.NewReader(stdin), &out, &errw)
+	code = run(args, &out, &errw)
 	return code, out.String(), errw.String()
 }
 
@@ -32,13 +34,14 @@ func TestFlagValidation(t *testing.T) {
 		{"window nan", []string{"-window", "NaN"}, "WindowS"},
 		{"unknown mix", []string{"-mix", "nope"}, "unknown mix"},
 		{"bad trace format", []string{"-trace-format", "xml"}, "-trace-format"},
-		{"bad spill mode", []string{"-spill", "sideways"}, "-spill"},
+		{"spill flag removed", []string{"-spill", "central"}, "-spill"},
 		{"unknown arg", []string{"frobnicate"}, "unknown argument"},
+		{"colf2json removed", []string{"colf2json", "x"}, "unknown argument"},
 		{"undefined flag", []string{"-frobnicate"}, "frobnicate"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			code, stdout, stderr := runCLI(t, "", tc.args...)
+			code, stdout, stderr := runCLI(t, tc.args...)
 			if code != 2 {
 				t.Fatalf("exit = %d, want 2 (stderr: %s)", code, stderr)
 			}
@@ -56,7 +59,7 @@ func TestFlagValidation(t *testing.T) {
 // trace file behind.
 func TestValidationPrecedesArtifacts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.jsonl")
-	code, _, _ := runCLI(t, "", "-ues", "0", "-trace", path)
+	code, _, _ := runCLI(t, "-ues", "0", "-trace", path)
 	if code != 2 {
 		t.Fatalf("exit = %d, want 2", code)
 	}
@@ -67,7 +70,7 @@ func TestValidationPrecedesArtifacts(t *testing.T) {
 
 // TestSmallCampaign: a tiny campaign succeeds and prints the fleet table.
 func TestSmallCampaign(t *testing.T) {
-	code, stdout, stderr := runCLI(t, "",
+	code, stdout, stderr := runCLI(t,
 		"-ues", "19", "-mix", "mixed", "-window", "20", "-session", "8")
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0 (stderr: %s)", code, stderr)
@@ -78,52 +81,73 @@ func TestSmallCampaign(t *testing.T) {
 }
 
 // TestColf2JSON: the colf trace artifact decodes to the exact jsonl
-// artifact, from a file argument and from stdin alike, and the error paths
-// exit nonzero without a partial-success exit status.
+// artifact of the same campaign.
 func TestColf2JSON(t *testing.T) {
 	dir := t.TempDir()
 	colfPath := filepath.Join(dir, "t.colf")
 	jsonlPath := filepath.Join(dir, "t.jsonl")
 	common := []string{"-ues", "37", "-mix", "mixed", "-window", "20", "-session", "8"}
-	if code, _, stderr := runCLI(t, "", append(common, "-trace", colfPath, "-trace-format", "colf")...); code != 0 {
+	if code, _, stderr := runCLI(t, append(common, "-trace", colfPath, "-trace-format", "colf")...); code != 0 {
 		t.Fatalf("colf campaign exit = %d (stderr: %s)", code, stderr)
 	}
-	if code, _, stderr := runCLI(t, "", append(common, "-trace", jsonlPath)...); code != 0 {
+	if code, _, stderr := runCLI(t, append(common, "-trace", jsonlPath)...); code != 0 {
 		t.Fatalf("jsonl campaign exit = %d (stderr: %s)", code, stderr)
 	}
-	wantB, err := os.ReadFile(jsonlPath)
+	want, err := os.ReadFile(jsonlPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := string(wantB)
-
-	code, got, stderr := runCLI(t, "", "colf2json", colfPath)
-	if code != 0 {
-		t.Fatalf("colf2json file exit = %d (stderr: %s)", code, stderr)
-	}
-	if got != want {
-		t.Errorf("colf2json(file) differs from the jsonl artifact")
-	}
-
-	colfB, err := os.ReadFile(colfPath)
+	f, err := os.Open(colfPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, got, stderr = runCLI(t, string(colfB), "colf2json")
-	if code != 0 {
-		t.Fatalf("colf2json stdin exit = %d (stderr: %s)", code, stderr)
+	defer f.Close()
+	var got bytes.Buffer
+	if err := colf.DecodeToJSON(f, &got); err != nil {
+		t.Fatal(err)
 	}
-	if got != want {
-		t.Errorf("colf2json(stdin) differs from the jsonl artifact")
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("decoded colf trace differs from the jsonl artifact (%d vs %d bytes)", got.Len(), len(want))
 	}
+}
 
-	if code, _, _ := runCLI(t, "", "colf2json", filepath.Join(dir, "missing.colf")); code != 1 {
-		t.Errorf("colf2json missing file exit = %d, want 1", code)
+// TestArtifactWriteErrors: an artifact that cannot be written fails the run
+// with exit 1 and a message naming the path, and the trace file is closed
+// on the failure path: a second failing run leaves no descriptor behind.
+func TestArtifactWriteErrors(t *testing.T) {
+	const full = "/dev/full" // every write fails with ENOSPC
+	if _, err := os.Stat(full); err != nil {
+		t.Skipf("%s unavailable: %v", full, err)
 	}
-	if code, _, _ := runCLI(t, "this is not a colf stream", "colf2json"); code != 1 {
-		t.Errorf("colf2json garbage stdin exit = %d, want 1", code)
-	}
-	if code, _, _ := runCLI(t, "", "colf2json", "a", "b"); code != 2 {
-		t.Errorf("colf2json two args exit = %d, want 2", code)
+	common := []string{"-ues", "37", "-mix", "mixed", "-window", "20", "-session", "8"}
+	for _, extra := range [][]string{
+		{"-trace", full},
+		{"-trace", full, "-trace-format", "colf"},
+		{"-metrics", full},
+	} {
+		name := strings.Join(extra, " ")
+		args := append(append([]string(nil), common...), extra...)
+		fail := func() {
+			code, _, stderr := runCLI(t, args...)
+			if code != 1 {
+				t.Errorf("%s: exit = %d, want 1 (stderr: %s)", name, code, stderr)
+			}
+			if !strings.Contains(stderr, full) {
+				t.Errorf("%s: stderr %q does not name %s", name, stderr, full)
+			}
+		}
+		fail()
+		before, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			continue // no /proc: the exit-status checks above still ran
+		}
+		fail()
+		after, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(after) != len(before) {
+			t.Errorf("%s: %d open descriptors after a failing run, %d before", name, len(after), len(before))
+		}
 	}
 }

@@ -69,20 +69,18 @@ func fleetCampaigns(root *obs.Obs, shards int, stream bool) []*fleet.Result {
 }
 
 // TestFleetColfSpillShardInvariance is the acceptance gate for the binary
-// artifact: a fleet trace streamed through Tracer.SpillTo into a colf
-// encoder produces byte-identical artifacts at shard counts {1,2,4,7}, and
-// decoding reproduces exactly what WriteTraceJSON renders from an unspilled
-// tracer.
+// artifact: a fleet trace encoded into colf produces byte-identical
+// artifacts at shard counts {1,2,4,7}, and decoding reproduces exactly what
+// WriteTraceJSON renders from the same campaigns.
 func TestFleetColfSpillShardInvariance(t *testing.T) {
-	spillColf := func(shards int) string {
+	encodeColf := func(shards int) string {
 		root := obs.New()
-		var buf bytes.Buffer
-		cw := colf.NewWriter(&buf)
-		// A small spill capacity forces many flush boundaries mid-campaign;
-		// colf bytes must not depend on where they fall.
-		root.Trace().SpillTo(cw.Sink("fleet"), 37)
 		fleetCampaigns(root, shards, false)
-		if err := root.Trace().FlushSpill(); err != nil {
+		var buf bytes.Buffer
+		// A small block size forces many block boundaries mid-campaign;
+		// colf bytes must not depend on where the shards split the UEs.
+		cw := colf.NewWriterSize(&buf, 37)
+		if err := root.Trace().Walk(func(r *obs.Record) error { return cw.Add("fleet", *r) }); err != nil {
 			t.Fatal(err)
 		}
 		if err := cw.Close(); err != nil {
@@ -91,9 +89,9 @@ func TestFleetColfSpillShardInvariance(t *testing.T) {
 		return buf.String()
 	}
 
-	want := spillColf(1)
+	want := encodeColf(1)
 	for _, shards := range []int{2, 4, 7} {
-		if got := spillColf(shards); got != want {
+		if got := encodeColf(shards); got != want {
 			t.Errorf("colf artifact differs between 1 and %d shards (%d vs %d bytes)",
 				shards, len(want), len(got))
 		}
@@ -110,7 +108,7 @@ func TestFleetColfSpillShardInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	if decoded.String() != jsonl.String() {
-		t.Errorf("decoded spilled colf differs from buffered JSONL (%d vs %d bytes)",
+		t.Errorf("decoded colf differs from direct JSONL (%d vs %d bytes)",
 			decoded.Len(), jsonl.Len())
 	}
 }

@@ -69,8 +69,9 @@ type Config struct {
 	// Spill, when non-nil, streams the sampled per-session trace records
 	// to the spill's artifact writer with shard-parallel encoding (see
 	// Spill), instead of emitting them into Obs's tracer. Metrics and
-	// histograms still flow through Obs. The artifact bytes are identical
-	// to the central Obs+SpillTo pipeline at any shard count.
+	// histograms still flow through Obs. The artifact bytes are identical,
+	// at any shard count, to rendering the central reduce's trace in
+	// memory after the campaign.
 	Spill *Spill
 	// SpillTags are appended to every spilled record, in order — the
 	// counterpart of the MergeTagged tags of the central pipeline (e.g.

@@ -36,19 +36,8 @@ func goldenArtifacts(t *testing.T, mix fleet.Mix) string {
 	res := mustRun(t, cfg)
 	root.MergeTagged(cfg.Obs, obs.S("mix", mix.String()))
 
-	var trace bytes.Buffer
-	if err := obs.WriteTraceJSON(&trace, "fleet", root.Trace()); err != nil {
-		t.Fatal(err)
-	}
-	var cbuf bytes.Buffer
-	cw := colf.NewWriter(&cbuf)
-	err := root.Trace().Walk(func(r *obs.Record) error { return cw.Add("fleet", *r) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	trace := renderTrace(t, root.Trace(), "jsonl", 0)
+	ctrace := renderTrace(t, root.Trace(), "colf", colf.DefaultBlockRecords)
 	var metrics bytes.Buffer
 	if err := obs.WriteMetricsCSV(&metrics, "fleet", root.Meter()); err != nil {
 		t.Fatal(err)
@@ -58,8 +47,8 @@ func goldenArtifacts(t *testing.T, mix fleet.Mix) string {
 	fmt.Fprintf(&b, "# golden fleet artifacts: seed=%d ues=%d window=%v mix=%s\n",
 		cfg.Seed, cfg.UEs, cfg.WindowS, mix)
 	b.WriteString(experiments.FleetTable([]*fleet.Result{res}).String())
-	fmt.Fprintf(&b, "trace_jsonl fnv64a=%016x bytes=%d\n", fnv64a(trace.Bytes()), trace.Len())
-	fmt.Fprintf(&b, "trace_colf fnv64a=%016x bytes=%d\n", fnv64a(cbuf.Bytes()), cbuf.Len())
+	fmt.Fprintf(&b, "trace_jsonl fnv64a=%016x bytes=%d\n", fnv64a(trace), len(trace))
+	fmt.Fprintf(&b, "trace_colf fnv64a=%016x bytes=%d\n", fnv64a(ctrace), len(ctrace))
 	fmt.Fprintf(&b, "metrics_csv fnv64a=%016x bytes=%d\n", fnv64a(metrics.Bytes()), metrics.Len())
 	return b.String()
 }

@@ -13,12 +13,13 @@ import (
 // an artifact writer, with the record encoding done by the shards in
 // parallel instead of by the serial reduce.
 //
-// The central pipeline (Config.Obs plus Tracer.SpillTo) encodes every
-// record on the reduce goroutine after the shards join. With a Spill, each
-// shard encodes its own slice of the record stream concurrently with the
-// other shards' simulation work, and Run stitches the segments together in
-// shard order. The stitched artifact is byte-identical to the central
-// pipeline's at any shard count:
+// The central pipeline (Config.Obs, then WriteTraceJSON or a colf Writer
+// over the merged tracer) holds every record in memory and encodes it
+// serially after the shards join. With a Spill, each shard encodes its own
+// slice of the record stream concurrently with the other shards'
+// simulation work, and Run stitches the segments together in shard order.
+// The stitched artifact is byte-identical to the central pipeline's at any
+// shard count:
 //
 //   - Sampling is a fixed stride over UE ids (ue % every == 0), and shards
 //     own contiguous id ranges, so each shard's sampled records form a

@@ -10,8 +10,8 @@ import (
 )
 
 // The spill acceptance gates: the shard-parallel spill path must produce
-// byte-identical artifacts to the central Obs+SpillTo pipeline, in both
-// formats, at any shard count, in both exact and stream mode, across
+// byte-identical artifacts to the central reduce rendered in memory, in
+// both formats, at any shard count, in both exact and stream mode, across
 // sequential multi-mix campaigns whose colf block boundaries straddle
 // campaign edges.
 
@@ -21,25 +21,13 @@ import (
 // also straddle the three campaigns.
 const spillBlockRecs = 37
 
-// centralTrace renders the reference artifact through the existing serial
+// centralTrace renders the reference artifact through the serial central
 // pipeline: campaign reduce emits into a sub-collector, MergeTagged stamps
-// the mix tag, and the root tracer spills through the encoder.
-func centralTrace(t *testing.T, format string, shards int, stream bool) []byte {
+// the mix tag, and the root trace is rendered once, in memory, the way the
+// battery renders its artifacts.
+func centralTrace(t *testing.T, format string, blockRecs, shards int, stream bool) []byte {
 	t.Helper()
 	root := obs.New()
-	var buf bytes.Buffer
-	var sink obs.RecordSink
-	finish := func() error { return nil }
-	if format == "colf" {
-		cw := colf.NewWriterSize(&buf, spillBlockRecs)
-		sink = cw.Sink("fleet")
-		finish = cw.Close
-	} else {
-		jw := obs.NewTraceJSONWriter(&buf, "fleet")
-		sink = jw
-		finish = jw.Flush
-	}
-	root.Trace().SpillTo(sink, 64)
 	for _, mix := range fleet.AllMixes {
 		sub := obs.Sub(root)
 		mustRun(t, fleet.Config{
@@ -48,10 +36,26 @@ func centralTrace(t *testing.T, format string, shards int, stream bool) []byte {
 		})
 		root.MergeTagged(sub, obs.S("mix", mix.String()))
 	}
-	if err := root.Trace().FlushSpill(); err != nil {
+	return renderTrace(t, root.Trace(), format, blockRecs)
+}
+
+// renderTrace renders a tracer's records as the fleet trace artifact:
+// WriteTraceJSON for jsonl, Walk into a colf Writer with the given block
+// size for colf.
+func renderTrace(t *testing.T, tr *obs.Tracer, format string, blockRecs int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if format == "jsonl" {
+		if err := obs.WriteTraceJSON(&buf, "fleet", tr); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	cw := colf.NewWriterSize(&buf, blockRecs)
+	if err := tr.Walk(func(r *obs.Record) error { return cw.Add("fleet", *r) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := finish(); err != nil {
+	if err := cw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -86,7 +90,7 @@ func spilledTrace(t *testing.T, format string, shards int, stream bool) []byte {
 // central-pipeline bytes for every (format, shard count) combination.
 func TestSpillMatchesCentral(t *testing.T) {
 	for _, format := range []string{"colf", "jsonl"} {
-		want := centralTrace(t, format, 3, false)
+		want := centralTrace(t, format, spillBlockRecs, 3, false)
 		if len(want) == 0 {
 			t.Fatalf("%s: central reference artifact is empty", format)
 		}
@@ -119,21 +123,7 @@ func TestSpillStreamMatchesExact(t *testing.T) {
 // so every shard segment is pure remainder and the stitcher does all the
 // encoding — the bytes must still match the central pipeline exactly.
 func TestSpillDefaultBlockSize(t *testing.T) {
-	root := obs.New()
-	var want bytes.Buffer
-	cw := colf.NewWriter(&want)
-	root.Trace().SpillTo(cw.Sink("fleet"), 64)
-	for _, mix := range fleet.AllMixes {
-		sub := obs.Sub(root)
-		mustRun(t, fleet.Config{Seed: 7, UEs: 403, Shards: 4, Mix: mix, WindowS: 60, Obs: sub})
-		root.MergeTagged(sub, obs.S("mix", mix.String()))
-	}
-	if err := root.Trace().FlushSpill(); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
+	want := centralTrace(t, "colf", colf.DefaultBlockRecords, 4, false)
 
 	var got bytes.Buffer
 	sp := fleet.NewColfSpill(&got, "fleet")
@@ -146,8 +136,8 @@ func TestSpillDefaultBlockSize(t *testing.T) {
 	if err := sp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Errorf("default-block spill differs from central (%d vs %d bytes)", got.Len(), want.Len())
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("default-block spill differs from central (%d vs %d bytes)", got.Len(), len(want))
 	}
 }
 

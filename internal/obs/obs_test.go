@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -244,102 +243,6 @@ func TestNonFiniteJSONRoundTrip(t *testing.T) {
 	}
 	if v, ok := obj["fin"].(float64); !ok || v != 1.25 {
 		t.Fatalf("finite value decoded as %v (%T), want 1.25", obj["fin"], obj["fin"])
-	}
-}
-
-// recordingSink captures spilled batches for the spill-contract tests.
-type recordingSink struct {
-	batches [][]Record
-	err     error
-}
-
-func (s *recordingSink) WriteRecords(recs []Record) error {
-	cp := make([]Record, len(recs))
-	copy(cp, recs)
-	s.batches = append(s.batches, cp)
-	return s.err
-}
-
-// TestSpillBoundedBuffer pins the spill contract: the buffer never exceeds
-// its capacity, batches arrive in emission order, and FlushSpill drains the
-// tail.
-func TestSpillBoundedBuffer(t *testing.T) {
-	sink := &recordingSink{}
-	tr := NewTracer()
-	tr.SpillTo(sink, 4)
-	for i := 0; i < 10; i++ {
-		tr.Emit(Ev(float64(i), "s", "e"))
-		if tr.Len() > 4 {
-			t.Fatalf("buffer grew to %d records past the spill cap", tr.Len())
-		}
-	}
-	if err := tr.FlushSpill(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Spilled() != 10 {
-		t.Fatalf("spilled = %d, want 10", tr.Spilled())
-	}
-	var got []float64
-	for _, b := range sink.batches {
-		for _, r := range b {
-			got = append(got, r.At)
-		}
-	}
-	if len(got) != 10 {
-		t.Fatalf("sink saw %d records, want 10", len(got))
-	}
-	for i, at := range got {
-		if at != float64(i) {
-			t.Fatalf("record %d arrived out of order (at=%v)", i, at)
-		}
-	}
-}
-
-// TestSpillStreamedBytesMatchBuffered: spilling through a TraceJSONWriter
-// yields byte-identical output to buffering everything and writing once.
-func TestSpillStreamedBytesMatchBuffered(t *testing.T) {
-	emit := func(tr *Tracer) {
-		for i := 0; i < 23; i++ {
-			tr.Emit(Span(float64(i), 0.5, "fleet", "session").
-				With(F("ue", float64(i))).
-				With(S("mix", "mmwave")))
-		}
-	}
-	buffered := NewTracer()
-	emit(buffered)
-	var want bytes.Buffer
-	if err := WriteTraceJSON(&want, "fleet", buffered); err != nil {
-		t.Fatal(err)
-	}
-
-	var got bytes.Buffer
-	jw := NewTraceJSONWriter(&got, "fleet")
-	streaming := NewTracer()
-	streaming.SpillTo(jw, 5)
-	emit(streaming)
-	if err := streaming.FlushSpill(); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want.String() {
-		t.Fatalf("streamed JSONL differs from buffered:\n%s\nvs\n%s", got.String(), want.String())
-	}
-}
-
-// TestSpillErrorSurfaces: a failing sink must fail FlushSpill, never
-// silently truncate the artifact.
-func TestSpillErrorSurfaces(t *testing.T) {
-	sinkErr := errors.New("disk full")
-	sink := &recordingSink{err: sinkErr}
-	tr := NewTracer()
-	tr.SpillTo(sink, 2)
-	for i := 0; i < 5; i++ {
-		tr.Emit(Ev(float64(i), "s", "e"))
-	}
-	if err := tr.FlushSpill(); !errors.Is(err, sinkErr) {
-		t.Fatalf("FlushSpill() = %v, want %v", err, sinkErr)
 	}
 }
 

@@ -106,13 +106,6 @@ func (r Record) With(f Field) Record {
 // the record's storage; treat it as read-only.
 func (r *Record) Fields() []Field { return r.fields[:r.n] }
 
-// RecordSink consumes batches of records flushed out of a spilling Tracer
-// (see Tracer.SpillTo). The batch slice is reused by the tracer after the
-// call returns; implementations must not retain it.
-type RecordSink interface {
-	WriteRecords(recs []Record) error
-}
-
 // Tracer accumulates sim-time records in emission order. A nil *Tracer is
 // the disabled tracer: Emit is an allocation-free no-op and Enabled reports
 // false, so hot paths can skip even building the Record.
@@ -123,19 +116,8 @@ type RecordSink interface {
 // merge. No record is copied after it is emitted: merge tags attach when
 // the trace is walked (Walk, WriteTraceJSON), so record memory is paid
 // once however many fold levels the trace passes through.
-//
-// By default records accumulate in memory until rendered — O(events). For
-// campaigns where that is the long pole, SpillTo bounds the buffer: full
-// batches stream to a RecordSink (a colf block encoder, a JSONL writer) and
-// memory stays O(spill capacity) however many records are emitted.
 type Tracer struct {
 	recordSeq
-
-	// spill state (SpillTo); nil sink means accumulate-only.
-	sink     RecordSink
-	spillCap int
-	spillErr error
-	spilled  uint64
 }
 
 // recordSeq is a trace in emission order: a tracer's own records, with the
@@ -171,68 +153,6 @@ func (t *Tracer) Grow(n int) {
 	t.recs = slices.Grow(t.recs, n)
 }
 
-// SpillTo puts the tracer in bounded-buffer mode: whenever bufCap records
-// have accumulated they are handed to sink (in emission order) and the
-// buffer resets, so tracer memory is O(bufCap) instead of O(events).
-// Records already buffered, merged ones included, stay buffered until the
-// next flush boundary. Callers must finish with FlushSpill, which drains
-// the tail and surfaces the first sink error. In spill mode Len and Walk
-// cover only the not-yet-spilled tail. No-op on a nil tracer; bufCap < 1
-// is treated as 1.
-func (t *Tracer) SpillTo(sink RecordSink, bufCap int) {
-	if t == nil {
-		return
-	}
-	if bufCap < 1 {
-		bufCap = 1
-	}
-	if len(t.merged) > 0 {
-		// The spill buffer is flat: materialise the merged traces once, in
-		// walk order, so the first flush hands them to the sink in place.
-		flat := make([]Record, 0, t.recordSeq.len())
-		_ = t.Walk(func(r *Record) error { // never fails
-			flat = append(flat, *r)
-			return nil
-		})
-		t.recordSeq = recordSeq{recs: flat}
-	}
-	t.sink = sink
-	t.spillCap = bufCap
-}
-
-// FlushSpill drains any buffered records to the spill sink and returns the
-// first error any spill produced. It is a no-op (and returns nil) on a nil
-// or non-spilling tracer.
-func (t *Tracer) FlushSpill() error {
-	if t == nil || t.sink == nil {
-		return nil
-	}
-	if len(t.recs) > 0 {
-		t.spill()
-	}
-	return t.spillErr
-}
-
-// Spilled returns the number of records already streamed to the spill sink.
-func (t *Tracer) Spilled() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.spilled
-}
-
-// spill hands the buffer to the sink and resets it, keeping the first
-// error (a truncated artifact must fail loudly at FlushSpill, not silently
-// drop batches). A spilling tracer never holds merged traces, so the
-// buffer is the whole trace.
-func (t *Tracer) spill() {
-	if err := t.sink.WriteRecords(t.recs); err != nil && t.spillErr == nil {
-		t.spillErr = err
-	}
-	t.spilled += uint64(len(t.recs))
-	t.recs = t.recs[:0]
-}
-
 // Emit appends a record. Emitting to a nil tracer is a no-op.
 //
 //fgvet:noalloc
@@ -241,13 +161,10 @@ func (t *Tracer) Emit(r Record) {
 		return
 	}
 	t.recs = append(t.recs, r)
-	if t.sink != nil && len(t.recs) >= t.spillCap {
-		t.spill()
-	}
 }
 
 // Len returns the number of records the tracer holds, merged ones included
-// (0 for a nil tracer; in spill mode, only the not-yet-spilled tail).
+// (0 for a nil tracer).
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
@@ -260,8 +177,7 @@ func (t *Tracer) Len() int {
 // outermost last, up to the record's field capacity. fn gets a scratch
 // copy that is valid only for the call; the tracer itself is unchanged,
 // so a trace can be walked any number of times. Walk stops at, and
-// returns, the first error fn returns. In spill mode it covers only the
-// not-yet-spilled tail; a nil tracer walks nothing.
+// returns, the first error fn returns. A nil tracer walks nothing.
 func (t *Tracer) Walk(fn func(r *Record) error) error {
 	if t == nil {
 		return nil
@@ -277,28 +193,18 @@ func (t *Tracer) Walk(fn func(r *Record) error) error {
 // to other do not reach t. No record is copied; the tags attach when the
 // trace is walked.
 //
-// A spilling receiver (SpillTo) instead streams other's tagged records
-// through Emit, flushing at its capacity boundaries, so its memory stays
-// bounded. Determinism is preserved as long as callers merge sub-tracers
-// in a deterministic order. A nil receiver or source, and a self-merge,
-// are no-ops.
+// Determinism is preserved as long as callers merge sub-tracers in a
+// deterministic order. A nil receiver or source, and a self-merge, are
+// no-ops.
 func (t *Tracer) AppendTagged(other *Tracer, tags ...Field) {
 	if t == nil || other == nil || t == other {
 		return
 	}
-	if t.sink != nil {
-		w := walker{tags: [][]Field{tags}, fn: func(r *Record) error {
-			t.Emit(*r)
-			return nil
-		}}
-		_ = w.walk(&other.recordSeq) // never fails
-	} else {
-		t.merged = append(t.merged, mergedSeq{
-			at:   len(t.recs),
-			tags: slices.Clone(tags),
-			seq:  other.recordSeq,
-		})
-	}
+	t.merged = append(t.merged, mergedSeq{
+		at:   len(t.recs),
+		tags: slices.Clone(tags),
+		seq:  other.recordSeq,
+	})
 	other.recordSeq = recordSeq{}
 }
 

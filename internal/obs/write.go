@@ -104,38 +104,6 @@ func WriteTraceJSON(w io.Writer, scope string, t *Tracer) error {
 	return bw.Flush()
 }
 
-// TraceJSONWriter is the streaming form of WriteTraceJSON: a RecordSink
-// that renders every flushed batch as JSON Lines under one scope. Wiring
-// it into Tracer.SpillTo makes the JSONL artifact stream to disk with a
-// bounded record buffer, byte-identical to buffering everything and
-// calling WriteTraceJSON once.
-type TraceJSONWriter struct {
-	bw    *bufio.Writer
-	scope string
-	buf   []byte
-}
-
-// NewTraceJSONWriter returns a streaming JSONL sink scoping every record
-// with scope. Callers must Flush when done.
-func NewTraceJSONWriter(w io.Writer, scope string) *TraceJSONWriter {
-	return &TraceJSONWriter{bw: bufio.NewWriter(w), scope: scope}
-}
-
-// WriteRecords renders one batch. Part of the RecordSink contract.
-func (j *TraceJSONWriter) WriteRecords(recs []Record) error {
-	for i := range recs {
-		j.buf = AppendRecordJSON(j.buf[:0], j.scope, &recs[i])
-		j.buf = append(j.buf, '\n')
-		if _, err := j.bw.Write(j.buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Flush drains the writer's buffer to the underlying io.Writer.
-func (j *TraceJSONWriter) Flush() error { return j.bw.Flush() }
-
 // WriteMetricsCSV writes the registry's snapshot as CSV rows
 //
 //	exp,kind,name,field,value

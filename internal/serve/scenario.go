@@ -204,8 +204,8 @@ func (sc *Scenario) Validate() error {
 
 // CanonicalKey renders the scenario in a normalized, defaults-resolved form:
 // equal keys produce byte-identical artifacts, so the key is the cache key.
-// Fleet shard count and spill mode never enter the key — by the fleet
-// determinism contract they cannot change a byte of output.
+// Fleet shard count never enters the key — by the fleet determinism
+// contract it cannot change a byte of output.
 func (sc *Scenario) CanonicalKey() string {
 	var b strings.Builder
 	b.WriteString(sc.Kind)

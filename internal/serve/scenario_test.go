@@ -108,9 +108,9 @@ func TestBatteryTableMatchesRunMany(t *testing.T) {
 }
 
 // TestFleetTraceMatchesCentralPipeline: the served fleet trace (the
-// shard-parallel Spill path) is byte-identical to the central
-// Obs+SpillTo pipeline for the same campaign — the two encoders share
-// nothing but the record contract.
+// shard-parallel Spill path) is byte-identical to the central reduce's
+// trace rendered with WriteTraceJSON for the same campaign — the two
+// encoders share nothing but the record contract.
 func TestFleetTraceMatchesCentralPipeline(t *testing.T) {
 	sc := &Scenario{Kind: "fleet", Artifact: ArtifactTrace,
 		Fleet: &FleetScenario{UEs: 61, Mix: "mixed", WindowS: 20, SessionS: 8}}
@@ -123,9 +123,6 @@ func TestFleetTraceMatchesCentralPipeline(t *testing.T) {
 	}
 
 	root := obs.New()
-	var want bytes.Buffer
-	jw := obs.NewTraceJSONWriter(&want, "fleet")
-	root.Trace().SpillTo(jw, 64)
 	sub := obs.Sub(root)
 	mix, err := fleet.MixByName("mixed")
 	if err != nil {
@@ -137,10 +134,8 @@ func TestFleetTraceMatchesCentralPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	root.MergeTagged(sub, obs.S("mix", "mixed"))
-	if err := root.Trace().FlushSpill(); err != nil {
-		t.Fatal(err)
-	}
-	if err := jw.Flush(); err != nil {
+	var want bytes.Buffer
+	if err := obs.WriteTraceJSON(&want, "fleet", root.Trace()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {

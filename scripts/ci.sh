@@ -57,8 +57,11 @@ echo "== golden artifacts (chunk-kernel and battery bit-identity) =="
 # so a change the other gates cannot see (it hits serial and parallel,
 # colf and JSONL alike) still fails here. A legitimate physics change
 # regenerates the goldens with -update and reviews the diff; this gate
-# makes that step explicit.
-go test ./internal/fleet -run 'TestGoldenArtifacts' -count=1
+# makes that step explicit. The spill tests hold the shard-parallel trace
+# encoder (fleet.Spill) to the bytes of the central reduce rendered in
+# memory, in both formats, at shard counts {1,2,4,7} and at the default
+# colf block size.
+go test ./internal/fleet -run 'TestGoldenArtifacts|TestSpillMatchesCentral|TestSpillDefaultBlockSize' -count=1
 go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -count=1
 
 echo "== battery determinism (serial vs parallel) =="
@@ -134,7 +137,7 @@ for pair in "fleet-1.colf fleet-7.colf" "fleet-1.colf fleet-s.colf" \
         exit 1
     fi
 done
-"$tmpdir/fgfleet" colf2json "$tmpdir/fleet-7.colf" > "$tmpdir/fleet-7.decoded.jsonl"
+"$tmpdir/fgrepro" colf2json "$tmpdir/fleet-7.colf" > "$tmpdir/fleet-7.decoded.jsonl"
 if ! diff -q "$tmpdir/fleet-trace-1.jsonl" "$tmpdir/fleet-7.decoded.jsonl" >/dev/null; then
     echo "decoded fleet colf trace differs from direct JSONL" >&2
     exit 1
@@ -145,24 +148,6 @@ if ! diff -q "$tmpdir/trace-s.jsonl" "$tmpdir/trace.decoded.jsonl" >/dev/null; t
     echo "decoded battery colf trace differs from direct JSONL" >&2
     exit 1
 fi
-
-echo "== spill determinism (shard-parallel vs central encoding) =="
-# The parallel-spill contract: per-shard segment encoding stitched in
-# shard order must write the same bytes as the serial central encoder, in
-# both formats. The shard runs above already used the (default) shard
-# spill; re-render both artifacts through the central path and compare.
-"$tmpdir/fgfleet" -ues 403 -shards 5 -seed 7 -window 60 -spill central \
-    -trace "$tmpdir/fleet-central.jsonl" > /dev/null
-"$tmpdir/fgfleet" -ues 403 -shards 5 -seed 7 -window 60 -spill central \
-    -trace "$tmpdir/fleet-central.colf" -trace-format colf > /dev/null
-for pair in "fleet-trace-7.jsonl fleet-central.jsonl" \
-            "fleet-7.colf fleet-central.colf"; do
-    set -- $pair
-    if ! cmp -s "$tmpdir/$1" "$tmpdir/$2"; then
-        echo "shard-spill artifact differs from central-spill: $1 vs $2" >&2
-        exit 1
-    fi
-done
 
 echo "== fgservd smoke (served bytes = offline CLI bytes, incl. cache replay) =="
 # The serving contract: a scenario streamed over HTTP is byte-identical to
