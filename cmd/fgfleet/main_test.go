@@ -151,3 +151,53 @@ func TestArtifactWriteErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestStatsLeavesArtifactsAlone: -stats only adds a summary on stderr, one
+// row per mix plus a total. Stdout and both artifact files are the same
+// bytes with and without it.
+func TestStatsLeavesArtifactsAlone(t *testing.T) {
+	runOnce := func(stats bool) (stdout, stderr string, files [2][]byte) {
+		dir := t.TempDir()
+		paths := [2]string{filepath.Join(dir, "t.jsonl"), filepath.Join(dir, "m.csv")}
+		args := []string{"-ues", "37", "-mix", "all", "-window", "20", "-session", "8",
+			"-trace", paths[0], "-metrics", paths[1]}
+		if stats {
+			args = append(args, "-stats")
+		}
+		code, stdout, stderr := runCLI(t, args...)
+		if code != 0 {
+			t.Fatalf("stats=%t: exit = %d (stderr: %s)", stats, code, stderr)
+		}
+		for i, p := range paths {
+			b, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[i] = b
+		}
+		return stdout, stderr, files
+	}
+	plainOut, plainErr, plainFiles := runOnce(false)
+	statsOut, statsErr, statsFiles := runOnce(true)
+	if plainOut == "" || statsOut != plainOut {
+		t.Error("-stats changed the table on stdout")
+	}
+	for i, name := range []string{"trace", "metrics"} {
+		if len(plainFiles[i]) == 0 || !bytes.Equal(plainFiles[i], statsFiles[i]) {
+			t.Errorf("-stats changed the %s artifact", name)
+		}
+	}
+	if plainErr != "" {
+		t.Errorf("stderr without -stats = %q, want empty", plainErr)
+	}
+	rows := strings.Split(strings.TrimSuffix(statsErr, "\n"), "\n")
+	want := []string{"mix", "low-band", "mmwave", "mixed", "total"}
+	if len(rows) != len(want) {
+		t.Fatalf("-stats printed %d lines, want %d:\n%s", len(rows), len(want), statsErr)
+	}
+	for i, row := range rows {
+		if f := strings.Fields(row); len(f) == 0 || f[0] != want[i] {
+			t.Errorf("-stats line %d = %q, want it to start with %q", i, row, want[i])
+		}
+	}
+}

@@ -21,7 +21,12 @@
 //	-metrics FILE   write the metrics snapshot (CSV) to FILE
 //
 // Invalid flag values (negative -parallel, an unknown -trace-format) fail
-// fast with exit status 2 before any experiment runs.
+// fast with exit status 2 before any experiment runs; an unknown experiment
+// id exits 1, also before anything runs or any file is created.
+//
+// run and all parse their flags into a serve.Scenario of kind battery and
+// run it through serve.Run, the runner fgservd serves batteries with, so
+// served and CLI artifacts are the same bytes by construction.
 //
 // Output is byte-identical for any -parallel value: experiments fan out
 // over a worker pool but are reassembled in sorted id order, and every
@@ -33,6 +38,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -41,8 +47,8 @@ import (
 	"time"
 
 	"fivegsim/internal/experiments"
-	"fivegsim/internal/obs"
 	"fivegsim/internal/obs/colf"
+	"fivegsim/internal/serve"
 )
 
 func main() {
@@ -61,7 +67,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", 1, "experiments to run concurrently (0 = GOMAXPROCS)")
 	stats := fs.Bool("stats", false, "print per-experiment wall time and event counts to stderr")
 	traceOut := fs.String("trace", "", "write sim-time trace records to this file")
-	traceFormat := fs.String("trace-format", "jsonl", "trace encoding: jsonl or colf")
+	traceFormat := "jsonl"
+	fs.Func("trace-format", "trace encoding: jsonl or colf", func(v string) error {
+		traceFormat = v
+		return serve.CheckTraceFormat(v)
+	})
 	metricsOut := fs.String("metrics", "", "write the metrics snapshot (CSV) to this file")
 	fs.Usage = func() { usage(stderr) }
 	if err := fs.Parse(args); err != nil {
@@ -79,20 +89,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err := fs.Parse(sub[1:]); err != nil {
 		return 2
 	}
-	if *traceFormat != "jsonl" && *traceFormat != "colf" {
-		fmt.Fprintf(stderr, "fgrepro: -trace-format must be jsonl or colf, got %q\n", *traceFormat)
-		return 2
-	}
 	if *parallel < 0 {
 		fmt.Fprintf(stderr, "fgrepro: -parallel must be >= 0 (0 = GOMAXPROCS), got %d\n", *parallel)
 		return 2
 	}
-	cfg := experiments.Config{Seed: *seed, Quick: *quick}
-	if *traceOut != "" || *metricsOut != "" {
-		// A non-nil collector tells RunMany to hand every experiment its
-		// own registry; the instrumented subsystems then record into it.
-		cfg.Obs = obs.New()
-	}
+	sc := &serve.Scenario{Kind: "battery", Seed: seed, Quick: *quick, TraceFormat: traceFormat, Workers: *parallel}
 	rest := fs.Args()
 	switch sub[0] {
 	case "list":
@@ -101,13 +102,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		return 0
 	case "all":
-		return runBattery(cfg, experiments.IDs(), *parallel, *stats, *traceOut, *traceFormat, *metricsOut, stdout, stderr)
+		return runBattery(sc, *stats, *traceOut, *metricsOut, stdout, stderr)
 	case "run":
 		if len(rest) == 0 {
 			fmt.Fprintln(stderr, "fgrepro run: need at least one experiment id")
 			return 2
 		}
-		return runBattery(cfg, rest, *parallel, *stats, *traceOut, *traceFormat, *metricsOut, stdout, stderr)
+		sc.Experiments = rest
+		return runBattery(sc, *stats, *traceOut, *metricsOut, stdout, stderr)
 	case "colf2json":
 		return colf2json(rest, stdin, stdout, stderr)
 	default:
@@ -150,51 +152,24 @@ func colf2json(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runBattery executes ids over the worker pool and prints the tables in
-// input order, optionally followed by a per-experiment campaign summary and
-// the trace/metrics artifacts.
-func runBattery(cfg experiments.Config, ids []string, workers int, stats bool, traceOut, traceFormat, metricsOut string, stdout, stderr io.Writer) int {
-	results, err := experiments.RunMany(cfg, ids, workers)
-	if err != nil {
+// runBattery runs the battery scenario: its tables to stdout, its
+// trace/metrics artifacts to their files, then an optional per-experiment
+// summary on stderr.
+func runBattery(sc *serve.Scenario, stats bool, traceOut, metricsOut string, stdout, stderr io.Writer) int {
+	if err := sc.Validate(); err != nil {
 		fmt.Fprintln(stderr, "fgrepro:", err)
 		return 1
 	}
-	for _, r := range results {
-		for _, t := range r.Tables {
-			if _, err := fmt.Fprintln(stdout, t); err != nil {
-				// A stdout write error (closed pipe, full disk) must fail
-				// the run: a truncated table must never look complete.
-				fmt.Fprintln(stderr, "fgrepro: writing table:", err)
-				return 1
-			}
-		}
-	}
-	if traceOut != "" {
-		err := writeArtifact(traceOut, func(f *os.File) error {
-			if traceFormat == "colf" {
-				return experiments.WriteTraceColf(f, results)
-			}
-			return experiments.WriteTrace(f, results)
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "fgrepro:", err)
-			return 1
-		}
-	}
-	if metricsOut != "" {
-		err := writeArtifact(metricsOut, func(f *os.File) error {
-			return experiments.WriteMetrics(f, results)
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "fgrepro:", err)
-			return 1
-		}
+	rep, err := serve.RunFiles(context.Background(), sc, stdout, traceOut, metricsOut)
+	if err != nil {
+		fmt.Fprintln(stderr, "fgrepro:", err)
+		return 1
 	}
 	if stats {
 		w := tabwriter.NewWriter(stderr, 2, 0, 2, ' ', 0)
 		fmt.Fprintln(w, "experiment\twall\tevents")
 		var events uint64
-		for _, r := range results {
+		for _, r := range rep.Battery {
 			events += r.Events
 			fmt.Fprintf(w, "%s\t%v\t%d\n", r.ID, r.Wall.Round(10*time.Microsecond), r.Events)
 		}
@@ -204,24 +179,6 @@ func runBattery(cfg experiments.Config, ids []string, workers int, stats bool, t
 		}
 	}
 	return 0
-}
-
-// writeArtifact creates path and streams one artifact into it, reporting
-// any create, write, or close error (a truncated artifact must never look
-// like a successful one).
-func writeArtifact(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("closing %s: %w", path, err)
-	}
-	return nil
 }
 
 func usage(w io.Writer) {

@@ -119,7 +119,7 @@ func TestFleetColfSpillShardInvariance(t *testing.T) {
 // float means at table precision.
 func TestFleetStreamTableMatchesExact(t *testing.T) {
 	exact := FleetTable(fleetCampaigns(nil, 4, false))
-	streamed := FleetStreamTable(fleetCampaigns(nil, 4, true))
+	streamed := FleetTable(fleetCampaigns(nil, 4, true))
 	if got, want := streamed.String(), exact.String(); got != want {
 		t.Errorf("stream table differs from exact table:\n--- exact ---\n%s--- stream ---\n%s", want, got)
 	}

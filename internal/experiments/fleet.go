@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"time"
 
 	"fivegsim/internal/fleet"
 	"fivegsim/internal/obs"
@@ -26,25 +28,62 @@ const (
 // and — by the fleet determinism contract — cannot affect a byte of this
 // table or of the merged obs artifacts.
 func fleetExp(cfg Config) []*Table {
-	n := cfg.pick(fleetQuickUEs, fleetFullUEs)
-	rs := make([]*fleet.Result, 0, len(fleet.AllMixes))
-	for _, mix := range fleet.AllMixes {
-		sub := obs.Sub(cfg.Obs)
-		r, err := fleet.Run(fleet.Config{Seed: cfg.Seed, UEs: n, Mix: mix, Obs: sub})
-		if err != nil {
-			// Unreachable for the built-in mixes: every layer's power curve
-			// is validated by fleet's own tests. Fail the battery loudly.
-			panic(err)
-		}
-		rs = append(rs, r)
-		cfg.Obs.MergeTagged(sub, obs.S("mix", mix.String()))
+	base := fleet.Config{Seed: cfg.Seed, UEs: cfg.pick(fleetQuickUEs, fleetFullUEs)}
+	rs, _, err := RunFleet(context.Background(), base, fleet.AllMixes, cfg.Obs)
+	if err != nil {
+		// Unreachable for the built-in mixes: every layer's power curve
+		// is validated by fleet's own tests. Fail the battery loudly.
+		panic(err)
 	}
 	return []*Table{FleetTable(rs)}
 }
 
+// RunFleet runs one campaign of base per mix, in order: the campaign loop
+// behind fgfleet, fgservd's fleet scenarios, and the battery's fleet
+// experiment. Each campaign collects into its own obs.Sub of o, merged
+// back tagged with its mix; when base.Spill is set, the spilled records
+// carry the same tag, so both trace paths render the same bytes. ctx is
+// checked before each campaign and after the last, and a canceled run
+// returns ctx's error instead of partial results. Besides the results,
+// RunFleet returns each campaign's host wall time for -stats; no artifact
+// reads it.
+func RunFleet(ctx context.Context, base fleet.Config, mixes []fleet.Mix, o *obs.Obs) ([]*fleet.Result, []time.Duration, error) {
+	rs := make([]*fleet.Result, 0, len(mixes))
+	walls := make([]time.Duration, 0, len(mixes))
+	for _, mix := range mixes {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, fmt.Errorf("experiments: fleet campaigns canceled: %w", err)
+		}
+		tag := obs.S("mix", mix.String())
+		cfg := base
+		cfg.Mix = mix
+		cfg.Obs = obs.Sub(o)
+		if cfg.Spill != nil {
+			cfg.SpillTags = []obs.Field{tag}
+		}
+		start := time.Now() //fgvet:allow walltime per-campaign wall-clock stats for -stats, never sim time or an artifact
+		r, err := fleet.Run(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		walls = append(walls, time.Since(start)) //fgvet:allow walltime per-campaign wall-clock stats for -stats, never sim time or an artifact
+		o.MergeTagged(cfg.Obs, tag)
+		rs = append(rs, r)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, fmt.Errorf("experiments: fleet campaigns canceled: %w", err)
+	}
+	return rs, walls, nil
+}
+
 // FleetTable renders campaign results as population CDF rows (one row per
-// mix and metric). Shared by the battery experiment, cmd/fgfleet, and the
-// byte-identity tests, so "the table" means the same bytes everywhere.
+// mix and metric). Shared by the battery experiment, the scenario runner
+// behind fgfleet and fgservd, and the byte-identity tests, so "the table"
+// means the same bytes everywhere. A stream-mode result renders from its
+// merged ShardStats — integer-accumulated means, sketch-estimated
+// percentiles — instead of per-UE extracts. When the population fits the
+// sketch (UEs <= Config.SketchK) the bottom-k sample is the whole
+// population and its rows match the exact-mode rows byte for byte.
 func FleetTable(rs []*fleet.Result) *Table {
 	t := &Table{
 		ID:     "fleet",
@@ -53,42 +92,29 @@ func FleetTable(rs []*fleet.Result) *Table {
 	}
 	for _, r := range rs {
 		mix := r.Cfg.Mix.String()
-		addCDFRow(t, mix, "tput Mbps", r.ThroughputsMbps())
-		addCDFRow(t, mix, "QoE/chunk", r.QoEs())
-		addCDFRow(t, mix, "energy J", r.EnergiesJ())
-		addCDFRow(t, mix, "stall s", r.StallsS())
-		t.Notes = append(t.Notes, fmt.Sprintf("%s: %d UEs, %s of chunks on NR",
-			mix, len(r.UEs), pct(100*r.NRShare())))
-	}
-	return t
-}
-
-// FleetStreamTable is FleetTable's stream-mode counterpart: the same rows
-// rendered from each campaign's merged ShardStats — integer-accumulated
-// means, sketch-estimated percentiles — instead of per-UE extracts. When
-// the population fits the sketch (UEs <= Config.SketchK) the bottom-k
-// sample is the whole population and the percentile cells match
-// FleetTable's exactly.
-func FleetStreamTable(rs []*fleet.Result) *Table {
-	t := &Table{
-		ID:     "fleet",
-		Title:  "City-scale population campaign: QoE/power/throughput CDFs by band mix",
-		Header: []string{"mix", "metric", "p5", "p25", "p50", "p75", "p95", "mean"},
-	}
-	for _, r := range rs {
-		mix := r.Cfg.Mix.String()
-		for _, s := range r.Stream.Summaries() {
-			t.AddRow(mix, streamMetricLabel(s.Name),
-				f1(s.P5), f1(s.P25), f1(s.P50), f1(s.P75), f1(s.P95), f1(s.Mean))
+		var ues int64
+		var nr float64
+		if r.Stream != nil {
+			for _, s := range r.Stream.Summaries() {
+				t.AddRow(mix, streamMetricLabel(s.Name),
+					f1(s.P5), f1(s.P25), f1(s.P50), f1(s.P75), f1(s.P95), f1(s.Mean))
+			}
+			ues, nr = r.Stream.UEs(), r.Stream.NRShare()
+		} else {
+			addCDFRow(t, mix, "tput Mbps", r.ThroughputsMbps())
+			addCDFRow(t, mix, "QoE/chunk", r.QoEs())
+			addCDFRow(t, mix, "energy J", r.EnergiesJ())
+			addCDFRow(t, mix, "stall s", r.StallsS())
+			ues, nr = int64(len(r.UEs)), r.NRShare()
 		}
 		t.Notes = append(t.Notes, fmt.Sprintf("%s: %d UEs, %s of chunks on NR",
-			mix, r.Stream.UEs(), pct(100*r.Stream.NRShare())))
+			mix, ues, pct(100*nr)))
 	}
 	return t
 }
 
 // streamMetricLabel maps ShardStats summary names onto FleetTable's metric
-// column so the two tables line up row for row.
+// column so stream rows line up with exact rows.
 func streamMetricLabel(name string) string {
 	switch name {
 	case "tput_mbps":

@@ -64,7 +64,7 @@ type Config struct {
 	// shard counts.
 	Stream bool
 	// SketchK is the per-metric quantile sketch size in stream mode;
-	// <= 0 means DefaultSketchK.
+	// 0 means DefaultSketchK.
 	SketchK int
 	// Spill, when non-nil, streams the sampled per-session trace records
 	// to the spill's artifact writer with shard-parallel encoding (see
@@ -104,6 +104,13 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RouteKm == 0 {
 		c.RouteKm = 12
+	}
+	if c.SketchK == 0 {
+		c.SketchK = DefaultSketchK
+	}
+	if c.TraceEvery == 0 {
+		// A stride targeting ~512 sampled sessions per campaign.
+		c.TraceEvery = c.UEs/512 + 1
 	}
 	return c
 }
@@ -225,7 +232,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	var segs []spillSeg
 	var spillBase uint64
-	every := traceStride(cfg.UEs, cfg.TraceEvery)
+	every := cfg.TraceEvery
 	if cfg.Spill != nil {
 		segs = make([]spillSeg, len(ranges))
 		spillBase = cfg.Spill.base
@@ -308,7 +315,7 @@ func reduce(cfg Config, res *Result) {
 	qoeH := m.Hist("fleet.qoe", qoeBounds)
 	energyH := m.Hist("fleet.energy_j", energyBounds)
 	stallH := m.Hist("fleet.stall_s", stallBounds)
-	every := traceStride(len(res.UEs), cfg.TraceEvery)
+	every := cfg.TraceEvery
 	for id, u := range res.UEs {
 		tputH.Observe(u.MeanMbps)
 		qoeH.Observe(u.QoE)

@@ -93,15 +93,6 @@ func sessionRecord(ue int, u *UEResult, tags []obs.Field) obs.Record {
 	return r
 }
 
-// traceStride resolves Config.TraceEvery: an explicit stride wins, else
-// derive one targeting ~512 sampled sessions.
-func traceStride(ues, every int) int {
-	if every > 0 {
-		return every
-	}
-	return ues/512 + 1
-}
-
 // sampledBelow counts the sampled UE ids in [0, n) at the given stride —
 // the record-stream offset of UE id n.
 func sampledBelow(n, every int) uint64 {

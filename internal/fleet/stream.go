@@ -121,9 +121,6 @@ type ShardStats struct {
 // described by cfg (which must already have defaults applied).
 func newShardStats(cfg Config) *ShardStats {
 	k := cfg.SketchK
-	if k <= 0 {
-		k = DefaultSketchK
-	}
 	st := &ShardStats{
 		tput:     newHistCounts(tputBounds),
 		qoe:      newHistCounts(qoeBounds),
@@ -135,7 +132,7 @@ func newShardStats(cfg Config) *ShardStats {
 		skStall:  stats.NewSketch(k, mixSeed(cfg.Seed, 0, saltSketchStall)),
 	}
 	if cfg.Obs.Enabled() || cfg.Spill != nil {
-		st.every = traceStride(cfg.UEs, cfg.TraceEvery)
+		st.every = cfg.TraceEvery
 	}
 	return st
 }

@@ -10,9 +10,12 @@
 // artifact is a pure function of (scenario, seed), so a response is keyed
 // by the canonicalized scenario and cached with single-flight
 // de-duplication, the same discipline trace.Cache applies to trace sets.
-// Repeat requests replay byte-identical artifacts without re-simulating,
-// and the streamed bytes equal the offline fgrepro/fgfleet artifacts byte
-// for byte (asserted by the ci.sh smoke gate).
+// Repeat requests replay byte-identical artifacts without re-simulating.
+//
+// Scenario and Run are also the offline front ends' runner: fgrepro and
+// fgfleet parse their flags into a Scenario, check it with Validate, and
+// call Run, so the served bytes equal the CLI artifacts by construction
+// (the ci.sh smoke gate checks the HTTP transport on top).
 package serve
 
 import (
@@ -20,8 +23,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"slices"
 	"strconv"
 	"strings"
+	"time"
 
 	"fivegsim/internal/experiments"
 	"fivegsim/internal/fleet"
@@ -55,7 +61,13 @@ type Scenario struct {
 	// `fgrepro all` battery). Battery kind only.
 	Experiments []string `json:"experiments,omitempty"`
 	// Quick selects the reduced-repeat battery (`fgrepro -quick`).
+	// Battery kind only.
 	Quick bool `json:"quick,omitempty"`
+	// Workers bounds the battery's concurrent experiments (`fgrepro
+	// -parallel`); 0 means GOMAXPROCS. Like FleetScenario.Shards it cannot
+	// change a byte of output, so it stays out of the key. It has no JSON
+	// name: fgservd always runs batteries at GOMAXPROCS.
+	Workers int `json:"-"`
 
 	// Fleet parameterises the campaign; required for kind "fleet".
 	Fleet *FleetScenario `json:"fleet,omitempty"`
@@ -74,15 +86,19 @@ type FleetScenario struct {
 	TraceEvery int     `json:"trace_every,omitempty"`
 }
 
-// ParseScenario decodes and validates a request body. Unknown fields are
-// rejected: a typoed knob must fail loudly, never silently run the default
-// scenario.
+// ParseScenario decodes and validates a request body. Unknown fields and
+// anything after the scenario object are rejected: a typoed knob or a
+// second scenario must fail loudly, never silently run the default or the
+// first one.
 func ParseScenario(r io.Reader) (*Scenario, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var sc Scenario
 	if err := dec.Decode(&sc); err != nil {
 		return nil, fmt.Errorf("malformed scenario JSON: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("malformed scenario JSON: trailing data after the scenario object")
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -153,37 +169,50 @@ func (sc *Scenario) fleetMixes() ([]fleet.Mix, error) {
 	return []fleet.Mix{m}, nil
 }
 
-// Validate rejects a scenario the runners could not execute — with the same
-// fail-fast discipline as the CLI flag validation, so fgservd, fgfleet, and
-// the fleet library all refuse the same inputs.
+// traceFormats lists the trace encodings every front end accepts, in the
+// order GET /v1/scenarios reports them.
+var traceFormats = []string{"jsonl", "colf"}
+
+// CheckTraceFormat rejects a trace encoding outside the accepted ones. The
+// CLIs parse -trace-format through it, and Validate applies it to
+// trace_format.
+func CheckTraceFormat(format string) error {
+	if !slices.Contains(traceFormats, format) {
+		return fmt.Errorf("trace format must be %s (got %q)", strings.Join(traceFormats, " or "), format)
+	}
+	return nil
+}
+
+// Validate rejects a scenario Run could not execute. fgservd, fgrepro and
+// fgfleet all check their scenarios here, and fleet knobs go through
+// fleet.Config.Validate, so every front end and the fleet library refuse
+// the same inputs with the same message.
 func (sc *Scenario) Validate() error {
 	switch sc.artifact() {
 	case ArtifactTable, ArtifactTrace, ArtifactMetrics:
 	default:
 		return fmt.Errorf("artifact must be table, trace, or metrics (got %q)", sc.Artifact)
 	}
-	switch sc.traceFormat() {
-	case "jsonl", "colf":
-	default:
-		return fmt.Errorf("trace_format must be jsonl or colf (got %q)", sc.TraceFormat)
+	if err := CheckTraceFormat(sc.traceFormat()); err != nil {
+		return err
 	}
 	switch sc.Kind {
 	case "battery":
 		if sc.Fleet != nil {
 			return fmt.Errorf("battery scenario must not carry a fleet config")
 		}
-		known := make(map[string]bool)
-		for _, id := range experiments.IDs() {
-			known[id] = true
-		}
+		ids := experiments.IDs()
 		for _, id := range sc.Experiments {
-			if !known[id] {
-				return fmt.Errorf("unknown experiment %q (GET /v1/scenarios lists the ids)", id)
+			if !slices.Contains(ids, id) {
+				return fmt.Errorf("unknown experiment %q (known: %s)", id, strings.Join(ids, ", "))
 			}
 		}
 	case "fleet":
 		if sc.Fleet == nil {
 			return fmt.Errorf("fleet scenario requires a fleet config")
+		}
+		if sc.Quick || len(sc.Experiments) > 0 {
+			return fmt.Errorf("fleet scenario must not carry quick or experiments (battery fields)")
 		}
 		mixes, err := sc.fleetMixes()
 		if err != nil {
@@ -205,7 +234,8 @@ func (sc *Scenario) Validate() error {
 // CanonicalKey renders the scenario in a normalized, defaults-resolved form:
 // equal keys produce byte-identical artifacts, so the key is the cache key.
 // Fleet shard count never enters the key — by the fleet determinism
-// contract it cannot change a byte of output.
+// contract it cannot change a byte of output — and neither does the sketch
+// size of an exact-mode campaign, which only stream mode reads.
 func (sc *Scenario) CanonicalKey() string {
 	var b strings.Builder
 	b.WriteString(sc.Kind)
@@ -227,11 +257,15 @@ func (sc *Scenario) CanonicalKey() string {
 			mix = "all"
 		}
 		cfg := sc.fleetConfig(fleet.MixLowBand) // mix rendered separately
-		fmt.Fprintf(&b, " ues=%d mix=%s window=%s session=%s stream=%t sketchk=%d every=%d",
+		fmt.Fprintf(&b, " ues=%d mix=%s window=%s session=%s stream=%t",
 			cfg.UEs, mix,
 			strconv.FormatFloat(cfg.WindowS, 'g', -1, 64),
 			strconv.FormatFloat(cfg.SessionS, 'g', -1, 64),
-			cfg.Stream, cfg.SketchK, cfg.TraceEvery)
+			cfg.Stream)
+		if cfg.Stream {
+			fmt.Fprintf(&b, " sketchk=%d", cfg.SketchK)
+		}
+		fmt.Fprintf(&b, " every=%d", cfg.TraceEvery)
 	}
 	return b.String()
 }
@@ -250,128 +284,173 @@ func (sc *Scenario) ContentType() string {
 	return "text/plain; charset=utf-8"
 }
 
-// RunScenario executes a validated scenario and writes the artifact to w,
-// byte-identical to the offline CLI output for the same parameters:
-// battery tables equal `fgrepro` stdout, battery trace/metrics equal the
-// `-trace`/`-metrics` files, fleet tables equal `fgfleet` stdout, and fleet
-// trace/metrics equal fgfleet's artifact files. Trace artifacts stream
-// incrementally — the fleet path encodes through fleet.Spill so trace
-// memory stays O(block) regardless of population size.
-//
-// Cancellation is cooperative at reduce-step granularity: between battery
-// experiments (RunManyCtx) and between fleet campaigns. A canceled run
-// returns ctx's error; whatever bytes were already streamed must be
-// discarded by the caller (the server abandons the cache entry).
-func RunScenario(ctx context.Context, sc *Scenario, w io.Writer) error {
-	switch sc.Kind {
-	case "battery":
-		return runBatteryScenario(ctx, sc, w)
-	case "fleet":
-		return runFleetScenario(ctx, sc, w)
-	}
-	return fmt.Errorf("kind must be battery or fleet (got %q)", sc.Kind)
+// Outputs selects the artifacts Run writes; a nil writer skips its
+// artifact. The trace is encoded in the scenario's TraceFormat.
+type Outputs struct {
+	Table, Trace, Metrics io.Writer
 }
 
-// runBatteryScenario reproduces the fgrepro artifact paths.
-func runBatteryScenario(ctx context.Context, sc *Scenario, w io.Writer) error {
-	cfg := experiments.Config{Seed: sc.seed(), Quick: sc.Quick}
-	if sc.artifact() != ArtifactTable {
-		// A non-nil collector tells RunManyCtx to hand every experiment its
-		// own registry, exactly as fgrepro does for -trace/-metrics.
-		cfg.Obs = obs.New()
-	}
-	results, err := experiments.RunManyCtx(ctx, cfg, sc.batteryIDs(), 0)
-	if err != nil {
-		return err
-	}
-	switch sc.artifact() {
-	case ArtifactTable:
-		for _, r := range results {
-			for _, t := range r.Tables {
-				// fgrepro prints each table with fmt.Println: String plus \n.
-				if _, err := io.WriteString(w, t.String()); err != nil {
-					return err
-				}
-				if _, err := io.WriteString(w, "\n"); err != nil {
+// Report is what a run's -stats summary prints, and nothing else. Its wall
+// times are host wall clock; no artifact reads them.
+type Report struct {
+	// Battery holds one result per experiment, with its wall time and
+	// event count (kind battery).
+	Battery []experiments.Result
+	// Fleet holds one campaign per mix and FleetWall each campaign's wall
+	// time (kind fleet).
+	Fleet     []*fleet.Result
+	FleetWall []time.Duration
+}
+
+// Run executes a validated scenario once and writes the artifacts out
+// selects, in a fixed order: the tables, then the trace, then the metrics.
+// Obs collection turns on only when an artifact needs it, and no artifact's
+// bytes depend on which others were requested, so fgservd's one-artifact
+// responses equal the fgrepro and fgfleet files for the same scenario.
+// Fleet traces stream through fleet.Spill, so trace memory stays O(block)
+// at any population size.
+//
+// Cancellation is cooperative at reduce-step granularity: between battery
+// experiments (RunManyCtx) and between fleet campaigns (RunFleet). A
+// canceled run returns ctx's error; whatever bytes were already written
+// must be discarded by the caller (the server abandons the cache entry).
+func Run(ctx context.Context, sc *Scenario, out Outputs) (*Report, error) {
+	rep := &Report{}
+	var table, trace, metrics func(io.Writer) error
+	switch sc.Kind {
+	case "battery":
+		cfg := experiments.Config{Seed: sc.seed(), Quick: sc.Quick}
+		if out.Trace != nil || out.Metrics != nil {
+			// A non-nil collector tells RunManyCtx to hand every
+			// experiment its own registry.
+			cfg.Obs = obs.New()
+		}
+		results, err := experiments.RunManyCtx(ctx, cfg, sc.batteryIDs(), sc.Workers)
+		if err != nil {
+			return nil, err
+		}
+		rep.Battery = results
+		table = func(w io.Writer) error {
+			for _, r := range results {
+				if err := writeTables(w, r.Tables...); err != nil {
 					return err
 				}
 			}
+			return nil
 		}
-		return nil
-	case ArtifactTrace:
-		if sc.traceFormat() == "colf" {
-			return experiments.WriteTraceColf(w, results)
+		trace = func(w io.Writer) error {
+			if sc.traceFormat() == "colf" {
+				return experiments.WriteTraceColf(w, results)
+			}
+			return experiments.WriteTrace(w, results)
 		}
-		return experiments.WriteTrace(w, results)
-	case ArtifactMetrics:
-		return experiments.WriteMetrics(w, results)
+		metrics = func(w io.Writer) error { return experiments.WriteMetrics(w, results) }
+	case "fleet":
+		mixes, err := sc.fleetMixes()
+		if err != nil {
+			return nil, err
+		}
+		// The trace streams through the Spill; the collector gathers
+		// metrics only.
+		var root *obs.Obs
+		if out.Metrics != nil {
+			root = obs.New()
+		}
+		base := sc.fleetConfig(mixes[0]) // RunFleet sets each campaign's mix
+		if out.Trace != nil {
+			if sc.traceFormat() == "colf" {
+				base.Spill = fleet.NewColfSpill(out.Trace, "fleet")
+			} else {
+				base.Spill = fleet.NewJSONLSpill(out.Trace, "fleet")
+			}
+		}
+		rep.Fleet, rep.FleetWall, err = experiments.RunFleet(ctx, base, mixes, root)
+		if err != nil {
+			return nil, err
+		}
+		table = func(w io.Writer) error { return writeTables(w, experiments.FleetTable(rep.Fleet)) }
+		trace = func(io.Writer) error { return base.Spill.Close() }
+		// The fleet metrics CSV has no header line.
+		metrics = func(w io.Writer) error { return obs.WriteMetricsCSV(w, "fleet", root.Meter()) }
+	default:
+		return nil, fmt.Errorf("kind must be battery or fleet (got %q)", sc.Kind)
 	}
-	return fmt.Errorf("artifact must be table, trace, or metrics (got %q)", sc.Artifact)
+	for _, a := range []struct {
+		name  string
+		w     io.Writer
+		write func(io.Writer) error
+	}{{"table", out.Table, table}, {"trace", out.Trace, trace}, {"metrics", out.Metrics, metrics}} {
+		if a.w == nil {
+			continue
+		}
+		if err := a.write(a.w); err != nil {
+			// A failed write fails the run: a truncated artifact must
+			// never look like a complete one.
+			return nil, fmt.Errorf("writing %s: %w", a.name, err)
+		}
+	}
+	return rep, nil
 }
 
-// runFleetScenario reproduces the fgfleet artifact paths: one campaign per
-// mix, the shared table renderers for stdout, the shard-parallel Spill for
-// the trace artifact (O(block) memory), and the headerless metrics CSV.
-func runFleetScenario(ctx context.Context, sc *Scenario, w io.Writer) error {
-	mixes, err := sc.fleetMixes()
-	if err != nil {
-		return err
-	}
-	var root *obs.Obs
-	if sc.artifact() == ArtifactMetrics {
-		root = obs.New()
-	}
-	var spill *fleet.Spill
-	if sc.artifact() == ArtifactTrace {
-		if sc.traceFormat() == "colf" {
-			spill = fleet.NewColfSpill(w, "fleet")
-		} else {
-			spill = fleet.NewJSONLSpill(w, "fleet")
-		}
-	}
-	rs := make([]*fleet.Result, 0, len(mixes))
-	for _, mix := range mixes {
-		// The cancellation point: an in-flight request that lost its client
-		// (or hit its timeout) stops between campaigns, not after all mixes.
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("fleet scenario canceled: %w", err)
-		}
-		cfg := sc.fleetConfig(mix)
-		sub := obs.Sub(root)
-		cfg.Obs = sub
-		if spill != nil {
-			cfg.Spill = spill
-			cfg.SpillTags = []obs.Field{obs.S("mix", mix.String())}
-		}
-		r, err := fleet.Run(cfg)
-		if err != nil {
+// writeTables prints each table followed by a newline, as fmt.Println does.
+func writeTables(w io.Writer, ts ...*experiments.Table) error {
+	for _, t := range ts {
+		if _, err := fmt.Fprintln(w, t); err != nil {
 			return err
 		}
-		root.MergeTagged(sub, obs.S("mix", mix.String()))
-		rs = append(rs, r)
 	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("fleet scenario canceled: %w", err)
-	}
+	return nil
+}
+
+// RunScenario runs a validated scenario and writes the one artifact it
+// selects to w. It is fgservd's call into Run.
+func RunScenario(ctx context.Context, sc *Scenario, w io.Writer) error {
+	var out Outputs
 	switch sc.artifact() {
-	case ArtifactTable:
-		var table string
-		if sc.Fleet.Stream {
-			table = experiments.FleetStreamTable(rs).String()
-		} else {
-			table = experiments.FleetTable(rs).String()
-		}
-		// fgfleet prints the table with fmt.Println: String plus \n.
-		if _, err := io.WriteString(w, table); err != nil {
-			return err
-		}
-		_, err := io.WriteString(w, "\n")
-		return err
 	case ArtifactTrace:
-		return spill.Close()
+		out.Trace = w
 	case ArtifactMetrics:
-		// fgfleet writes the fleet metrics CSV without a header line.
-		return obs.WriteMetricsCSV(w, "fleet", root.Meter())
+		out.Metrics = w
+	default:
+		out.Table = w
 	}
-	return fmt.Errorf("artifact must be table, trace, or metrics (got %q)", sc.Artifact)
+	_, err := Run(ctx, sc, out)
+	return err
+}
+
+// RunFiles is Run for the CLIs: the tables go to table, and the trace and
+// metrics artifacts to files created at tracePath and metricsPath ("" skips
+// the artifact). The files are created before the run and closed on every
+// path, and a close error fails the run. Every file error names its path.
+func RunFiles(ctx context.Context, sc *Scenario, table io.Writer, tracePath, metricsPath string) (rep *Report, err error) {
+	var files []*os.File
+	defer func() {
+		for _, f := range files {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			rep = nil
+		}
+	}()
+	create := func(path string) (io.Writer, error) {
+		if path == "" {
+			return nil, nil
+		}
+		f, err := os.Create(path)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+		return f, nil
+	}
+	out := Outputs{Table: table}
+	if out.Trace, err = create(tracePath); err != nil {
+		return nil, err
+	}
+	if out.Metrics, err = create(metricsPath); err != nil {
+		return nil, err
+	}
+	return Run(ctx, sc, out)
 }

@@ -32,6 +32,12 @@ func TestParseScenarioRejects(t *testing.T) {
 		{"fleet negative shards", `{"kind":"fleet","fleet":{"ues":10,"shards":-1}}`},
 		{"fleet negative window", `{"kind":"fleet","fleet":{"ues":10,"window_s":-5}}`},
 		{"fleet unknown mix", `{"kind":"fleet","fleet":{"ues":10,"mix":"nope"}}`},
+		{"second object", `{"kind":"battery"} {"kind":"fleet"}`},
+		{"trailing garbage", `{"kind":"battery","quick":true}garbage`},
+		{"fleet with quick", `{"kind":"fleet","quick":true,"fleet":{"ues":10}}`},
+		{"fleet with experiments", `{"kind":"fleet","experiments":["table7"],"fleet":{"ues":10}}`},
+		{"fleet with battery fields", `{"kind":"fleet","quick":true,"experiments":["nope"],"fleet":{"ues":10}}`},
+		{"workers is CLI-only", `{"kind":"battery","workers":2}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -63,6 +69,15 @@ func TestCanonicalKeyNormalizes(t *testing.T) {
 		{"fleet mix all spelled out",
 			Scenario{Kind: "fleet", Fleet: &FleetScenario{UEs: 50}},
 			Scenario{Kind: "fleet", Fleet: &FleetScenario{UEs: 50, Mix: "all"}}},
+		{"stream sketch_k default",
+			Scenario{Kind: "fleet", Fleet: &FleetScenario{UEs: 50, Stream: true}},
+			Scenario{Kind: "fleet", Fleet: &FleetScenario{UEs: 50, Stream: true, SketchK: fleet.DefaultSketchK}}},
+		{"exact mode ignores sketch_k",
+			Scenario{Kind: "fleet", Fleet: &FleetScenario{UEs: 50}},
+			Scenario{Kind: "fleet", Fleet: &FleetScenario{UEs: 50, SketchK: 64}}},
+		{"trace_every derived stride",
+			Scenario{Kind: "fleet", Fleet: &FleetScenario{UEs: 5000}},
+			Scenario{Kind: "fleet", Fleet: &FleetScenario{UEs: 5000, TraceEvery: 5000/512 + 1}}},
 	}
 	for _, tc := range pairs {
 		t.Run(tc.name, func(t *testing.T) {

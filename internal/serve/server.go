@@ -280,7 +280,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		TraceFormats []string `json:"trace_formats"`
 	}{experiments.IDs(), mixes,
 		[]string{ArtifactTable, ArtifactTrace, ArtifactMetrics},
-		[]string{"jsonl", "colf"}}
+		traceFormats}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(out); err != nil {

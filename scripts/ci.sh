@@ -153,6 +153,9 @@ echo "== fgservd smoke (served bytes = offline CLI bytes, incl. cache replay) ==
 # The serving contract: a scenario streamed over HTTP is byte-identical to
 # the offline fgrepro/fgfleet artifact for the same parameters, and a repeat
 # request replays the cached artifact byte-identically (X-Fgserv-Cache: hit).
+# fgservd and both CLIs run scenarios through the one serve.Run, so this
+# step checks the HTTP transport (chunking, tee, cache replay) on every
+# artifact path rather than drift between copies of the runner.
 # The daemon picks a free port and publishes it via -addr-file; SIGTERM at
 # the end must drain cleanly (exit 0).
 go build -o "$tmpdir/fgservd" ./cmd/fgservd
@@ -170,25 +173,36 @@ if [ ! -s "$tmpdir/fgservd.addr" ]; then
 fi
 base="http://$(cat "$tmpdir/fgservd.addr" | tr -d '[:space:]')"
 
-# Battery: the served quick-battery table equals fgrepro stdout.
+# Battery: the served quick-battery table, trace (jsonl) and metrics equal
+# fgrepro's stdout, -trace and -metrics files.
+battery_body() {
+    printf '{"kind":"battery","quick":true,"artifact":"%s"}' "$1"
+}
 curl -sSf -X POST -H 'Content-Type: application/json' \
-    -d '{"kind":"battery","quick":true}' \
-    "$base/v1/run" > "$tmpdir/served-battery.txt"
-if ! cmp -s "$tmpdir/serial.txt" "$tmpdir/served-battery.txt"; then
-    echo "served battery table differs from fgrepro stdout" >&2
-    exit 1
-fi
+    -d "$(battery_body table)" "$base/v1/run" > "$tmpdir/served-battery.txt"
+curl -sSf -X POST -d "$(battery_body trace)"   "$base/v1/run" > "$tmpdir/served-battery.jsonl"
+curl -sSf -X POST -d "$(battery_body metrics)" "$base/v1/run" > "$tmpdir/served-battery.csv"
+for pair in "serial.txt served-battery.txt" "trace-s.jsonl served-battery.jsonl" \
+            "metrics-s.csv served-battery.csv"; do
+    set -- $pair
+    if ! cmp -s "$tmpdir/$1" "$tmpdir/$2"; then
+        echo "served battery artifact differs from offline fgrepro: $1 vs $2" >&2
+        exit 1
+    fi
+done
 
-# Fleet: table, trace, and metrics each equal the fgfleet artifacts from
-# the determinism gate above (ues 403, seed 7, window 60).
+# Fleet: table, trace (jsonl and colf), and metrics each equal the fgfleet
+# artifacts from the determinism gates above (ues 403, seed 7, window 60).
 fleet_body() {
-    printf '{"kind":"fleet","seed":7,"artifact":"%s","fleet":{"ues":403,"window_s":60}}' "$1"
+    printf '{"kind":"fleet","seed":7,"artifact":"%s"%s,"fleet":{"ues":403,"window_s":60}}' "$1" "${2:-}"
 }
 curl -sSf -X POST -d "$(fleet_body table)"   "$base/v1/run" > "$tmpdir/served-fleet.txt"
 curl -sSf -X POST -d "$(fleet_body trace)"   "$base/v1/run" > "$tmpdir/served-fleet.jsonl"
+curl -sSf -X POST -d "$(fleet_body trace ',"trace_format":"colf"')" \
+    "$base/v1/run" > "$tmpdir/served-fleet.colf"
 curl -sSf -X POST -d "$(fleet_body metrics)" "$base/v1/run" > "$tmpdir/served-fleet.csv"
 for pair in "fleet-1.txt served-fleet.txt" "fleet-trace-1.jsonl served-fleet.jsonl" \
-            "fleet-metrics-1.csv served-fleet.csv"; do
+            "fleet-1.colf served-fleet.colf" "fleet-metrics-1.csv served-fleet.csv"; do
     set -- $pair
     if ! cmp -s "$tmpdir/$1" "$tmpdir/$2"; then
         echo "served fleet artifact differs from offline fgfleet: $1 vs $2" >&2
