@@ -107,8 +107,8 @@ type Cloner interface {
 
 // Options configures a playback simulation.
 type Options struct {
-	// MaxBufferS caps the playback buffer; 0 means 20 s (dash.js default
-	// ballpark).
+	// MaxBufferS caps the playback buffer; 0 means defaultMaxBufferS
+	// (20 s, the dash.js default ballpark).
 	MaxBufferS float64
 	// Abandon enables mid-download chunk abandonment: when a download is
 	// going to outlive the buffer, the player aborts it and refetches the
@@ -116,26 +116,19 @@ type Options struct {
 	// is missing from chunk-granular ABR ("once made, such decisions
 	// cannot be rolled back").
 	Abandon bool
-	// QoE rebuffer penalty multiplier; 0 means the top bitrate (the
-	// MPC paper's QoE_lin).
-	RebufPenalty float64
-	// SmoothPenalty weighs bitrate switches; 0 means 1.
-	SmoothPenalty float64
 	// Obs, when enabled, collects one decision record per chunk plus
 	// session counters. nil (the default) keeps the playback loop
 	// allocation-free.
 	Obs *obs.Obs
 }
 
-func (o Options) withDefaults(v Video) Options {
+// defaultMaxBufferS is the player's default buffer cap, and the cap BOLA
+// sizes its utility weight to.
+const defaultMaxBufferS = 20
+
+func (o Options) withDefaults() Options {
 	if o.MaxBufferS == 0 {
-		o.MaxBufferS = 20
-	}
-	if o.RebufPenalty == 0 {
-		o.RebufPenalty = v.Top()
-	}
-	if o.SmoothPenalty == 0 {
-		o.SmoothPenalty = 1
+		o.MaxBufferS = defaultMaxBufferS
 	}
 	return o
 }
@@ -157,7 +150,9 @@ type Result struct {
 	StartupS float64
 	// Switches counts track changes.
 	Switches int
-	// QoE is the MPC-style linear QoE total.
+	// QoE is the MPC-style linear QoE total (QoE_lin): the chunk bitrates,
+	// minus each switch's bitrate change, minus the stall time weighted by
+	// the top bitrate.
 	QoE float64
 	// Abandons counts mid-download chunk abandonments (Options.Abandon).
 	Abandons int
@@ -301,7 +296,7 @@ func SimulateScratch(v Video, algo Algorithm, tr []float64, opt Options, sc *Scr
 		//fgvet:allow noalloc nil scratch is the convenience path; callers on the hot path pass a reused Scratch
 		sc = &Scratch{}
 	}
-	opt = opt.withDefaults(v)
+	opt = opt.withDefaults()
 	algo.Reset()
 	res := Result{Algorithm: algo.Name()}
 	ctx := sc.start(v, tr)
@@ -386,7 +381,7 @@ func SimulateScratch(v Video, algo Algorithm, tr []float64, opt Options, sc *Scr
 		res.QoE += v.BitratesMbps[q]
 		if i > 0 {
 			diff := math.Abs(v.BitratesMbps[q] - v.BitratesMbps[last])
-			res.QoE -= opt.SmoothPenalty * diff
+			res.QoE -= diff
 			if q != last {
 				res.Switches++
 			}
@@ -397,7 +392,7 @@ func SimulateScratch(v Video, algo Algorithm, tr []float64, opt Options, sc *Scr
 	res.DownloadS = sc.download
 	res.BufferAtSelectS = sc.bufferAt
 	res.UsageMbps = sc.usage
-	res.QoE -= opt.RebufPenalty * res.StallS
+	res.QoE -= v.Top() * res.StallS
 	res.AvgBitrateMbps /= float64(len(res.Qualities))
 	res.NormBitrate = res.AvgBitrateMbps / v.Top()
 	res.DurationS = t + buffer // session ends when the buffer drains

@@ -143,7 +143,7 @@ func TestIfaceAccountingProperty(t *testing.T) {
 		scheme := []Scheme{Always5G, FiveGAware, FiveGAwareNoOverhead}[int(schemeSel)%3]
 		tr5 := trace.Gen5GmmWave(seed, 300)
 		tr4 := trace.Gen4G(seed+1, 300)
-		r := SimulateIface(v, &MPC{}, tr5, tr4, scheme, Options{})
+		r := SimulateIface(v, &MPC{}, tr5, tr4, scheme)
 		if r.StallS < 0 || r.Time4GS < 0 || r.Switches4G < 0 {
 			return false
 		}

@@ -163,7 +163,7 @@ func TestAlgorithmsHandleFirstChunk(t *testing.T) {
 
 func TestBBABufferMapping(t *testing.T) {
 	v := video5G(t)
-	b := &BBA{ReservoirS: 5, CushionS: 12}
+	b := &BBA{}
 	low := b.Select(&Context{Video: v, BufferS: 2})
 	mid := b.Select(&Context{Video: v, BufferS: 11})
 	high := b.Select(&Context{Video: v, BufferS: 18})
@@ -206,7 +206,7 @@ func TestRBFollowsThroughput(t *testing.T) {
 
 func TestFESTIVEGradualSwitching(t *testing.T) {
 	v := video5G(t)
-	f := &FESTIVE{UpCount: 2}
+	f := &FESTIVE{}
 	f.Reset()
 	// Plenty of bandwidth: must step up one level at a time, not jump.
 	ctx := &Context{Video: v, LastQuality: 0,

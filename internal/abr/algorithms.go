@@ -11,12 +11,14 @@ import (
 
 // BBA maps the buffer level linearly onto the bitrate ladder between a
 // reservoir and a cushion, ignoring throughput estimates entirely.
-type BBA struct {
-	// ReservoirS and CushionS bound the linear mapping region; zero
-	// values default to 5 s and 12 s (sized to the 20 s player buffer).
-	ReservoirS float64
-	CushionS   float64
-}
+type BBA struct{}
+
+// BBA's linear mapping region, sized to the 20 s player buffer: the lowest
+// track up to the reservoir, the top track past reservoir plus cushion.
+const (
+	bbaReservoirS = 5
+	bbaCushionS   = 12
+)
 
 // Name implements Algorithm.
 func (b *BBA) Name() string { return "BBA" }
@@ -29,21 +31,14 @@ func (b *BBA) Clone() Algorithm { c := *b; return &c }
 
 // Select implements Algorithm.
 func (b *BBA) Select(ctx *Context) int {
-	res, cus := b.ReservoirS, b.CushionS
-	if res == 0 {
-		res = 5
-	}
-	if cus == 0 {
-		cus = 12
-	}
 	v := ctx.Video
-	if ctx.BufferS <= res {
+	if ctx.BufferS <= bbaReservoirS {
 		return 0
 	}
-	if ctx.BufferS >= res+cus {
+	if ctx.BufferS >= bbaReservoirS+bbaCushionS {
 		return v.Tracks() - 1
 	}
-	frac := (ctx.BufferS - res) / cus
+	frac := (ctx.BufferS - bbaReservoirS) / bbaCushionS
 	q := int(frac * float64(v.Tracks()-1))
 	if q >= v.Tracks() {
 		q = v.Tracks() - 1
@@ -55,13 +50,11 @@ func (b *BBA) Select(ctx *Context) int {
 // Buffer-based: BOLA (Spiteri et al., INFOCOM'16)
 
 // BOLA chooses the track maximising a Lyapunov utility-per-byte score given
-// the current buffer occupancy.
-type BOLA struct {
-	// GP is the playback-utility weight (gamma*p); zero defaults to 5.
-	GP float64
-	// MaxBufferS must match the player's cap; zero defaults to 20.
-	MaxBufferS float64
-}
+// the current buffer occupancy, sized to the player's default buffer cap.
+type BOLA struct{}
+
+// bolaGP is BOLA's playback-utility weight (gamma*p).
+const bolaGP = 5
 
 // Name implements Algorithm.
 func (b *BOLA) Name() string { return "BOLA" }
@@ -74,23 +67,15 @@ func (b *BOLA) Clone() Algorithm { c := *b; return &c }
 
 // Select implements Algorithm.
 func (b *BOLA) Select(ctx *Context) int {
-	gp := b.GP
-	if gp == 0 {
-		gp = 5
-	}
-	maxBuf := b.MaxBufferS
-	if maxBuf == 0 {
-		maxBuf = 20
-	}
 	v := ctx.Video
 	q := ctx.BufferS / v.ChunkS // buffer in chunks
 	// Utilities: v_m = ln(size_m / size_0).
 	top := math.Log(v.BitratesMbps[v.Tracks()-1] / v.BitratesMbps[0])
-	V := (maxBuf/v.ChunkS - 1) / (top + gp)
+	V := (defaultMaxBufferS/v.ChunkS - 1) / (top + bolaGP)
 	best, bestScore := 0, math.Inf(-1)
 	for m := 0; m < v.Tracks(); m++ {
 		util := math.Log(v.BitratesMbps[m] / v.BitratesMbps[0])
-		score := (V*(util+gp) - q) / v.BitratesMbps[m]
+		score := (V*(util+bolaGP) - q) / v.BitratesMbps[m]
 		if score > bestScore {
 			bestScore = score
 			best = m
@@ -102,14 +87,9 @@ func (b *BOLA) Select(ctx *Context) int {
 // ---------------------------------------------------------------------------
 // Throughput-based: simple rate-based (RB)
 
-// RB picks the highest track below the harmonic mean of the last five chunk
-// throughputs.
-type RB struct {
-	// Window is the history length; zero defaults to 5.
-	Window int
-	// Safety scales the estimate; zero defaults to 1.0.
-	Safety float64
-}
+// RB picks the highest track below the harmonic mean of the last hmWindow
+// chunk throughputs.
+type RB struct{}
 
 // Name implements Algorithm.
 func (r *RB) Name() string { return "RB" }
@@ -122,23 +102,14 @@ func (r *RB) Clone() Algorithm { c := *r; return &c }
 
 // Select implements Algorithm.
 func (r *RB) Select(ctx *Context) int {
-	w := r.Window
-	if w == 0 {
-		w = 5
-	}
-	safety := r.Safety
-	if safety == 0 {
-		safety = 1.0
-	}
 	past := ctx.PastChunkMbps
 	if len(past) == 0 {
 		return 0
 	}
-	if len(past) > w {
-		past = past[len(past)-w:]
+	if len(past) > hmWindow {
+		past = past[len(past)-hmWindow:]
 	}
-	pred := stats.HarmonicMean(past) * safety
-	return highestBelow(ctx.Video, pred)
+	return highestBelow(ctx.Video, stats.HarmonicMean(past))
 }
 
 // highestBelow returns the highest track whose bitrate fits within rate.
@@ -159,14 +130,15 @@ func highestBelow(v Video, rate float64) int {
 // biased switching: it moves at most one ladder step at a time and only
 // steps up after several consecutive chunks support the higher rate.
 type FESTIVE struct {
-	// Window is the throughput history; zero defaults to 20.
-	Window int
-	// UpCount is how many consecutive supporting chunks are needed before
-	// stepping up; zero defaults to 2.
-	UpCount int
-
 	upStreak int
 }
+
+// FESTIVE's throughput history length, and how many consecutive
+// supporting chunks it needs before stepping up.
+const (
+	festiveWindow  = 20
+	festiveUpCount = 2
+)
 
 // Name implements Algorithm.
 func (f *FESTIVE) Name() string { return "FESTIVE" }
@@ -174,28 +146,17 @@ func (f *FESTIVE) Name() string { return "FESTIVE" }
 // Reset implements Algorithm.
 func (f *FESTIVE) Reset() { f.upStreak = 0 }
 
-// Clone implements Cloner: the clone keeps the configuration, not the
-// per-session streak.
-func (f *FESTIVE) Clone() Algorithm {
-	return &FESTIVE{Window: f.Window, UpCount: f.UpCount}
-}
+// Clone implements Cloner: the clone does not keep the per-session streak.
+func (f *FESTIVE) Clone() Algorithm { return &FESTIVE{} }
 
 // Select implements Algorithm.
 func (f *FESTIVE) Select(ctx *Context) int {
-	w := f.Window
-	if w == 0 {
-		w = 20
-	}
-	upN := f.UpCount
-	if upN == 0 {
-		upN = 2
-	}
 	past := ctx.PastChunkMbps
 	if len(past) == 0 {
 		return 0
 	}
-	if len(past) > w {
-		past = past[len(past)-w:]
+	if len(past) > festiveWindow {
+		past = past[len(past)-festiveWindow:]
 	}
 	pred := stats.HarmonicMean(past)
 	target := highestBelow(ctx.Video, pred*0.85)
@@ -203,7 +164,7 @@ func (f *FESTIVE) Select(ctx *Context) int {
 	switch {
 	case target > cur:
 		f.upStreak++
-		if f.upStreak >= upN {
+		if f.upStreak >= festiveUpCount {
 			f.upStreak = 0
 			return cur + 1
 		}

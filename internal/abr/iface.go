@@ -60,15 +60,15 @@ type IfaceResult struct {
 
 // SimulateIface plays the video with per-chunk interface selection. tr5 and
 // tr4 are the 5G and 4G bandwidth traces; algo is the base ABR (fastMPC in
-// the paper). The buffer threshold is the paper's empirical 10 s.
-func SimulateIface(v Video, algo Algorithm, tr5, tr4 []float64, scheme Scheme, opt Options) IfaceResult {
-	return SimulateIfaceThreshold(v, algo, tr5, tr4, scheme, BufferHighS, opt)
+// the paper). The buffer threshold is the paper's empirical 10 s, and the
+// player runs at its default buffer cap and QoE weights.
+func SimulateIface(v Video, algo Algorithm, tr5, tr4 []float64, scheme Scheme) IfaceResult {
+	return SimulateIfaceThreshold(v, algo, tr5, tr4, scheme, BufferHighS)
 }
 
 // SimulateIfaceThreshold is SimulateIface with an explicit buffer
 // threshold, for ablating the §5.4 design choice.
-func SimulateIfaceThreshold(v Video, algo Algorithm, tr5, tr4 []float64, scheme Scheme, bufferHighS float64, opt Options) IfaceResult {
-	opt = opt.withDefaults(v)
+func SimulateIfaceThreshold(v Video, algo Algorithm, tr5, tr4 []float64, scheme Scheme, bufferHighS float64) IfaceResult {
 	algo.Reset()
 	res := IfaceResult{Result: Result{Algorithm: algo.Name() + "/" + scheme.String()}}
 	avg4G := stats.Mean(tr4)
@@ -192,10 +192,10 @@ func SimulateIfaceThreshold(v Video, algo Algorithm, tr5, tr4 []float64, scheme 
 			buffer += v.ChunkS
 		}
 		t = done
-		if buffer > opt.MaxBufferS {
-			wait := buffer - opt.MaxBufferS
+		if buffer > defaultMaxBufferS {
+			wait := buffer - defaultMaxBufferS
 			t += wait
-			buffer = opt.MaxBufferS
+			buffer = defaultMaxBufferS
 		}
 
 		thr := size / dl
@@ -209,14 +209,14 @@ func SimulateIfaceThreshold(v Video, algo Algorithm, tr5, tr4 []float64, scheme 
 		res.QoE += v.BitratesMbps[q]
 		if i > 0 {
 			diff := absf(v.BitratesMbps[q] - v.BitratesMbps[last])
-			res.QoE -= opt.SmoothPenalty * diff
+			res.QoE -= diff
 			if q != last {
 				res.Switches++
 			}
 		}
 		last = q
 	}
-	res.QoE -= opt.RebufPenalty * res.StallS
+	res.QoE -= v.Top() * res.StallS
 	res.AvgBitrateMbps /= float64(len(res.Qualities))
 	res.NormBitrate = res.AvgBitrateMbps / v.Top()
 	res.DurationS = t + buffer

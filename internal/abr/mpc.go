@@ -16,11 +16,12 @@ type Predictor interface {
 }
 
 // HarmonicPredictor is the classic hmMPC estimator: the harmonic mean of
-// the last Window chunk throughputs.
-type HarmonicPredictor struct {
-	// Window is the history length; zero defaults to 5.
-	Window int
-}
+// the last hmWindow chunk throughputs.
+type HarmonicPredictor struct{}
+
+// hmWindow is the chunk-throughput history of the harmonic-mean estimators
+// (HarmonicPredictor and RB).
+const hmWindow = 5
 
 // Name implements Predictor.
 func (h *HarmonicPredictor) Name() string { return "hm" }
@@ -29,16 +30,12 @@ func (h *HarmonicPredictor) Name() string { return "hm" }
 //
 //fgvet:noalloc
 func (h *HarmonicPredictor) Predict(ctx *Context) float64 {
-	w := h.Window
-	if w == 0 {
-		w = 5
-	}
 	past := ctx.PastChunkMbps
 	if len(past) == 0 {
 		return ctx.Video.BitratesMbps[0]
 	}
-	if len(past) > w {
-		past = past[len(past)-w:]
+	if len(past) > hmWindow {
+		past = past[len(past)-hmWindow:]
 	}
 	return stats.HarmonicMean(past)
 }
@@ -223,10 +220,6 @@ type MPC struct {
 	Robust bool
 	// Horizon is the lookahead in chunks; zero defaults to 5.
 	Horizon int
-	// RebufPenalty and SmoothPenalty mirror the player's QoE weights;
-	// zero RebufPenalty means the video's top bitrate.
-	RebufPenalty  float64
-	SmoothPenalty float64
 
 	// Recent relative prediction errors (Robust), a fixed ring: only the
 	// max over the window is consumed, so order is irrelevant.
@@ -279,12 +272,10 @@ func (m *MPC) Reset() {
 // search scratch).
 func (m *MPC) Clone() Algorithm {
 	return &MPC{
-		Label:         m.Label,
-		Pred:          clonePredictor(m.Pred),
-		Robust:        m.Robust,
-		Horizon:       m.Horizon,
-		RebufPenalty:  m.RebufPenalty,
-		SmoothPenalty: m.SmoothPenalty,
+		Label:   m.Label,
+		Pred:    clonePredictor(m.Pred),
+		Robust:  m.Robust,
+		Horizon: m.Horizon,
 	}
 }
 
@@ -340,15 +331,10 @@ func (m *MPC) Select(ctx *Context) int {
 		pred = 0.1
 	}
 
+	// The search scores sequences with the player's QoE weights: stalls
+	// cost the top bitrate per second, switches their bitrate change.
 	v := ctx.Video
-	rebuf := m.RebufPenalty
-	if rebuf == 0 {
-		rebuf = v.Top()
-	}
-	smooth := m.SmoothPenalty
-	if smooth == 0 {
-		smooth = 1
-	}
+	rebuf := v.Top()
 
 	bestFirst, bestQoE := 0, math.Inf(-1)
 	tracks := v.Tracks()
@@ -405,7 +391,7 @@ func (m *MPC) Select(ctx *Context) int {
 			b += v.ChunkS
 			stepQoE := v.BitratesMbps[q] - rebuf*stall
 			if !(n.step == 0 && ctx.ChunkIndex == 0) {
-				stepQoE -= smooth * math.Abs(v.BitratesMbps[q]-v.BitratesMbps[int(n.last)])
+				stepQoE -= math.Abs(v.BitratesMbps[q] - v.BitratesMbps[int(n.last)])
 			}
 			first := n.first
 			if n.step == 0 {

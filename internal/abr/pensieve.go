@@ -92,13 +92,15 @@ type TrainOptions struct {
 	// ImitationPasses is the number of supervised epochs over the
 	// oracle-teacher dataset before fine-tuning; 0 means 30.
 	ImitationPasses int
-	// LR is the policy-gradient learning rate; 0 means 0.05.
-	LR float64
-	// Entropy is the exploration bonus; 0 means 0.03.
-	Entropy float64
 	// Hidden is the hidden-layer width; 0 means 48.
 	Hidden int
 }
+
+// Pensieve's policy-gradient learning rate and exploration (entropy) bonus.
+const (
+	pensieveLR      = 0.05
+	pensieveEntropy = 0.03
+)
 
 func (o TrainOptions) withDefaults() TrainOptions {
 	if o.Episodes == 0 {
@@ -106,12 +108,6 @@ func (o TrainOptions) withDefaults() TrainOptions {
 	}
 	if o.ImitationPasses == 0 {
 		o.ImitationPasses = 30
-	}
-	if o.LR == 0 {
-		o.LR = 0.05
-	}
-	if o.Entropy == 0 {
-		o.Entropy = 0.03
 	}
 	if o.Hidden == 0 {
 		o.Hidden = 48
@@ -174,7 +170,7 @@ func TrainPensieve(v Video, traces [][]float64, opt TrainOptions, seed int64) (*
 				bA = append(bA, imActions[k])
 				bW = append(bW, weight(imActions[k]))
 			}
-			if err := agent.policy.Step(bS, bA, bW, opt.LR, 0); err != nil {
+			if err := agent.policy.Step(bS, bA, bW, pensieveLR, 0); err != nil {
 				return nil, err
 			}
 		}
@@ -213,7 +209,7 @@ func TrainPensieve(v Video, traces [][]float64, opt TrainOptions, seed int64) (*
 				adv[i] /= sd
 			}
 		}
-		if err := agent.policy.Step(states, actions, adv, opt.LR, opt.Entropy); err != nil {
+		if err := agent.policy.Step(states, actions, adv, pensieveLR, pensieveEntropy); err != nil {
 			return nil, err
 		}
 	}

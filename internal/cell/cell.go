@@ -146,12 +146,10 @@ func (f *Fading) Next() float64 {
 }
 
 // Selector tracks the serving site of one deployment with hysteresis: the
-// UE hands off only when a neighbour beats the serving site by HystDb (or
+// UE hands off only when a neighbour beats the serving site by hystDb (or
 // the serving site becomes unusable).
 type Selector struct {
 	Layout Layout
-	// HystDb is the handoff hysteresis; 0 means 3 dB (a common A3 offset).
-	HystDb float64
 
 	current  Site
 	attached bool
@@ -159,12 +157,12 @@ type Selector struct {
 	lastRSRP float64
 }
 
+// hystDb is the handoff hysteresis, a common A3 offset.
+const hystDb = 3
+
 // NewSelector returns a selector for a layout.
-func NewSelector(l Layout, hystDb float64) *Selector {
-	if hystDb == 0 {
-		hystDb = 3
-	}
-	return &Selector{Layout: l, HystDb: hystDb}
+func NewSelector(l Layout) *Selector {
+	return &Selector{Layout: l}
 }
 
 // Update re-evaluates the serving cell at route position km. It returns the
@@ -184,7 +182,7 @@ func (s *Selector) Update(km, shadowDb float64, los bool) (site Site, rsrp float
 		return best, bestRSRP, true, false
 	}
 	curRSRP := s.current.RSRPAt(km, shadowDb, los)
-	if best.ID != s.current.ID && bestRSRP > curRSRP+s.HystDb {
+	if best.ID != s.current.ID && bestRSRP > curRSRP+hystDb {
 		s.current = best
 		s.handoffs++
 		s.lastRSRP = bestRSRP

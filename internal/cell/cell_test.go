@@ -101,7 +101,7 @@ func TestSelectorHandoffsOnDrive(t *testing.T) {
 	// Drive past towers spaced 2 km over 10 km: expect ~5 handoffs
 	// (one per boundary crossing), not dozens.
 	l := LinearLayout(radio.TMobileNSALowBand, 10, 2, 0)
-	sel := NewSelector(l, 3)
+	sel := NewSelector(l)
 	steps := 1000
 	for i := 0; i <= steps; i++ {
 		km := 10 * float64(i) / float64(steps)
@@ -119,7 +119,7 @@ func TestSelectorHysteresisSuppressesPingPong(t *testing.T) {
 	// Standing exactly between two towers with small fading wiggle: with
 	// hysteresis the selector must not flap.
 	l := LinearLayout(radio.TMobileNSALowBand, 4, 2, 0)
-	sel := NewSelector(l, 3)
+	sel := NewSelector(l)
 	f := NewFading(3, 1.0, 0.5) // small fades vs 3 dB hysteresis
 	for i := 0; i < 500; i++ {
 		sel.Update(1.0, f.Next(), true)
@@ -133,7 +133,7 @@ func TestSelectorDetachReattach(t *testing.T) {
 	// One mmWave site: walk out of coverage and back.
 	l := Layout{Net: radio.VerizonNSAmmWave,
 		Sites: []Site{{ID: 0, Km: 0, Net: radio.VerizonNSAmmWave}}}
-	sel := NewSelector(l, 0)
+	sel := NewSelector(l)
 	_, _, att, _ := sel.Update(0.05, 0, true)
 	if !att {
 		t.Fatal("not attached near site")
@@ -154,17 +154,9 @@ func TestSelectorDetachReattach(t *testing.T) {
 	}
 }
 
-func TestSelectorDefaultHysteresis(t *testing.T) {
-	l := LinearLayout(radio.TMobileLTE, 2, 1, 0)
-	sel := NewSelector(l, 0)
-	if sel.HystDb != 3 {
-		t.Errorf("default hysteresis = %v, want 3", sel.HystDb)
-	}
-}
-
 func TestCurrentSite(t *testing.T) {
 	l := LinearLayout(radio.TMobileLTE, 4, 2, 0)
-	sel := NewSelector(l, 3)
+	sel := NewSelector(l)
 	sel.Update(0.1, 0, true)
 	if got := sel.Current(); got.Km != 0 {
 		t.Errorf("current site at %v, want 0", got.Km)

@@ -43,9 +43,6 @@ type Options struct {
 	// MinLeaf is the minimum number of samples per leaf; 0 means 1 for
 	// classification and 3 for regression.
 	MinLeaf int
-	// MinImpurityDecrease skips splits whose weighted impurity reduction
-	// falls below this threshold.
-	MinImpurityDecrease float64
 }
 
 func (o Options) withDefaults(regression bool) Options {
@@ -157,7 +154,7 @@ func (g *regGrower) grow(orders [][]int32, depth int) *node {
 		return n
 	}
 	feat, thr, gain := g.bestSplit(orders, sse)
-	if feat < 0 || gain <= g.opt.MinImpurityDecrease {
+	if feat < 0 || gain <= 0 { // a split must reduce impurity
 		return n
 	}
 	// Stable partition of every feature's order around the chosen split:
@@ -359,7 +356,7 @@ func growCls(X [][]float64, y []int, idx []int, k int, opt Options, d int) *node
 		return n
 	}
 	feat, thr, gain := bestClsSplit(X, y, idx, k, opt.MinLeaf)
-	if feat < 0 || gain <= opt.MinImpurityDecrease {
+	if feat < 0 || gain <= 0 { // a split must reduce impurity
 		return n
 	}
 	var li, ri []int

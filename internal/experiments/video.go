@@ -166,7 +166,7 @@ func ifaceRun(cfg Config, scheme abr.Scheme, n int) (agg abr.Aggregate, energyJ 
 	tr5s := trace.CachedSet5G(n, traceLenS, cfg.Seed+1)
 	tr4s := trace.CachedSet4G(n, traceLenS, cfg.Seed+1)
 	for i := 0; i < n; i++ {
-		r := abr.SimulateIface(v, &abr.MPC{}, tr5s[i], tr4s[i], scheme, abr.Options{})
+		r := abr.SimulateIface(v, &abr.MPC{}, tr5s[i], tr4s[i], scheme)
 		agg.NormBitrate += r.NormBitrate
 		agg.StallPct += r.StallPct
 		agg.MeanStallS += r.StallS

@@ -103,7 +103,7 @@ func BenchmarkFleetStreamCampaignShards(b *testing.B) {
 // chunk fetch recycling pre-allocated storage.
 func steadyShard(cfg Config) *shard {
 	cfg = cfg.withDefaults()
-	dep, err := newDeployment(cfg.Mix, cfg.RouteKm)
+	dep, err := newDeployment(cfg.Mix)
 	if err != nil {
 		panic(err)
 	}

@@ -104,13 +104,12 @@ func (l *layer) capMbps(rsrpDbm float64) float64 {
 // hoisted by the same float expressions so event times and energy terms
 // are bit-identical.
 type deployment struct {
-	mix     Mix
-	routeKm float64
-	layers  []layer // preference order: best technology first, LTE last
-	prim    rrc.Config
-	ladder  []float64 // track bitrates, Mbps, ascending
-	chunkS  float64
-	hasMm   bool
+	mix    Mix
+	layers []layer // preference order: best technology first, LTE last
+	prim   rrc.Config
+	ladder []float64 // track bitrates, Mbps, ascending
+	chunkS float64
+	hasMm  bool
 
 	promoS      float64 // RRC promotion delay, s (SA: 5G; NSA/LTE: 4G anchor)
 	switchW     float64 // promotion-phase power, W (SwitchPowerMw or tail)
@@ -178,12 +177,15 @@ func newLayer(net radio.Network, layout cell.Layout, lossEv float64) (layer, err
 	return l, nil
 }
 
-// newDeployment builds the shared world for a mix along a route. Errors
+// routeKm is the city route length; UEs start uniformly along it.
+const routeKm = 12.0
+
+// newDeployment builds the shared world for a mix along the route. Errors
 // (an unknown mix, a band class with no measured power curve) surface here,
 // at campaign construction, so Run fails before any shard starts instead
 // of a shard panicking mid-campaign.
-func newDeployment(mix Mix, routeKm float64) (*deployment, error) {
-	d := &deployment{mix: mix, routeKm: routeKm, chunkS: 4}
+func newDeployment(mix Mix) (*deployment, error) {
+	d := &deployment{mix: mix, chunkS: 4}
 	type layerSpec struct {
 		net    radio.Network
 		layout cell.Layout

@@ -16,7 +16,7 @@ import (
 // rsrp/capacity floats as serve's full per-site scan.
 func TestServeCachedMatchesServe(t *testing.T) {
 	for _, mix := range AllMixes {
-		d, err := newDeployment(mix, 12)
+		d, err := newDeployment(mix)
 		if err != nil {
 			t.Fatal(err)
 		}

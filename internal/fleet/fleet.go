@@ -46,8 +46,6 @@ type Config struct {
 	WindowS float64
 	// SessionS is the video length per UE. 0 means 32.
 	SessionS float64
-	// RouteKm is the city route length. 0 means 12.
-	RouteKm float64
 	// Obs, when enabled, receives population CDF histograms, campaign
 	// counters, and sampled per-session trace records from the reduce.
 	// It never changes the tables, and shard count never changes its
@@ -101,9 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SessionS == 0 {
 		c.SessionS = 32
-	}
-	if c.RouteKm == 0 {
-		c.RouteKm = 12
 	}
 	if c.SketchK == 0 {
 		c.SketchK = DefaultSketchK
@@ -182,8 +177,12 @@ type Range struct{ Lo, Hi int }
 
 // Partition splits n UEs into the given number of contiguous ranges with
 // sizes differing by at most one (the first n%shards ranges get the extra
-// UE). Empty ranges are dropped, so shards > n is safe.
+// UE). Empty ranges are dropped, so shards > n is safe: it yields n ranges
+// of one UE, and the work stays O(n) however large shards is.
 func Partition(n, shards int) []Range {
+	if shards > n {
+		shards = n
+	}
 	if shards < 1 {
 		shards = 1
 	}
@@ -214,7 +213,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	dep, err := newDeployment(cfg.Mix, cfg.RouteKm)
+	dep, err := newDeployment(cfg.Mix)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 func TestPartition(t *testing.T) {
 	cases := []struct{ n, shards int }{
 		{0, 4}, {1, 4}, {7, 1}, {8, 4}, {403, 7}, {1003, 4}, {5, 9},
+		{10, math.MaxInt},
 	}
 	for _, c := range cases {
 		rs := Partition(c.n, c.shards)
@@ -95,7 +96,7 @@ func TestRNGUniformAndNormalShape(t *testing.T) {
 // count.
 func TestSlabRecycling(t *testing.T) {
 	cfg := Config{Seed: 3, UEs: 600, Shards: 1, WindowS: 900, SessionS: 24}.withDefaults()
-	dep, err := newDeployment(MixLowBand, cfg.RouteKm)
+	dep, err := newDeployment(MixLowBand)
 	if err != nil {
 		t.Fatal(err)
 	}

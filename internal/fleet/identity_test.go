@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"fivegsim/internal/experiments"
@@ -44,10 +45,11 @@ func campaignBytes(t *testing.T, shards int) string {
 
 // TestShardCountByteIdentity is the fleet determinism contract, enforced:
 // tables and obs artifacts are byte-identical for shards in {1, 2, 4, 7}
-// with an uneven 403-UE population. Run under -race -shuffle=on in CI.
+// with an uneven 403-UE population, and for a shard count far above the
+// population (one UE per shard). Run under -race -shuffle=on in CI.
 func TestShardCountByteIdentity(t *testing.T) {
 	want := campaignBytes(t, 1)
-	for _, shards := range []int{2, 4, 7} {
+	for _, shards := range []int{2, 4, 7, math.MaxInt} {
 		got := campaignBytes(t, shards)
 		if got != want {
 			t.Errorf("shards=%d output diverges from serial run:\n%s",

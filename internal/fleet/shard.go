@@ -113,7 +113,7 @@ func (sh *shard) start(ue int) {
 	now := sh.eng.Now()
 	s.ue[i] = ue
 	s.rng[i] = UESeed(sh.cfg.Seed, uint64(ue))
-	s.pos[i] = sh.dep.routeKm * rngU01(&s.rng[i])
+	s.pos[i] = routeKm * rngU01(&s.rng[i])
 	s.shadow[i] = 0
 	s.blocked[i] = false
 	s.phase[i] = phaseStream

@@ -7,7 +7,7 @@ import (
 
 // Validate reports why the config cannot run a campaign: a non-positive
 // population, a negative or non-finite knob, or an unknown mix. Zero values
-// for WindowS/SessionS/RouteKm/Shards/SketchK mean "use the default" and are
+// for WindowS/SessionS/Shards/SketchK mean "use the default" and are
 // accepted; anything negative is an error, never a silent empty campaign.
 //
 // Run calls Validate itself, so library callers (the battery's fleet
@@ -25,9 +25,6 @@ func (c Config) Validate() error {
 		return err
 	}
 	if err := validKnob("SessionS", c.SessionS); err != nil {
-		return err
-	}
-	if err := validKnob("RouteKm", c.RouteKm); err != nil {
 		return err
 	}
 	if c.SketchK < 0 {

@@ -29,11 +29,8 @@ type Module struct {
 
 	impls map[*types.Func][]*types.Func // abstract iface method -> concrete methods
 
-	sorts   map[*types.Func]map[int]bool // SortsParam summaries
-	sorting map[*types.Func]bool         // recursion guard
-
-	accum    map[*types.Func]map[int]bool // FloatAccumParam summaries
-	accuming map[*types.Func]bool
+	sorts  paramSummary // SortsParam summaries
+	accums paramSummary // FloatAccumParam summaries
 
 	escDone bool
 	escErr  error
@@ -291,72 +288,21 @@ func (m *Module) SpawnReachable() []*CGNode {
 	return m.reach
 }
 
-// NodeOf returns the call-graph node for a declared function, or nil.
-func (m *Module) NodeOf(fn *types.Func) *CGNode {
-	m.build()
-	return m.nodes[fn]
-}
-
 // SortsParam reports whether fn sorts its i-th parameter: its body passes
 // the parameter to sort/slices, or forwards it at a position a callee sorts
 // (transitively, cycle-safe). maporder uses this to accept the
 // harvest-then-sort-in-helper idiom without a suppression.
 func (m *Module) SortsParam(fn *types.Func, i int) bool {
-	m.build()
-	if m.sorts == nil {
-		m.sorts = make(map[*types.Func]map[int]bool)
-		m.sorting = make(map[*types.Func]bool)
-	}
-	if s, ok := m.sorts[fn]; ok {
-		return s[i]
-	}
-	if m.sorting[fn] {
-		return false // conservative on recursion
-	}
-	m.sorting[fn] = true
-	defer delete(m.sorting, fn)
-	s := m.sortedParams(fn)
-	m.sorts[fn] = s
-	return s[i]
+	return m.paramHas(&m.sorts, sortedArgs, fn, i)
 }
 
-// sortedParams computes the SortsParam summary for one function.
-func (m *Module) sortedParams(fn *types.Func) map[int]bool {
-	out := make(map[int]bool)
-	n := m.nodes[fn]
-	if n == nil || n.Decl == nil {
-		return out
+// sortedArgs is SortsParam's direct predicate: the arguments of a
+// sort/slices call.
+func sortedArgs(info *types.Info, nd ast.Node) []ast.Expr {
+	if call, ok := nd.(*ast.CallExpr); ok && isSortCall(info, call) {
+		return call.Args
 	}
-	params := paramObjects(n.Pkg.Info, n.Decl)
-	if len(params) == 0 {
-		return out
-	}
-	info := n.Pkg.Info
-	ast.Inspect(n.Body, func(nd ast.Node) bool {
-		call, ok := nd.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		for ai, arg := range call.Args {
-			root, ok := ast.Unparen(arg).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			pi := paramIndex(params, info.Uses[root])
-			if pi < 0 {
-				continue
-			}
-			if isSortCall(info, call) {
-				out[pi] = true
-				continue
-			}
-			if callee := calleeFunc(info, call); callee != nil && callee != fn && m.SortsParam(callee, ai) {
-				out[pi] = true
-			}
-		}
-		return true
-	})
-	return out
+	return nil
 }
 
 // FloatAccumParam reports whether fn folds floating-point values of its
@@ -364,67 +310,88 @@ func (m *Module) sortedParams(fn *types.Func) map[int]bool {
 // makes the call site's argument order part of the numeric result. fpfold
 // uses this to flag helpers fed cross-shard/cross-worker collections.
 func (m *Module) FloatAccumParam(fn *types.Func, i int) bool {
-	m.build()
-	if m.accum == nil {
-		m.accum = make(map[*types.Func]map[int]bool)
-		m.accuming = make(map[*types.Func]bool)
-	}
-	if a, ok := m.accum[fn]; ok {
-		return a[i]
-	}
-	if m.accuming[fn] {
-		return false
-	}
-	m.accuming[fn] = true
-	defer delete(m.accuming, fn)
-	a := m.accumParams(fn)
-	m.accum[fn] = a
-	return a[i]
+	return m.paramHas(&m.accums, accumulatedArgs, fn, i)
 }
 
-// accumParams computes the FloatAccumParam summary: parameter indices the
-// function float-accumulates over directly, or forwards to a callee that
-// does (transitively).
-func (m *Module) accumParams(fn *types.Func) map[int]bool {
+// accumulatedArgs is FloatAccumParam's direct predicate: the collection of
+// a range loop whose body float-accumulates.
+func accumulatedArgs(info *types.Info, nd ast.Node) []ast.Expr {
+	if rs, ok := nd.(*ast.RangeStmt); ok && floatAccumIn(info, rs.Body) != nil {
+		return []ast.Expr{rs.X}
+	}
+	return nil
+}
+
+// paramSummary memoizes one per-parameter property of module functions,
+// as parameter-index sets; active guards the functions being summarized.
+type paramSummary struct {
+	memo   map[*types.Func]map[int]bool
+	active map[*types.Func]bool
+}
+
+// directArgs is a summary's own predicate: the expressions of one body
+// node that have the property by themselves.
+type directArgs func(info *types.Info, nd ast.Node) []ast.Expr
+
+// paramHas reports whether fn has a summarized property at parameter i:
+// the parameter is one of the expressions direct returns for a node of
+// fn's body, or fn forwards it at a call position whose callee has the
+// property (transitively). A recursive cycle answers false, conservatively.
+func (m *Module) paramHas(s *paramSummary, direct directArgs, fn *types.Func, i int) bool {
+	m.build()
+	if s.memo == nil {
+		s.memo = make(map[*types.Func]map[int]bool)
+		s.active = make(map[*types.Func]bool)
+	}
+	if sum, ok := s.memo[fn]; ok {
+		return sum[i]
+	}
+	if s.active[fn] {
+		return false
+	}
+	s.active[fn] = true
+	defer delete(s.active, fn)
+	sum := m.summarize(s, direct, fn)
+	s.memo[fn] = sum
+	return sum[i]
+}
+
+// summarize computes fn's parameter-index set for paramHas.
+func (m *Module) summarize(s *paramSummary, direct directArgs, fn *types.Func) map[int]bool {
 	out := make(map[int]bool)
 	n := m.nodes[fn]
 	if n == nil || n.Decl == nil {
 		return out
 	}
-	params := paramObjects(n.Pkg.Info, n.Decl)
+	info := n.Pkg.Info
+	params := paramObjects(info, n.Decl)
 	if len(params) == 0 {
 		return out
 	}
-	info := n.Pkg.Info
+	paramAt := func(e ast.Expr) int {
+		root, ok := ast.Unparen(e).(*ast.Ident)
+		if !ok {
+			return -1
+		}
+		return paramIndex(params, info.Uses[root])
+	}
 	ast.Inspect(n.Body, func(nd ast.Node) bool {
-		switch nd := nd.(type) {
-		case *ast.RangeStmt:
-			root, ok := ast.Unparen(nd.X).(*ast.Ident)
-			if !ok {
-				return true
+		for _, e := range direct(info, nd) {
+			if pi := paramAt(e); pi >= 0 {
+				out[pi] = true
 			}
-			pi := paramIndex(params, info.Uses[root])
-			if pi < 0 || floatAccumIn(info, nd.Body) == nil {
-				return true
-			}
-			out[pi] = true
-		case *ast.CallExpr:
-			callee := calleeFunc(info, nd)
-			if callee == nil || callee == fn {
-				return true
-			}
-			for ai, arg := range nd.Args {
-				root, ok := ast.Unparen(arg).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				pi := paramIndex(params, info.Uses[root])
-				if pi < 0 {
-					continue
-				}
-				if m.FloatAccumParam(callee, ai) {
-					out[pi] = true
-				}
+		}
+		call, ok := nd.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		callee := calleeFunc(info, call)
+		if callee == nil || callee == fn {
+			return true
+		}
+		for ai, arg := range call.Args {
+			if pi := paramAt(arg); pi >= 0 && m.paramHas(s, direct, callee, ai) {
+				out[pi] = true
 			}
 		}
 		return true

@@ -211,8 +211,8 @@ func Drive(cfg BandConfig, seed int64) Result {
 	}
 	nrLayout := cell.LinearLayout(nrNet, RouteKm, nrSpacingKm, 0.31)
 
-	lteSel := cell.NewSelector(lteLayout, 3)
-	nrSel := cell.NewSelector(nrLayout, 3)
+	lteSel := cell.NewSelector(lteLayout)
+	nrSel := cell.NewSelector(nrLayout)
 	lteFade := cell.NewFading(seed, fadingSigmaDb, fadingRho)
 	nrFade := cell.NewFading(seed+1, fadingSigmaDb, fadingRho)
 	// The EN-DC leg decision additionally sees fast fading that SA/LTE

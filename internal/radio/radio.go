@@ -319,28 +319,6 @@ var (
 	TMobileSALowBand = Network{Carrier: TMobile, Mode: ModeSA, Band: BandN71, CapacityScale: 0.5}
 )
 
-// NetworkByKey resolves a deployment from its compact key (e.g.
-// "VZ/NSA/n261", see Network.Key) or a few convenient aliases.
-func NetworkByKey(key string) (Network, error) {
-	aliases := map[string]Network{
-		"vz-mmwave":  VerizonNSAmmWave,
-		"vz-lowband": VerizonNSALowBand,
-		"vz-lte":     VerizonLTE,
-		"tm-sa":      TMobileSALowBand,
-		"tm-nsa":     TMobileNSALowBand,
-		"tm-lte":     TMobileLTE,
-	}
-	if n, ok := aliases[key]; ok {
-		return n, nil
-	}
-	for _, n := range AllNetworks {
-		if n.Key() == key {
-			return n, nil
-		}
-	}
-	return Network{}, fmt.Errorf("radio: unknown network %q (try vz-mmwave, vz-lowband, vz-lte, tm-sa, tm-nsa, tm-lte)", key)
-}
-
 // AllNetworks lists every deployment the study measures, in the order used
 // by the paper's tables.
 var AllNetworks = []Network{

@@ -247,9 +247,6 @@ func (m *Machine) Config() Config { return m.cfg }
 // State returns the current RRC state.
 func (m *Machine) State() State { return m.state }
 
-// StateSince returns when the current state was entered.
-func (m *Machine) StateSince() float64 { return m.stateSince }
-
 func (m *Machine) setState(s State) { m.setStateAt(m.eng.Now(), s) }
 
 // setStateAt is the single transition point of the machine: every state
@@ -435,16 +432,6 @@ func (m *Machine) reconnect(delay float64) {
 			m.setState(Connected)
 		}
 	}))
-}
-
-// EnterTail is called by drivers when continuous reception lapses; the
-// machine handles this internally via time, so EnterTail only needs to be
-// called by tests or tools that want to force the DRX phase to begin at a
-// known instant. It is a no-op unless the machine is Connected.
-func (m *Machine) EnterTail() {
-	if m.state == Connected {
-		m.setState(TailNR)
-	}
 }
 
 // minSCGReaddS is the minimum time to re-add the NR secondary cell group

@@ -33,16 +33,14 @@ type LoadOptions struct {
 	BaseURL string
 	// Requests is the total request count; 0 means 1000.
 	Requests int
-	// Concurrency bounds the in-flight requests; 0 means 256.
-	Concurrency int
 	// WindowS is the arrival window in wall seconds; 0 means 2.
 	WindowS float64
 	// Seed drives the arrival draws and scenario choices; 0 means 1.
 	Seed int64
-	// Scenarios is the request pool; nil means LoadScenarios(), a pool of
-	// small fast scenarios spanning both kinds and all three artifacts.
-	Scenarios []Scenario
 }
+
+// loadConcurrency bounds the harness's in-flight requests.
+const loadConcurrency = 256
 
 // LoadReport is the verified outcome of a load run.
 type LoadReport struct {
@@ -90,10 +88,10 @@ func (r *LoadReport) String() string {
 	return b.String()
 }
 
-// LoadScenarios is the default request pool: small, fast scenarios covering
-// both kinds, all three artifacts, both trace formats, and a few seeds, so
-// a run exercises generation, caching, and replay across distinct keys.
-func LoadScenarios() []Scenario {
+// loadScenarios is the request pool: small, fast scenarios covering both
+// kinds, all three artifacts, both trace formats, and a few seeds, so a run
+// exercises generation, caching, and replay across distinct keys.
+func loadScenarios() []Scenario {
 	seed := func(v int64) *int64 { return &v }
 	pool := []Scenario{
 		{Kind: "fleet", Fleet: &FleetScenario{UEs: 97, Mix: "mixed", WindowS: 30, SessionS: 8}},
@@ -131,22 +129,13 @@ func LoadTest(o LoadOptions) (*LoadReport, error) {
 	if o.Requests <= 0 {
 		o.Requests = 1000
 	}
-	if o.Concurrency <= 0 {
-		o.Concurrency = 256
-	}
 	if o.WindowS <= 0 {
 		o.WindowS = 2
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	scenarios := o.Scenarios
-	if scenarios == nil {
-		scenarios = LoadScenarios()
-	}
-	if len(scenarios) == 0 {
-		return nil, fmt.Errorf("serve: loadtest needs a non-empty scenario pool")
-	}
+	scenarios := loadScenarios()
 	keys := make([]string, len(scenarios))
 	bodies := make([][]byte, len(scenarios))
 	for i := range scenarios {
@@ -185,7 +174,7 @@ func LoadTest(o LoadOptions) (*LoadReport, error) {
 		refs     = make(map[string][]byte)
 		report   = &LoadReport{Requests: o.Requests, Statuses: map[int]int{}, Keys: map[string]int{}}
 		client   = &http.Client{Timeout: 5 * time.Minute}
-		slots    = make(chan struct{}, o.Concurrency)
+		slots    = make(chan struct{}, loadConcurrency)
 		wg       sync.WaitGroup
 		runStart = time.Now() //fgvet:allow walltime load-generator pacing and wall-clock report, never sim time
 	)

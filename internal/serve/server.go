@@ -191,6 +191,18 @@ func (s *Server) replay(w http.ResponseWriter, sc *Scenario, e *cacheEntry) {
 // chunks while teeing it into the cache entry. On any failure the entry is
 // abandoned so a later request regenerates.
 func (s *Server) generate(w http.ResponseWriter, r *http.Request, sc *Scenario, key string, e *cacheEntry) {
+	// A panicking run leaves the entry unsettled. Abandon it on the way out
+	// so followers and later requests regenerate instead of waiting on a
+	// dead leader; the panic goes on to net/http, which logs it and drops
+	// the connection, so the client sees no completeness trailer. Only this
+	// goroutine closes e.done, so the check cannot race.
+	defer func() {
+		select {
+		case <-e.done:
+		default:
+			s.cache.abandon(key, e, errLeaderAborted)
+		}
+	}()
 	select {
 	case s.queue <- struct{}{}:
 	default:
@@ -317,6 +329,10 @@ func (t *teeResponse) Write(p []byte) (int, error) {
 // errQueueFull marks entries abandoned by back-pressure so waiting
 // followers retry (and typically hit the same 429).
 var errQueueFull = errors.New("serve: queue full")
+
+// errLeaderAborted marks entries whose leader left generate without
+// settling them (a panicking run).
+var errLeaderAborted = errors.New("serve: generation aborted")
 
 // cacheEntry is the single-flight unit: done closes when generation
 // finishes (successfully or not); bytes holds the completed artifact.

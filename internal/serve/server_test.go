@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -244,6 +245,50 @@ func TestCancelMidRun(t *testing.T) {
 			t.Fatalf("regeneration never succeeded: status %d, body %q", resp2.StatusCode, data)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestPanicDoesNotPoisonKey: a run that panics drops its connection and
+// abandons its cache entry, so the next request for the same key
+// regenerates instead of waiting on a leader that will never finish.
+func TestPanicDoesNotPoisonKey(t *testing.T) {
+	srv := New(Options{})
+	var calls atomic.Int32
+	srv.runScenario = func(ctx context.Context, sc *Scenario, w io.Writer) error {
+		if calls.Add(1) == 1 {
+			panic("scenario bug")
+		}
+		_, err := io.WriteString(w, "the artifact\n")
+		return err
+	}
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ErrorLog = log.New(io.Discard, "", 0) // the panic is expected
+	ts.Start()
+	defer ts.Close()
+	client := &http.Client{Timeout: 5 * time.Second}
+	const body = `{"kind":"battery","experiments":["table7"]}`
+
+	if resp, err := client.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body)); err == nil {
+		data, rerr := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if rerr == nil && resp.Trailer.Get(TrailerComplete) == "1" {
+			t.Fatalf("panicking run answered %d with a complete artifact %q", resp.StatusCode, data)
+		}
+	}
+
+	resp, err := client.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("request after the panic: %v", err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	if err != nil {
+		t.Fatalf("reading the regenerated artifact: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK || string(data) != "the artifact\n" ||
+		resp.Trailer.Get(TrailerComplete) != "1" {
+		t.Fatalf("after the panic: status %d, body %q, trailer %q; want 200, the artifact, 1",
+			resp.StatusCode, data, resp.Trailer.Get(TrailerComplete))
 	}
 }
 

@@ -40,17 +40,14 @@ func (m ConnMode) String() string {
 	return "single"
 }
 
-// Client runs Speedtest-style measurements for one UE on one network.
+// Client runs Speedtest-style measurements for one UE on one network. The
+// UE stands at the band's clear-LoS peak signal (the stationary outdoor
+// methodology of §3.1), and the servers run tuned TCP send buffers:
+// production Speedtest servers are provisioned for high-BDP paths.
 type Client struct {
 	UE      device.Spec
 	Network radio.Network
 	Loc     geo.Point
-	// RSRPDbm is the signal at the test location; 0 means clear-LoS peak
-	// (the stationary outdoor methodology of §3.1).
-	RSRPDbm float64
-	// WmemBytes is the server-side TCP send buffer. Zero means tuned:
-	// production Speedtest servers are provisioned for high-BDP paths.
-	WmemBytes float64
 
 	rng *rand.Rand
 }
@@ -74,12 +71,8 @@ type Measurement struct {
 // path builds the netpath for a server with per-run signal variation.
 func (c *Client) path(s geo.Server) netpath.Path {
 	p := netpath.New(c.UE, c.Network, c.Loc, s)
-	rsrp := c.RSRPDbm
-	if rsrp == 0 {
-		rsrp = c.Network.Band.PeakRSRPDbm
-	}
 	// Per-run fading wiggle: even stationary LoS links breathe a little.
-	p.RSRPDbm = rsrp - c.rng.Float64()*3
+	p.RSRPDbm = c.Network.Band.PeakRSRPDbm - c.rng.Float64()*3
 	return p
 }
 
@@ -101,16 +94,12 @@ func (c *Client) Run(s geo.Server, mode ConnMode) Measurement {
 		conns = 15 + c.rng.Intn(11) // 15..25, undisclosed algorithm
 	}
 	m.Conns = conns
-	wmem := c.WmemBytes
-	if wmem == 0 {
-		wmem = transport.TunedWmemBytes
-	}
 
 	dl := transport.SimulateTCP(p.Params(radio.Downlink), transport.TCPOptions{
-		Flows: conns, WmemBytes: wmem}, c.rng)
+		Flows: conns, WmemBytes: transport.TunedWmemBytes}, c.rng)
 	m.DLMbps = dl.MeanMbps
 	ul := transport.SimulateTCP(p.Params(radio.Uplink), transport.TCPOptions{
-		Flows: conns, WmemBytes: wmem}, c.rng)
+		Flows: conns, WmemBytes: transport.TunedWmemBytes}, c.rng)
 	m.ULMbps = ul.MeanMbps
 	return m
 }

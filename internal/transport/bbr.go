@@ -24,9 +24,6 @@ import (
 //     sender-side socket, whatever the congestion control).
 func SimulateBBR(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 	o = o.withDefaults()
-	if p.QueueFactor == 0 {
-		p.QueueFactor = 1.0
-	}
 	rtt := p.RTTSeconds
 	if rtt <= 0 {
 		rtt = 0.001
@@ -48,7 +45,7 @@ func SimulateBBR(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 	}
 	flows := make([]bbrFlow, o.Flows)
 	for i := range flows {
-		flows[i] = bbrFlow{paceRate: o.InitCwnd, startup: true, probeRTTAt: 10,
+		flows[i] = bbrFlow{paceRate: initCwnd, startup: true, probeRTTAt: 10,
 			phase: i % 8}
 	}
 	gains := [8]float64{1.25, 0.75, 1, 1, 1, 1, 1, 1}

@@ -55,10 +55,15 @@ type PathParams struct {
 	// costs a flow one multiplicative decrease. mmWave paths see a few
 	// per ten seconds; wired/low-band paths near zero.
 	LossEventRate float64
-	// QueueFactor sizes the bottleneck buffer as a fraction of the BDP
-	// (drop-tail). Zero means 1.0 (one BDP of buffering).
-	QueueFactor float64
 }
+
+// queueFactor sizes the drop-tail bottleneck buffer as a fraction of the
+// BDP: one BDP of buffering.
+const queueFactor = 1.0
+
+// initCwnd is the initial congestion window (and BBR's initial pacing
+// rate) in packets.
+const initCwnd = 10
 
 func (p PathParams) bdpPackets() float64 {
 	return p.CapacityMbps * 1e6 * p.RTTSeconds / 8 / MSSBytes
@@ -73,8 +78,6 @@ type TCPOptions struct {
 	// DurationS is the measurement duration; 0 means 15 s (a Speedtest
 	// run).
 	DurationS float64
-	// InitCwnd is the initial congestion window in packets; 0 means 10.
-	InitCwnd float64
 	// Obs, when enabled, collects per-RTT cwnd samples and per-loss trace
 	// records. nil (the default) keeps the simulation loop allocation-free.
 	Obs *obs.Obs
@@ -89,9 +92,6 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	}
 	if o.DurationS == 0 {
 		o.DurationS = 15
-	}
-	if o.InitCwnd == 0 {
-		o.InitCwnd = 10
 	}
 	return o
 }
@@ -136,9 +136,6 @@ type cubicFlow struct {
 // pass a seeded source for reproducibility.
 func SimulateTCP(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 	o = o.withDefaults()
-	if p.QueueFactor == 0 {
-		p.QueueFactor = 1.0
-	}
 	rtt := p.RTTSeconds
 	if rtt <= 0 {
 		rtt = 0.001
@@ -150,7 +147,7 @@ func SimulateTCP(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 	wndCap := o.WmemBytes * wndFraction / MSSBytes // send-buffer window limit
 	flows := make([]cubicFlow, o.Flows)
 	for i := range flows {
-		flows[i] = cubicFlow{cwnd: o.InitCwnd, ssthresh: math.Inf(1), inSlowStrt: true}
+		flows[i] = cubicFlow{cwnd: initCwnd, ssthresh: math.Inf(1), inSlowStrt: true}
 	}
 
 	var res Result
@@ -187,7 +184,7 @@ func SimulateTCP(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 		if demand > capPkts {
 			share = capPkts / demand
 		}
-		congested := demand > capPkts*(1+p.QueueFactor)
+		congested := demand > capPkts*(1+queueFactor)
 		for i := range flows {
 			sent := desired[i] * share
 			bytes := sent * MSSBytes
@@ -215,7 +212,7 @@ func SimulateTCP(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 			}
 			lossP += p.LossEventRate * rtt * util
 			if congested {
-				lossP += (demand - capPkts*(1+p.QueueFactor)) / demand
+				lossP += (demand - capPkts*(1+queueFactor)) / demand
 			}
 			lost := rng.Float64() < lossP
 			if lost {

@@ -1,16 +1,19 @@
 #!/usr/bin/env bash
 # bench.sh — run the per-experiment campaign benchmarks plus the sim-kernel,
-# ABR, fleet, and colf hot-path micro-benchmarks, emit BENCH_6.json:
+# ABR, fleet, and colf hot-path micro-benchmarks, emit BENCH_<n>.json:
 # {"<name>": {"ns_per_op": ..., "bytes_per_op": ..., "allocs_per_op": ...,
 # ["ues_per_s": ...], ["bytes_per_event": ...], ["mb_per_s": ...],
 # ["x_vs_jsonl": ...], ["retained_b_per_ue": ...]}, ...}, plus a derived
 # "FleetParallelScaling" entry (speedup and per-shard efficiency of the
 # FleetCampaignShards sweep), and print the per-benchmark delta against the
-# previous recording (BENCH_5.json) so the perf trajectory is tracked PR
-# over PR.
+# previous recording so the perf trajectory is tracked PR over PR.
 #
 # Usage:
 #   scripts/bench.sh [output.json] [baseline.json]
+#
+# The output defaults to the next free BENCH_<n>.json and the baseline to
+# the highest-numbered existing one, so a run never overwrites a committed
+# record.
 #
 # Environment:
 #   BENCHTIME   go test -benchtime value (default 1x: one full campaign per
@@ -18,8 +21,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_6.json}"
-base="${2:-BENCH_5.json}"
+last=0
+for f in BENCH_*.json; do
+    n="${f#BENCH_}"
+    n="${n%.json}"
+    case "$n" in
+        '' | *[!0-9]*) continue ;;
+    esac
+    if [ "$n" -gt "$last" ]; then
+        last="$n"
+    fi
+done
+out="${1:-BENCH_$((last + 1)).json}"
+base="${2:-BENCH_$last.json}"
 benchtime="${BENCHTIME:-1x}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
