@@ -34,12 +34,13 @@
 // status 2 before any file is created or shard started: Scenario.Validate
 // and fleet.Config.Validate refuse them for every front end alike.
 //
-// The trace artifact streams to FILE as each campaign completes: the shards
-// encode their own trace segments in parallel and fleet.Run stitches them
-// in shard order (fleet.Spill), so trace memory is bounded regardless of
-// -ues. The fleet determinism contract applies: stdout and both artifacts
-// are byte-identical for any -shards value, including 1, in both formats
-// and both modes. Only -stats output (wall-clock) varies between runs.
+// The trace artifact streams to FILE as each campaign completes: after the
+// shards join, fleet.Run hands the campaign's sampled sessions to
+// fleet.Spill, which encodes them serially. Trace memory is one campaign's
+// sampled sessions, about 512 at the default stride whatever -ues is. The
+// fleet determinism contract applies: stdout and both artifacts are
+// byte-identical for any -shards value, including 1, in both formats and
+// both modes. Only -stats output (wall-clock) varies between runs.
 package main
 
 import (

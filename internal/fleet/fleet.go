@@ -27,7 +27,6 @@ import (
 	"sync"
 
 	"fivegsim/internal/obs"
-	"fivegsim/internal/sim"
 )
 
 // Config parameterises a campaign.
@@ -64,12 +63,11 @@ type Config struct {
 	// SketchK is the per-metric quantile sketch size in stream mode;
 	// 0 means DefaultSketchK.
 	SketchK int
-	// Spill, when non-nil, streams the sampled per-session trace records
-	// to the spill's artifact writer with shard-parallel encoding (see
-	// Spill), instead of emitting them into Obs's tracer. Metrics and
-	// histograms still flow through Obs. The artifact bytes are identical,
-	// at any shard count, to rendering the central reduce's trace in
-	// memory after the campaign.
+	// Spill, when non-nil, receives the sampled per-session trace records
+	// instead of Obs's tracer: Run encodes them into the spill's artifact
+	// writer once the shards join (see Spill). Metrics and histograms
+	// still flow through Obs. The artifact bytes are identical, at any
+	// shard count, to rendering the tracer's records after the campaign.
 	Spill *Spill
 	// SpillTags are appended to every spilled record, in order — the
 	// counterpart of the MergeTagged tags of the central pipeline (e.g.
@@ -229,44 +227,31 @@ func Run(cfg Config) (*Result, error) {
 	} else {
 		results = make([]UEResult, cfg.UEs)
 	}
-	var segs []spillSeg
-	var spillBase uint64
-	every := cfg.TraceEvery
-	if cfg.Spill != nil {
-		segs = make([]spillSeg, len(ranges))
-		spillBase = cfg.Spill.base
-	}
+	tracing := cfg.Spill != nil || cfg.Obs.Enabled()
+	samples := make([][]sessionSample, len(ranges))
 	events := make([]uint64, len(ranges))
 	var wg sync.WaitGroup
 	for si, rg := range ranges {
 		wg.Add(1)
 		go func(si int, rg Range) {
 			defer wg.Done()
-			// Each shard goroutine gets its own engine and event
-			// counter; shards touch only results[rg.Lo:rg.Hi] (exact
-			// mode) or their private shardStats[si] (stream mode).
-			events[si] = sim.CountEvents(func() {
-				sh := newShard(cfg, dep, rg.Lo, rg.Hi, results)
-				if cfg.Stream {
-					sh.stats = shardStats[si]
-				}
-				sh.run()
-				if segs != nil {
-					// Encode this shard's slice of the trace artifact
-					// here, concurrently with the other shards, at its
-					// precomputed offset in the global record stream.
-					segs[si] = cfg.Spill.encodeSeg(
-						sh.samples(rg, every), cfg.SpillTags,
-						spillBase+sampledBelow(rg.Lo, every))
-				}
-			})
+			// Each shard goroutine owns its engine; shards touch only
+			// results[rg.Lo:rg.Hi] (exact mode) or their private
+			// shardStats[si] (stream mode).
+			sh := newShard(cfg, dep, rg.Lo, rg.Hi, results)
+			if cfg.Stream {
+				sh.stats = shardStats[si]
+			}
+			sh.run()
+			events[si] = sh.eng.Processed
+			if tracing {
+				samples[si] = sh.samples(rg, cfg.TraceEvery)
+			}
 		}(si, rg)
 	}
 	wg.Wait()
-	if segs != nil {
-		if err := cfg.Spill.stitch(segs, sampledBelow(cfg.UEs, every)); err != nil {
-			return nil, fmt.Errorf("fleet: trace spill: %w", err)
-		}
+	if err := traceSamples(cfg, samples); err != nil {
+		return nil, fmt.Errorf("fleet: trace spill: %w", err)
 	}
 	res := &Result{Cfg: cfg, UEs: results}
 	for _, e := range events {
@@ -292,6 +277,29 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// traceSamples hands the campaign's sampled sessions, one sorted slice per
+// shard in shard order, to its one trace sink: the Spill when set, Obs's
+// tracer otherwise. Shards own ascending UE id ranges, so the records
+// leave in UE id order at any shard count, in exact and stream mode alike.
+// Only a Spill write can fail.
+func traceSamples(cfg Config, samples [][]sessionSample) error {
+	sp := cfg.Spill
+	tr := cfg.Obs.Trace()
+	for _, ss := range samples {
+		for i := range ss {
+			if sp == nil {
+				tr.Emit(sessionRecord(ss[i].ue, &ss[i].u, nil))
+			} else if err := sp.add(sessionRecord(ss[i].ue, &ss[i].u, cfg.SpillTags)); err != nil {
+				return err
+			}
+		}
+	}
+	if sp == nil {
+		return nil
+	}
+	return sp.endCampaign()
+}
+
 // Population histogram bounds for the obs CDFs.
 var (
 	tputBounds   = []float64{1, 2, 5, 10, 20, 50, 100, 200, 400, 800, 1600}
@@ -301,21 +309,19 @@ var (
 )
 
 // reduce folds the campaign into the obs collector, strictly in UE id
-// order. Shard boundaries are invisible here: every observation, counter,
-// and sampled trace record depends only on (ueID, results[ueID]) and the
-// sampling stride, so the artifact bytes cannot depend on the shard count.
+// order. Shard boundaries are invisible here: every observation and
+// counter depends only on (ueID, results[ueID]), so the artifact bytes
+// cannot depend on the shard count.
 func reduce(cfg Config, res *Result) {
 	if !cfg.Obs.Enabled() {
 		return
 	}
 	m := cfg.Obs.Meter()
-	tr := cfg.Obs.Trace()
 	tputH := m.Hist("fleet.tput_mbps", tputBounds)
 	qoeH := m.Hist("fleet.qoe", qoeBounds)
 	energyH := m.Hist("fleet.energy_j", energyBounds)
 	stallH := m.Hist("fleet.stall_s", stallBounds)
-	every := cfg.TraceEvery
-	for id, u := range res.UEs {
+	for _, u := range res.UEs {
 		tputH.Observe(u.MeanMbps)
 		qoeH.Observe(u.QoE)
 		energyH.Observe(u.EnergyJ)
@@ -323,11 +329,6 @@ func reduce(cfg Config, res *Result) {
 		m.Add("fleet.chunks", float64(u.Chunks))
 		m.Add("fleet.nr_chunks", float64(u.NRChunks))
 		m.Add("fleet.stall_s_total", u.StallS)
-		// With a Spill the sampled records reach the artifact through the
-		// shard-parallel path instead of the tracer.
-		if cfg.Spill == nil && id%every == 0 {
-			tr.Emit(sessionRecord(id, &u, nil))
-		}
 	}
 	// Note: res.Events is deliberately NOT folded into obs. Event totals
 	// include per-shard admitter bookkeeping events, which legitimately

@@ -9,34 +9,32 @@ import (
 	"fivegsim/internal/obs/colf"
 )
 
-// The spill acceptance gates: the shard-parallel spill path must produce
-// byte-identical artifacts to the central reduce rendered in memory, in
-// both formats, at any shard count, in both exact and stream mode, across
-// sequential multi-mix campaigns whose colf block boundaries straddle
-// campaign edges.
+// The spill acceptance gates: the Spill must produce byte-identical
+// artifacts to the central reduce rendered in memory, in both formats, at
+// any shard count, in both exact and stream mode, across sequential
+// multi-mix campaigns whose colf block boundary falls inside a campaign.
 
-// spillBlockRecs is deliberately tiny so a 403-UE campaign (every UE
-// sampled) crosses many block boundaries per shard, exercising the head /
-// aligned-middle / tail stitching; it does not divide 403, so boundaries
-// also straddle the three campaigns.
-const spillBlockRecs = 37
+// spillUEs is the population of each of the three campaigns. Every UE is
+// sampled, so the 4500 records cross the default 4096-record colf block
+// boundary inside the third campaign.
+const spillUEs = 1500
 
 // centralTrace renders the reference artifact through the serial central
 // pipeline: campaign reduce emits into a sub-collector, MergeTagged stamps
 // the mix tag, and the root trace is rendered once, in memory, the way the
 // battery renders its artifacts.
-func centralTrace(t *testing.T, format string, blockRecs, shards int, stream bool) []byte {
+func centralTrace(t *testing.T, format string, shards int, stream bool) []byte {
 	t.Helper()
 	root := obs.New()
 	for _, mix := range fleet.AllMixes {
 		sub := obs.Sub(root)
 		mustRun(t, fleet.Config{
-			Seed: 7, UEs: 403, Shards: shards, Mix: mix, WindowS: 60,
-			Obs: sub, Stream: stream,
+			Seed: 7, UEs: spillUEs, Shards: shards, Mix: mix, WindowS: 60,
+			TraceEvery: 1, Obs: sub, Stream: stream,
 		})
 		root.MergeTagged(sub, obs.S("mix", mix.String()))
 	}
-	return renderTrace(t, root.Trace(), format, blockRecs)
+	return renderTrace(t, root.Trace(), format, colf.DefaultBlockRecords)
 }
 
 // renderTrace renders a tracer's records as the fleet trace artifact:
@@ -61,23 +59,22 @@ func renderTrace(t *testing.T, tr *obs.Tracer, format string, blockRecs int) []b
 	return buf.Bytes()
 }
 
-// spilledTrace renders the same artifact through the shard-parallel spill:
-// per-shard segment encoding, stitched in shard order, one Spill across
-// all three mixes.
+// spilledTrace renders the same artifact through one Spill across all
+// three mixes.
 func spilledTrace(t *testing.T, format string, shards int, stream bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	var sp *fleet.Spill
 	if format == "colf" {
-		sp = fleet.NewColfSpillSize(&buf, "fleet", spillBlockRecs)
+		sp = fleet.NewColfSpill(&buf, "fleet")
 	} else {
 		sp = fleet.NewJSONLSpill(&buf, "fleet")
 	}
 	for _, mix := range fleet.AllMixes {
 		mustRun(t, fleet.Config{
-			Seed: 7, UEs: 403, Shards: shards, Mix: mix, WindowS: 60,
-			Stream: stream,
-			Spill:  sp, SpillTags: []obs.Field{obs.S("mix", mix.String())},
+			Seed: 7, UEs: spillUEs, Shards: shards, Mix: mix, WindowS: 60,
+			TraceEvery: 1, Stream: stream,
+			Spill: sp, SpillTags: []obs.Field{obs.S("mix", mix.String())},
 		})
 	}
 	if err := sp.Close(); err != nil {
@@ -86,11 +83,11 @@ func spilledTrace(t *testing.T, format string, shards int, stream bool) []byte {
 	return buf.Bytes()
 }
 
-// TestSpillMatchesCentral is the core gate: shard-side spill bytes equal
+// TestSpillMatchesCentral is the core gate: spilled bytes equal
 // central-pipeline bytes for every (format, shard count) combination.
 func TestSpillMatchesCentral(t *testing.T) {
 	for _, format := range []string{"colf", "jsonl"} {
-		want := centralTrace(t, format, spillBlockRecs, 3, false)
+		want := centralTrace(t, format, 3, false)
 		if len(want) == 0 {
 			t.Fatalf("%s: central reference artifact is empty", format)
 		}
@@ -115,29 +112,6 @@ func TestSpillStreamMatchesExact(t *testing.T) {
 					format, shards, len(got), len(want))
 			}
 		}
-	}
-}
-
-// TestSpillDefaultBlockSize covers the re-blocking degenerate case: with
-// the default 4096-record blocks, a 403-record campaign never fills one,
-// so every shard segment is pure remainder and the stitcher does all the
-// encoding — the bytes must still match the central pipeline exactly.
-func TestSpillDefaultBlockSize(t *testing.T) {
-	want := centralTrace(t, "colf", colf.DefaultBlockRecords, 4, false)
-
-	var got bytes.Buffer
-	sp := fleet.NewColfSpill(&got, "fleet")
-	for _, mix := range fleet.AllMixes {
-		mustRun(t, fleet.Config{
-			Seed: 7, UEs: 403, Shards: 4, Mix: mix, WindowS: 60,
-			Spill: sp, SpillTags: []obs.Field{obs.S("mix", mix.String())},
-		})
-	}
-	if err := sp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("default-block spill differs from central (%d vs %d bytes)", got.Len(), len(want))
 	}
 }
 

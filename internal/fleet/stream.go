@@ -87,7 +87,7 @@ func (h *histCounts) foldInto(dst *obs.Histogram) {
 }
 
 // sessionSample is one trace-sampled session, tagged with its UE id so
-// the merged list can be emitted in UE id order.
+// a shard's list can be sorted into UE id order.
 type sessionSample struct {
 	ue int
 	u  UEResult
@@ -159,7 +159,8 @@ func (st *ShardStats) observe(ue int, u UEResult) {
 
 // merge folds another shard's stats in. Merge order cannot change the
 // result: every component is either integer arithmetic or a set-semantics
-// sketch, and the sampled list is sorted before use.
+// sketch. The sampled sessions stay with their shard: Run hands each
+// shard's list to the trace sink before the merge.
 func (st *ShardStats) merge(o *ShardStats) error {
 	st.tput.merge(&o.tput)
 	st.qoe.merge(&o.qoe)
@@ -177,7 +178,6 @@ func (st *ShardStats) merge(o *ShardStats) error {
 			return fmt.Errorf("fleet: shard stats merge: %w", err)
 		}
 	}
-	st.sampled = append(st.sampled, o.sampled...)
 	return nil
 }
 
@@ -227,13 +227,11 @@ func (st *ShardStats) NRShare() float64 {
 func (st *ShardStats) UEs() int64 { return st.ues }
 
 // streamReduce folds the merged campaign stats into the obs collector,
-// producing the same artifact bytes at every shard count — and, for the
-// trace, the same bytes as the exact-mode reduce: the sampled UE set, the
-// emission order (UE id), and every UEResult value are identical in both
-// modes. Histogram bucket counts and integer counters also match exact
-// mode; histogram sums and fleet.stall_s_total may differ from exact mode
-// in the last few ulps (fixed-point vs ordered float accumulation), while
-// remaining shard-count-invariant within stream mode.
+// producing the same artifact bytes at every shard count. Histogram bucket
+// counts and integer counters also match exact mode; histogram sums and
+// fleet.stall_s_total may differ from exact mode in the last few ulps
+// (fixed-point vs ordered float accumulation), while remaining
+// shard-count-invariant within stream mode.
 func streamReduce(cfg Config, res *Result) {
 	if !cfg.Obs.Enabled() {
 		return
@@ -247,13 +245,5 @@ func streamReduce(cfg Config, res *Result) {
 	m.Add("fleet.chunks", float64(st.chunks))
 	m.Add("fleet.nr_chunks", float64(st.nrChunks))
 	m.Add("fleet.stall_s_total", fromNano(st.stallNano))
-	if cfg.Spill == nil {
-		// With a Spill the sampled records were already encoded shard-side.
-		sort.Slice(st.sampled, func(a, b int) bool { return st.sampled[a].ue < st.sampled[b].ue })
-		tr := cfg.Obs.Trace()
-		for _, s := range st.sampled {
-			tr.Emit(sessionRecord(s.ue, &s.u, nil))
-		}
-	}
 	m.Add("fleet.ues", float64(st.ues))
 }

@@ -127,7 +127,7 @@ func testCorpus() ([]string, []obs.Record) {
 	return scopes, recs
 }
 
-func encode(t *testing.T, scopes []string, recs []obs.Record, blockRecs int) []byte {
+func encode(t testing.TB, scopes []string, recs []obs.Record, blockRecs int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriterSize(&buf, blockRecs)

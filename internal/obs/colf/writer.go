@@ -2,7 +2,6 @@ package colf
 
 import (
 	"bufio"
-	"errors"
 	"io"
 	"math"
 
@@ -32,7 +31,6 @@ type Writer struct {
 	payload    []byte
 	frame      []byte
 	wroteMagic bool
-	headerless bool // segment writer: emit blocks only, no magic
 	err        error
 }
 
@@ -72,45 +70,6 @@ func (w *Writer) Add(scope string, r obs.Record) error {
 	return w.err
 }
 
-// NewSegmentWriter returns a headerless Writer: it encodes blocks with the
-// given records-per-block threshold but never writes the stream magic, so
-// its output is a raw block sequence. Segments produced this way splice
-// verbatim into a full stream via WriteRawBlocks, which is what lets
-// independent workers encode disjoint aligned slices of one record stream
-// in parallel. Because every block is self-contained (the dictionary and
-// all delta chains reset at the boundary), a segment encoded standalone is
-// byte-identical to the same records encoded mid-stream, provided both
-// sides flush on the same record-count boundaries.
-func NewSegmentWriter(w io.Writer, blockRecs int) *Writer {
-	sw := NewWriterSize(w, blockRecs)
-	sw.headerless = true
-	return sw
-}
-
-// WriteRawBlocks splices a pre-encoded block sequence (a segment writer's
-// output) into the stream. The writer's record buffer must be empty — raw
-// blocks can only enter on a block boundary, or the stitched stream would
-// not match the stream a single writer would have produced.
-func (w *Writer) WriteRawBlocks(raw []byte) error {
-	if w.err != nil {
-		return w.err
-	}
-	if len(w.recs) > 0 {
-		w.err = errors.New("colf: WriteRawBlocks off a block boundary (buffered records pending)")
-		return w.err
-	}
-	if !w.wroteMagic && !w.headerless {
-		w.writeMagic()
-		if w.err != nil {
-			return w.err
-		}
-	}
-	if _, err := w.bw.Write(raw); err != nil {
-		w.err = err
-	}
-	return w.err
-}
-
 // Flush encodes any buffered records as a final (possibly short) block and
 // drains the underlying buffered writer.
 func (w *Writer) Flush() error {
@@ -120,7 +79,7 @@ func (w *Writer) Flush() error {
 	if len(w.recs) > 0 {
 		w.flushBlock()
 	}
-	if w.err == nil && !w.wroteMagic && !w.headerless {
+	if w.err == nil && !w.wroteMagic {
 		// An empty artifact is still a valid colf stream: magic, no blocks.
 		w.writeMagic()
 	}
@@ -177,7 +136,7 @@ func (w *Writer) internBytes(b []byte) uint64 {
 //
 //fgvet:noalloc
 func (w *Writer) flushBlock() {
-	if !w.wroteMagic && !w.headerless {
+	if !w.wroteMagic {
 		w.writeMagic()
 		if w.err != nil {
 			return

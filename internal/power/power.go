@@ -290,24 +290,6 @@ func DevicePowerMw(m device.Model, a Activity) (float64, error) {
 	return ScreenMaxMw + SoCBaseMw + r, nil
 }
 
-// EnergyJ integrates a per-second throughput trace into radio energy
-// (joules) using the device's power curves. samples are (DL Mbps, UL Mbps,
-// RSRP dBm) at 1-second granularity; class selects the radio. This is the
-// "feed the packet trace into our power model" step used for Table 4 and
-// the web-browsing energy results.
-func EnergyJ(m device.Model, class radio.BandClass, samples []Activity) (float64, error) {
-	var j float64
-	for _, s := range samples {
-		s.Class = class
-		p, err := RadioPowerMw(m, s)
-		if err != nil {
-			return 0, err
-		}
-		j += p / 1000 // 1 second per sample
-	}
-	return j, nil
-}
-
 // EfficiencyUJPerBit computes energy-per-bit for an activity (both
 // directions summed), in microjoules per bit.
 func EfficiencyUJPerBit(m device.Model, a Activity) (float64, error) {

@@ -244,27 +244,6 @@ func TestDevicePowerIdleCalibration(t *testing.T) {
 	}
 }
 
-func TestEnergyIntegration(t *testing.T) {
-	// A constant 100 Mbps DL for 10 s on S20U LTE:
-	// P = 800 + 14.55*100 = 2255 mW -> 22.55 J.
-	samples := make([]Activity, 10)
-	for i := range samples {
-		samples[i] = Activity{DLMbps: 100}
-	}
-	j, err := EnergyJ(device.S20U, radio.ClassLTE, samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(j-22.55) > 1e-9 {
-		t.Errorf("EnergyJ = %v, want 22.55", j)
-	}
-	// Empty trace -> zero energy.
-	j, err = EnergyJ(device.S20U, radio.ClassLTE, nil)
-	if err != nil || j != 0 {
-		t.Errorf("empty EnergyJ = %v, %v", j, err)
-	}
-}
-
 func TestEfficiencyUJPerBit(t *testing.T) {
 	e, err := EfficiencyUJPerBit(device.S20U, Activity{Class: radio.ClassLTE, DLMbps: 100})
 	if err != nil {

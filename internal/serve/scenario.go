@@ -233,9 +233,13 @@ func (sc *Scenario) Validate() error {
 
 // CanonicalKey renders the scenario in a normalized, defaults-resolved form:
 // equal keys produce byte-identical artifacts, so the key is the cache key.
-// Fleet shard count never enters the key — by the fleet determinism
-// contract it cannot change a byte of output — and neither does the sketch
-// size of an exact-mode campaign, which only stream mode reads.
+// A fleet key names only the knobs that can change the requested artifact:
+//   - shard count never: by the fleet determinism contract it cannot change
+//     a byte of output;
+//   - the trace stride only in trace keys, because it reaches nothing else;
+//   - mode and sketch size only in table and metrics keys, because the
+//     trace is the same bytes in exact and stream mode at any sketch size,
+//     and the sketch size only in stream mode, the one mode that reads it.
 func (sc *Scenario) CanonicalKey() string {
 	var b strings.Builder
 	b.WriteString(sc.Kind)
@@ -257,15 +261,18 @@ func (sc *Scenario) CanonicalKey() string {
 			mix = "all"
 		}
 		cfg := sc.fleetConfig(fleet.MixLowBand) // mix rendered separately
-		fmt.Fprintf(&b, " ues=%d mix=%s window=%s session=%s stream=%t",
+		fmt.Fprintf(&b, " ues=%d mix=%s window=%s session=%s",
 			cfg.UEs, mix,
 			strconv.FormatFloat(cfg.WindowS, 'g', -1, 64),
-			strconv.FormatFloat(cfg.SessionS, 'g', -1, 64),
-			cfg.Stream)
-		if cfg.Stream {
-			fmt.Fprintf(&b, " sketchk=%d", cfg.SketchK)
+			strconv.FormatFloat(cfg.SessionS, 'g', -1, 64))
+		if sc.artifact() == ArtifactTrace {
+			fmt.Fprintf(&b, " every=%d", cfg.TraceEvery)
+		} else {
+			fmt.Fprintf(&b, " stream=%t", cfg.Stream)
+			if cfg.Stream {
+				fmt.Fprintf(&b, " sketchk=%d", cfg.SketchK)
+			}
 		}
-		fmt.Fprintf(&b, " every=%d", cfg.TraceEvery)
 	}
 	return b.String()
 }
@@ -307,8 +314,9 @@ type Report struct {
 // Obs collection turns on only when an artifact needs it, and no artifact's
 // bytes depend on which others were requested, so fgservd's one-artifact
 // responses equal the fgrepro and fgfleet files for the same scenario.
-// Fleet traces stream through fleet.Spill, so trace memory stays O(block)
-// at any population size.
+// Fleet traces stream through fleet.Spill campaign by campaign, so trace
+// memory is one campaign's sampled sessions: about 512 at the default
+// stride, O(UEs/TraceEvery) in general.
 //
 // Cancellation is cooperative at reduce-step granularity: between battery
 // experiments (RunManyCtx) and between fleet campaigns (RunFleet). A

@@ -76,8 +76,17 @@ func TestCanonicalKeyNormalizes(t *testing.T) {
 			Scenario{Kind: "fleet", Fleet: &FleetScenario{UEs: 50}},
 			Scenario{Kind: "fleet", Fleet: &FleetScenario{UEs: 50, SketchK: 64}}},
 		{"trace_every derived stride",
-			Scenario{Kind: "fleet", Fleet: &FleetScenario{UEs: 5000}},
-			Scenario{Kind: "fleet", Fleet: &FleetScenario{UEs: 5000, TraceEvery: 5000/512 + 1}}},
+			Scenario{Kind: "fleet", Artifact: ArtifactTrace, Fleet: &FleetScenario{UEs: 5000}},
+			Scenario{Kind: "fleet", Artifact: ArtifactTrace, Fleet: &FleetScenario{UEs: 5000, TraceEvery: 5000/512 + 1}}},
+		{"table ignores trace_every",
+			Scenario{Kind: "fleet", Fleet: &FleetScenario{UEs: 50}},
+			Scenario{Kind: "fleet", Fleet: &FleetScenario{UEs: 50, TraceEvery: 3}}},
+		{"metrics ignores trace_every",
+			Scenario{Kind: "fleet", Artifact: ArtifactMetrics, Fleet: &FleetScenario{UEs: 50}},
+			Scenario{Kind: "fleet", Artifact: ArtifactMetrics, Fleet: &FleetScenario{UEs: 50, TraceEvery: 3}}},
+		{"trace ignores stream and sketch_k",
+			Scenario{Kind: "fleet", Artifact: ArtifactTrace, Fleet: &FleetScenario{UEs: 50}},
+			Scenario{Kind: "fleet", Artifact: ArtifactTrace, Fleet: &FleetScenario{UEs: 50, Stream: true, SketchK: 64}}},
 	}
 	for _, tc := range pairs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -91,6 +100,53 @@ func TestCanonicalKeyNormalizes(t *testing.T) {
 	tb := Scenario{Kind: "battery", Quick: true}
 	if ta.CanonicalKey() == tb.CanonicalKey() {
 		t.Error("quick and full batteries share a key")
+	}
+}
+
+// TestSharedKeySharesBytes: scenarios that share a canonical key serve the
+// same bytes, so the cache never answers one with the other's artifact.
+// Each merged pair differs only in a knob its artifact's key leaves out.
+// The last case is the negative: a knob that changes the bytes must change
+// the key.
+func TestSharedKeySharesBytes(t *testing.T) {
+	fleetSc := func(artifact, format string, every int, stream bool, sketchK int) *Scenario {
+		return &Scenario{Kind: "fleet", Artifact: artifact, TraceFormat: format,
+			Fleet: &FleetScenario{UEs: 300, Mix: "mixed", WindowS: 30, SessionS: 8,
+				TraceEvery: every, Stream: stream, SketchK: sketchK}}
+	}
+	cases := []struct {
+		name   string
+		a, b   *Scenario
+		merged bool
+	}{
+		{"table trace_every", fleetSc(ArtifactTable, "", 0, false, 0), fleetSc(ArtifactTable, "", 3, false, 0), true},
+		{"metrics trace_every", fleetSc(ArtifactMetrics, "", 0, false, 0), fleetSc(ArtifactMetrics, "", 3, false, 0), true},
+		{"jsonl trace stream", fleetSc(ArtifactTrace, "", 0, false, 0), fleetSc(ArtifactTrace, "", 0, true, 0), true},
+		{"jsonl trace stream sketch_k", fleetSc(ArtifactTrace, "", 0, false, 0), fleetSc(ArtifactTrace, "", 0, true, 64), true},
+		{"colf trace stream", fleetSc(ArtifactTrace, "colf", 0, false, 0), fleetSc(ArtifactTrace, "colf", 0, true, 0), true},
+		{"colf trace stream sketch_k", fleetSc(ArtifactTrace, "colf", 0, false, 0), fleetSc(ArtifactTrace, "colf", 0, true, 64), true},
+		{"table exact vs stream sketch_k", fleetSc(ArtifactTable, "", 0, false, 0), fleetSc(ArtifactTable, "", 0, true, 64), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var bodies [2]bytes.Buffer
+			for i, sc := range []*Scenario{tc.a, tc.b} {
+				if err := sc.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				if err := RunScenario(context.Background(), sc, &bodies[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ka, kb := tc.a.CanonicalKey(), tc.b.CanonicalKey()
+			if sameKey := ka == kb; sameKey != tc.merged {
+				t.Errorf("shared key = %t, want %t:\n  %s\n  %s", sameKey, tc.merged, ka, kb)
+			}
+			if sameBytes := bytes.Equal(bodies[0].Bytes(), bodies[1].Bytes()); sameBytes != tc.merged {
+				t.Errorf("equal bytes = %t, want %t (%d vs %d bytes)",
+					sameBytes, tc.merged, bodies[0].Len(), bodies[1].Len())
+			}
+		})
 	}
 }
 
@@ -123,7 +179,7 @@ func TestBatteryTableMatchesRunMany(t *testing.T) {
 }
 
 // TestFleetTraceMatchesCentralPipeline: the served fleet trace (the
-// shard-parallel Spill path) is byte-identical to the central reduce's
+// Spill path) is byte-identical to the central reduce's
 // trace rendered with WriteTraceJSON for the same campaign — the two
 // encoders share nothing but the record contract.
 func TestFleetTraceMatchesCentralPipeline(t *testing.T) {

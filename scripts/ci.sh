@@ -57,12 +57,20 @@ echo "== golden artifacts (chunk-kernel and battery bit-identity) =="
 # so a change the other gates cannot see (it hits serial and parallel,
 # colf and JSONL alike) still fails here. A legitimate physics change
 # regenerates the goldens with -update and reviews the diff; this gate
-# makes that step explicit. The spill tests hold the shard-parallel trace
+# makes that step explicit. The spill test holds the streaming trace
 # encoder (fleet.Spill) to the bytes of the central reduce rendered in
-# memory, in both formats, at shard counts {1,2,4,7} and at the default
-# colf block size.
-go test ./internal/fleet -run 'TestGoldenArtifacts|TestSpillMatchesCentral|TestSpillDefaultBlockSize' -count=1
+# memory, in both formats, at shard counts {1,2,4,7}, with a colf block
+# boundary inside a campaign.
+go test ./internal/fleet -run 'TestGoldenArtifacts|TestSpillMatchesCentral' -count=1
 go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -count=1
+
+echo "== golden artifacts under GOARCH=386 (pure-Go math, 32-bit int) =="
+# The same goldens built for 386, which amd64 hosts run natively. The 386
+# math package has no Exp or Log assembly, so this checks amd64's assembly
+# against the pure-Go math on every pinned workload; it also runs the
+# trace path with a 32-bit int.
+GOARCH=386 go test ./internal/fleet -run 'TestGoldenArtifacts|TestSpillMatchesCentral' -count=1
+GOARCH=386 go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -count=1
 
 echo "== battery determinism (serial vs parallel) =="
 # The whole-campaign contract: rendered tables are byte-identical for any
