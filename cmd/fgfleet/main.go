@@ -1,6 +1,6 @@
-// Command fgfleet runs city-scale fleet campaigns: 100k-1M concurrent UEs
-// streaming over a tower deployment, sharded across engine cores, reporting
-// population QoE/power/throughput CDFs per band mix.
+// Command fgfleet runs city-scale fleet campaigns: 100k-1M UEs streaming
+// over a tower deployment, sharded across cores, reporting population
+// QoE/power/throughput CDFs per band mix.
 //
 // Usage:
 //
@@ -13,7 +13,7 @@
 // Flags:
 //
 //	-ues N          population size per mix (default 100000)
-//	-shards N       engine shards (0 = GOMAXPROCS)
+//	-shards N       parallel shards (0 = GOMAXPROCS)
 //	-seed N         campaign seed (default 1)
 //	-mix NAME       low-band, mmwave, mixed, or all (default all)
 //	-window S       arrival window in sim seconds (default 600)
@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fgfleet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	ues := fs.Int("ues", 100000, "population size per mix")
-	shards := fs.Int("shards", 0, "engine shards (0 = GOMAXPROCS)")
+	shards := fs.Int("shards", 0, "parallel shards (0 = GOMAXPROCS)")
 	seed := fs.Int64("seed", 1, "campaign seed")
 	mixName := fs.String("mix", "all", "deployment mix: low-band, mmwave, mixed, or all")
 	window := fs.Float64("window", 600, "arrival window (sim seconds)")

@@ -97,68 +97,51 @@ func BenchmarkFleetStreamCampaignShards(b *testing.B) {
 	}
 }
 
-// steadyShard builds a shard at fleet fan-in size, admits the whole
-// population, and steps past the warm-up so slab, freelist, calendar, and
-// per-UE transport state are all at steady state: every further Step is one
-// chunk fetch recycling pre-allocated storage.
-func steadyShard(cfg Config) *shard {
-	cfg = cfg.withDefaults()
+// sessionShard builds a one-shard campaign of the given mix whose sessions
+// can be run one at a time, exactly as Run drives them.
+func sessionShard(mix Mix, ues int) *shard {
+	cfg := Config{Seed: 1, UEs: ues, Mix: mix}.withDefaults()
 	dep, err := newDeployment(cfg.Mix)
 	if err != nil {
 		panic(err)
 	}
-	results := make([]UEResult, cfg.UEs)
-	sh := newShard(cfg, dep, 0, cfg.UEs, results)
-	sh.prepare()
-	for sh.next < len(sh.arrivals) {
-		if !sh.eng.Step() {
-			panic("fleet: calendar drained before all arrivals admitted")
-		}
-	}
-	for i := 0; i < 4*cfg.UEs; i++ {
-		sh.eng.Step()
-	}
-	return sh
+	return newShard(cfg, dep, make([]UEResult, cfg.UEs))
 }
 
-// BenchmarkFleetSteadyStep is the per-UE stepping hot path in isolation:
-// one calendar event = one chunk fetch (channel, RRC gap, ABR, CUBIC-lite
-// ladder, energy). Sessions are effectively endless so no UE finalizes
-// during measurement. This must report 0 allocs/op — the struct-of-arrays
-// slab invariant; TestSteadyStepZeroAlloc enforces the same bound red/green.
-func BenchmarkFleetSteadyStep(b *testing.B) {
-	for _, ues := range []int{1 << 10, 1 << 13, 1 << 16} {
-		b.Run(sizeName(ues), func(b *testing.B) {
-			sh := steadyShard(Config{
-				Seed: 1, UEs: ues, WindowS: 1, SessionS: 1e8, Mix: MixMixed,
-			})
+// BenchmarkFleetSession is the per-UE hot path in isolation: one op is one
+// whole default session (arrival, eight chunk fetches through the channel,
+// RRC gap, ABR, CUBIC-lite ladder and energy, then the RRC tail and any
+// cascade) written to the results slice. It must report 0 allocs/op;
+// TestSessionZeroAlloc enforces the same bound red/green.
+func BenchmarkFleetSession(b *testing.B) {
+	const ues = 1 << 10
+	for _, mix := range AllMixes {
+		b.Run(mix.String(), func(b *testing.B) {
+			sh := sessionShard(mix, ues)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if !sh.eng.Step() {
-					b.Fatal("calendar drained")
-				}
+				sh.session(i % ues)
 			}
 		})
 	}
 }
 
-func sizeName(n int) string {
-	if n >= 1<<10 {
-		return strconv.Itoa(n>>10) + "Ki"
-	}
-	return strconv.Itoa(n)
-}
-
-// TestSteadyStepZeroAlloc is the red/green form of BenchmarkFleetSteadyStep:
-// steady-state stepping must not allocate. Any new per-chunk allocation in
-// the stream phase (a closure, a boxed value, a growing slice) fails here
-// before it shows up as a benchmark regression.
-func TestSteadyStepZeroAlloc(t *testing.T) {
-	sh := steadyShard(Config{
-		Seed: 1, UEs: 2048, WindowS: 1, SessionS: 1e8, Mix: MixMixed,
-	})
-	if avg := testing.AllocsPerRun(5000, func() { sh.eng.Step() }); avg != 0 {
-		t.Errorf("steady-state step allocates %.3f objects/op, want 0", avg)
+// TestSessionZeroAlloc is the red/green form of BenchmarkFleetSession: once
+// the shard is built, a session must not allocate. Any new per-session or
+// per-chunk allocation (a closure, a boxed value, a growing slice) fails
+// here before it shows up as a benchmark regression.
+func TestSessionZeroAlloc(t *testing.T) {
+	const ues = 256
+	for _, mix := range AllMixes {
+		sh := sessionShard(mix, ues)
+		ue := 0
+		avg := testing.AllocsPerRun(ues-1, func() {
+			sh.session(ue)
+			ue++
+		})
+		if avg != 0 {
+			t.Errorf("%v: a session allocates %.3f objects, want 0", mix, avg)
+		}
 	}
 }

@@ -108,7 +108,6 @@ type deployment struct {
 	layers []layer // preference order: best technology first, LTE last
 	prim   rrc.Config
 	ladder []float64 // track bitrates, Mbps, ascending
-	chunkS float64
 	hasMm  bool
 
 	promoS      float64 // RRC promotion delay, s (SA: 5G; NSA/LTE: 4G anchor)
@@ -180,12 +179,16 @@ func newLayer(net radio.Network, layout cell.Layout, lossEv float64) (layer, err
 // routeKm is the city route length; UEs start uniformly along it.
 const routeKm = 12.0
 
+// chunkS is the video chunk length, s. A session fetches
+// ceil(SessionS/chunkS) chunks, which Validate keeps inside int32.
+const chunkS = 4.0
+
 // newDeployment builds the shared world for a mix along the route. Errors
 // (an unknown mix, a band class with no measured power curve) surface here,
 // at campaign construction, so Run fails before any shard starts instead
 // of a shard panicking mid-campaign.
 func newDeployment(mix Mix) (*deployment, error) {
-	d := &deployment{mix: mix, chunkS: 4}
+	d := &deployment{mix: mix}
 	type layerSpec struct {
 		net    radio.Network
 		layout cell.Layout

@@ -1,12 +1,12 @@
-// Package fleet runs city-scale population campaigns: 100k-1M concurrent
-// UEs streaming over a shared tower deployment, partitioned across N
-// independent engine shards (default one per core).
+// Package fleet runs city-scale population campaigns: 100k-1M UEs
+// streaming over a shared tower deployment, partitioned across N
+// independent shards (default one per core).
 //
-// Each shard owns a contiguous UE id range, a private sim.Engine calendar,
-// and a struct-of-arrays session slab (see slab.go) holding every UE's RRC
-// phase, CUBIC transport state, ABR buffer state, and power accumulators in
-// parallel arrays with freelist recycling. All UEs of a shard step through
-// the one shared calendar — one engine per shard, not per UE.
+// Each shard owns a contiguous UE id range and simulates it one session at
+// a time, in UE id order (see shard.go). A session's RRC, CUBIC transport,
+// ABR buffer and power state is one stack-local struct that advances its
+// own clock from arrival to idle; no calendar interleaves sessions, because
+// nothing a session computes depends on another session.
 //
 // Determinism contract: campaign output — tables, CDFs, and obs artifacts —
 // is byte-identical at any shard count, including 1. Three rules make that
@@ -14,8 +14,8 @@
 //
 //  1. Per-UE randomness derives from (campaignSeed, ueID) only (rng.go).
 //  2. UEs never interact: a session reads the shared read-only deployment,
-//     its own slab fields, and its own stream; shards write disjoint
-//     ranges of one results slice, indexed by global UE id.
+//     its own state, and its own stream; shards write disjoint ranges of
+//     one results slice, indexed by global UE id.
 //  3. All aggregation happens in a serial reduce over the results slice in
 //     UE id order after every shard joins — the EvaluateWorkers /
 //     obs.Sub+MergeTagged pattern, with the UE id as the fold order.
@@ -35,7 +35,7 @@ type Config struct {
 	Seed int64
 	// UEs is the population size.
 	UEs int
-	// Shards is the number of engine shards; <= 0 means GOMAXPROCS.
+	// Shards is the number of parallel shards; <= 0 means GOMAXPROCS.
 	// Output does not depend on it.
 	Shards int
 	// Mix selects the tower deployment (see Mix).
@@ -53,12 +53,12 @@ type Config struct {
 	// TraceEvery samples every k-th UE for a per-session trace record;
 	// 0 derives a stride targeting ~512 records per campaign.
 	TraceEvery int
-	// Stream, when true, drops the O(UEs) results slice: shards fold
-	// finished sessions into ShardStats as they go and the campaign keeps
-	// O(shards) state (see stream.go). Result.UEs is nil and Result.Stream
-	// holds the merged stats; the trace artifact is byte-identical to
-	// exact mode, and all obs artifacts remain byte-identical across
-	// shard counts.
+	// Stream, when true, drops the O(UEs) results slice: each shard folds
+	// its sessions into a ShardStats as they finish, so the campaign keeps
+	// O(shards) state — per shard, one running session and its stats (see
+	// stream.go). Result.UEs is nil and Result.Stream holds the merged
+	// stats; the trace artifact is byte-identical to exact mode, and all
+	// obs artifacts remain byte-identical across shard counts.
 	Stream bool
 	// SketchK is the per-metric quantile sketch size in stream mode;
 	// 0 means DefaultSketchK.
@@ -129,7 +129,10 @@ type Result struct {
 	Cfg    Config
 	UEs    []UEResult  // indexed by UE id; nil in stream mode
 	Stream *ShardStats // merged streaming stats; nil in exact mode
-	Events uint64      // calendar events across all shards
+	// Events counts simulation events: per session, one per chunk (chunk
+	// 0 shares the admission event), one for the end of the RRC tail, and
+	// one for the end of any cascade. It does not depend on the partition.
+	Events uint64
 }
 
 // Extraction helpers for the population CDFs. Each returns a fresh slice in
@@ -201,7 +204,7 @@ func Partition(n, shards int) []Range {
 	return out
 }
 
-// Run executes a campaign: fan the population out over engine shards, join,
+// Run executes a campaign: fan the population out over shards, join,
 // then reduce serially in UE id order. It fails before any shard starts when
 // the campaign cannot be built — a config that Validate rejects, an unknown
 // mix, or a deployment layer whose (device, band-class) pair has no measured
@@ -235,15 +238,14 @@ func Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func(si int, rg Range) {
 			defer wg.Done()
-			// Each shard goroutine owns its engine; shards touch only
-			// results[rg.Lo:rg.Hi] (exact mode) or their private
-			// shardStats[si] (stream mode).
-			sh := newShard(cfg, dep, rg.Lo, rg.Hi, results)
+			// Shards touch only results[rg.Lo:rg.Hi] (exact mode) or
+			// their private shardStats[si] (stream mode).
+			sh := newShard(cfg, dep, results)
 			if cfg.Stream {
 				sh.stats = shardStats[si]
 			}
-			sh.run()
-			events[si] = sh.eng.Processed
+			sh.run(rg.Lo, rg.Hi)
+			events[si] = sh.events
 			if tracing {
 				samples[si] = sh.samples(rg, cfg.TraceEvery)
 			}
@@ -330,8 +332,8 @@ func reduce(cfg Config, res *Result) {
 		m.Add("fleet.nr_chunks", float64(u.NRChunks))
 		m.Add("fleet.stall_s_total", u.StallS)
 	}
-	// Note: res.Events is deliberately NOT folded into obs. Event totals
-	// include per-shard admitter bookkeeping events, which legitimately
-	// vary with the partition; everything obs-visible must not.
+	// Note: res.Events is deliberately NOT folded into obs: it is run
+	// accounting for -stats, not a campaign result, and folding it in
+	// would change every metrics artifact.
 	m.Add("fleet.ues", float64(len(res.UEs)))
 }

@@ -90,52 +90,48 @@ func TestRNGUniformAndNormalShape(t *testing.T) {
 	}
 }
 
-// TestSlabRecycling pins the slab's memory contract: with arrivals spread
-// over a window much longer than a session, slots are recycled through the
-// freelist and the slab tops out near peak concurrency, far below the UE
-// count.
-func TestSlabRecycling(t *testing.T) {
-	cfg := Config{Seed: 3, UEs: 600, Shards: 1, WindowS: 900, SessionS: 24}.withDefaults()
-	dep, err := newDeployment(MixLowBand)
+// TestRunCompletesEverySession: with arrivals spread over a window much
+// longer than a session, every UE still runs its session to the end.
+func TestRunCompletesEverySession(t *testing.T) {
+	r, err := Run(Config{Seed: 3, UEs: 600, Shards: 1, Mix: MixLowBand, WindowS: 900, SessionS: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := make([]UEResult, cfg.UEs)
-	sh := newShard(cfg, dep, 0, cfg.UEs, results)
-	sh.run()
-	if got := sh.slab.len(); got >= cfg.UEs/2 {
-		t.Errorf("slab grew to %d slots for %d UEs; freelist recycling is not working", got, cfg.UEs)
-	}
-	if live := sh.slab.len() - len(sh.slab.free); live != 0 {
-		t.Errorf("%d slots still live after the shard drained", live)
-	}
-	for ue, r := range results {
-		if r.Chunks == 0 || r.DurationS <= 0 || r.EnergyJ <= 0 {
-			t.Fatalf("UE %d: incomplete result %+v", ue, r)
+	for ue, u := range r.UEs {
+		if u.Chunks == 0 || u.DurationS <= 0 || u.EnergyJ <= 0 {
+			t.Fatalf("UE %d: incomplete result %+v", ue, u)
 		}
 	}
 }
 
-// TestSlabSlotReuseKeepsClosure verifies a recycled slot reuses its
-// pre-allocated step closure (the 0-alloc admission invariant).
-func TestSlabSlotReuseKeepsClosure(t *testing.T) {
-	var s slab
-	// Closures capture sh and the index only; the empty deployment gives the
-	// radio cache a zero-layer stride.
-	sh := &shard{dep: &deployment{}}
-	a := s.alloc(sh)
-	b := s.alloc(sh)
-	if a == b {
-		t.Fatal("distinct allocs share a slot")
+// TestEventCounts pins Result.Events, which -stats prints, to the per-mix
+// counts of the per-shard event calendar the session loop replaced, in
+// exact and stream mode at several shard counts. A 10 s session is not a
+// multiple of the 4 s chunk, so it covers the chunk-count ceiling.
+func TestEventCounts(t *testing.T) {
+	cases := []struct {
+		sessionS float64
+		want     map[Mix]uint64
+	}{
+		{32, map[Mix]uint64{MixLowBand: 4030, MixMmWave: 3627, MixMixed: 4030}},
+		{10, map[Mix]uint64{MixLowBand: 2015, MixMmWave: 1612, MixMixed: 2015}},
 	}
-	grown := s.len()
-	s.release(a)
-	c := s.alloc(sh)
-	if c != a {
-		t.Errorf("freelist did not recycle slot %d (got %d)", a, c)
-	}
-	if s.len() != grown {
-		t.Errorf("slab grew on recycled alloc: %d -> %d slots", grown, s.len())
+	for _, c := range cases {
+		for _, mix := range AllMixes {
+			for _, stream := range []bool{false, true} {
+				for _, shards := range []int{1, 3, 7} {
+					r, err := Run(Config{Seed: 7, UEs: 403, Shards: shards, Mix: mix,
+						WindowS: 60, SessionS: c.sessionS, Stream: stream})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if r.Events != c.want[mix] {
+						t.Errorf("session %v s, %v, stream=%t, shards=%d: %d events, want %d",
+							c.sessionS, mix, stream, shards, r.Events, c.want[mix])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -2,16 +2,16 @@ package fleet
 
 import "math"
 
-// Per-UE randomness is a splitmix64 stream whose state lives in the session
-// slab (one uint64 per slot). The fleet determinism rule: every stream is
-// derived from (campaignSeed, ueID) only — never from the shard index, the
-// slot index, admission order, or a process-global source — so a UE's
-// entire evolution is a pure function of the campaign seed and its id, and
-// repartitioning the population across any shard count cannot change a
-// single draw. fgvet's seededrand check enforces the same rule on
+// Per-UE randomness is a splitmix64 stream whose state is one uint64 of
+// the session's state. The fleet determinism rule: every stream is derived
+// from (campaignSeed, ueID) only — never from the shard index, the order
+// in which a shard runs its sessions, or a process-global source — so a
+// UE's entire evolution is a pure function of the campaign seed and its
+// id, and repartitioning the population across any shard count cannot
+// change a single draw. fgvet's seededrand check enforces the same rule on
 // math/rand call sites; the fleet hot path avoids math/rand entirely (a
-// *rand.Rand per slot would put a pointer and a 2.5 KiB state table in
-// every session, defeating the struct-of-arrays layout).
+// *rand.Rand per session would add a 2.5 KiB state table to seed and
+// advance for every UE).
 
 // splitmix64 is the finalizer of Steele et al.'s SplitMix64: a bijective
 // mix with full 64-bit avalanche, used both to advance streams and to
@@ -34,15 +34,14 @@ func mixSeed(campaignSeed int64, ue uint64, salt uint64) uint64 {
 
 // UESeed derives the session RNG state for one UE. This is the only
 // sanctioned seed-derivation rule in the fleet layer (see DESIGN.md,
-// "Fleet sharding and the struct-of-arrays session slab").
+// "Fleet sharding: one session at a time per shard").
 func UESeed(campaignSeed int64, ue uint64) uint64 {
 	return mixSeed(campaignSeed, ue, 0)
 }
 
 // arrivalSeed derives the independent state used for the UE's arrival-time
 // draw. It is a separate salt, not the first draw of the session stream, so
-// admitters can compute arrival times up front without consuming (or having
-// to checkpoint) the session stream.
+// the arrival draw never perturbs the session stream.
 func arrivalSeed(campaignSeed int64, ue uint64) uint64 {
 	return mixSeed(campaignSeed, ue, 1)
 }

@@ -2,163 +2,130 @@ package fleet
 
 import (
 	"math"
-	"slices"
 
-	"fivegsim/internal/sim"
 	"fivegsim/internal/transport"
 )
 
-// shard is one ownership domain of a campaign: a contiguous UE id range, a
-// private sim.Engine (engines are never shared across goroutines), and a
-// session slab. Shards share only the read-only deployment and disjoint
-// ranges of the campaign results slice, so they run without locks.
+// shard is one ownership domain of a campaign: a contiguous UE id range,
+// simulated one session at a time in UE id order. UEs never interact, so
+// the order in which sessions run cannot reach a byte of output, and a
+// shard needs no calendar: each session advances its own clock from its
+// arrival through its last chunk, its RRC tail and any cascade. Shards
+// share only the read-only deployment and disjoint ranges of the campaign
+// results slice, so they run without locks.
 type shard struct {
 	cfg     Config
 	dep     *deployment
-	eng     *sim.Engine
-	slab    slab
 	results []UEResult  // campaign-wide; this shard writes [lo, hi) only
 	stats   *ShardStats // stream mode: per-shard fold target (results is nil)
-
-	arrivals []arrival
-	next     int
-	nchunks  int32
-	admit    func() // pre-allocated admitter closure
+	nchunks int32
+	// rsrpBase is the running session's radio cache: each layer's
+	// shadow-free best base RSRP at the session's (static) position,
+	// filled once per session and read by serveCached every chunk.
+	rsrpBase []float64
+	events   uint64 // the shard's share of Result.Events
 }
 
-// arrival is one UE's session start time, drawn from its arrival stream.
-type arrival struct {
-	at float64
-	ue int
+// session is one UE's state from arrival to idle. It lives on the stack of
+// shard.session, so a session allocates nothing.
+type session struct {
+	ue  int    // global UE id (index into the campaign results slice)
+	rng uint64 // splitmix64 stream state, seeded by UESeed
+
+	// radio environment
+	pos     float64 // route position, km (static per session)
+	shadow  float64 // AR(1) shadow fading state, dB
+	blocked bool    // mmWave line-of-sight blockage state
+
+	chunk   int32   // chunks completed
+	lastEnd float64 // when the last chunk (or promotion) finished
+
+	// ABR player
+	buffer float64
+	lastQ  int32
+	ring   [3]float64 // recent chunk throughputs (harmonic predictor)
+	nring  int32
+
+	// transport (CUBIC state, packets)
+	cwnd  float64
+	ssth  float64
+	wmax  float64
+	k     float64 // CUBIC inflection time, cached at each loss
+	epoch float64 // time of last loss
+	slow  bool
+
+	// accumulators
+	arrive  float64
+	qoe     float64
+	stall   float64
+	startup float64
+	energyJ float64
+	mb      float64 // megabits fetched
+	activeS float64 // seconds spent transferring
+	nr      int32   // chunks served over an NR layer
 }
 
-// newShard prepares (but does not run) a shard for the UE range [lo, hi).
-// Arrival times come from each UE's own (campaignSeed, ueID)-derived
-// stream, so the schedule is a property of the population, not of the
-// partition.
-func newShard(cfg Config, dep *deployment, lo, hi int, results []UEResult) *shard {
+// newShard prepares (but does not run) a shard of the campaign.
+func newShard(cfg Config, dep *deployment, results []UEResult) *shard {
 	sh := &shard{cfg: cfg, dep: dep, results: results}
-	sh.nchunks = int32(math.Ceil(cfg.SessionS / dep.chunkS))
+	sh.nchunks = int32(math.Ceil(cfg.SessionS / chunkS))
 	if sh.nchunks < 1 {
 		sh.nchunks = 1
 	}
-	sh.arrivals = make([]arrival, 0, hi-lo)
-	for ue := lo; ue < hi; ue++ {
-		s := arrivalSeed(cfg.Seed, uint64(ue))
-		sh.arrivals = append(sh.arrivals, arrival{at: cfg.WindowS * rngU01(&s), ue: ue})
-	}
-	// (at, ue) is a strict total order (ue is unique), so the sorted
-	// permutation is unique and independent of the algorithm — swapping the
-	// reflect-based sort.Slice for the generic sort cannot move a byte.
-	slices.SortFunc(sh.arrivals, func(a, b arrival) int {
-		if a.at != b.at {
-			if a.at < b.at {
-				return -1
-			}
-			return 1
-		}
-		return a.ue - b.ue
-	})
+	sh.rsrpBase = make([]float64, len(dep.layers))
 	return sh
 }
 
-// prepare creates the shard's engine and schedules the first admission.
-// Split from run so benchmarks can drive the engine step by step.
-func (sh *shard) prepare() {
-	sh.eng = sim.NewEngine()
-	sh.admit = func() { sh.admitDue() }
-	if len(sh.arrivals) > 0 {
-		sh.eng.At(sh.arrivals[0].at, sh.admit)
+// run simulates the sessions of the UE range [lo, hi), in id order.
+func (sh *shard) run(lo, hi int) {
+	for ue := lo; ue < hi; ue++ {
+		sh.session(ue)
 	}
 }
 
-// run simulates the shard to completion.
-func (sh *shard) run() {
-	sh.prepare()
-	sh.eng.Run()
-}
-
-// admitDue starts every UE whose arrival time has come, then re-arms for
-// the next arrival. Lazy admission keeps the calendar and the slab sized to
-// peak concurrency instead of the whole population.
-//
-// The re-arm must use absolute time (At, not Schedule): each UE has to be
-// admitted at exactly its arrival float. Relative scheduling computes
-// now+(at-now), which drifts by an ulp depending on the preceding arrivals
-// in this shard — making a UE's admission time, and every event time in
-// its session chain, depend on the partition. Exact-time admission also
-// needs no coalescing epsilon; an epsilon would fold near-simultaneous
-// arrivals onto one instant only when they happen to share a shard, which
-// is the same partition dependence in another form.
+// session simulates one UE from arrival to idle: seed its stream, place it
+// on the route, fetch chunk 0 at the arrival instant and each later chunk
+// when the previous one's delay has passed, then run out the RRC tail and
+// any cascade. The clock moves by each step's delay under
+// sim.Engine.Schedule's rule (a negative or NaN delay counts as 0), so a
+// session's times are the ones an event calendar would give it.
 //
 //fgvet:noalloc
-func (sh *shard) admitDue() {
-	now := sh.eng.Now()
-	for sh.next < len(sh.arrivals) && sh.arrivals[sh.next].at <= now {
-		sh.start(sh.arrivals[sh.next].ue)
-		sh.next++
+func (sh *shard) session(ue int) {
+	d := sh.dep
+	as := arrivalSeed(sh.cfg.Seed, uint64(ue))
+	now := sh.cfg.WindowS * rngU01(&as)
+	s := session{
+		ue:      ue,
+		rng:     UESeed(sh.cfg.Seed, uint64(ue)),
+		lastEnd: now,
+		cwnd:    initCwndPkts,
+		ssth:    math.Inf(1),
+		epoch:   now,
+		slow:    true,
+		arrive:  now,
 	}
-	if sh.next < len(sh.arrivals) {
-		sh.eng.At(sh.arrivals[sh.next].at, sh.admit)
+	s.pos = routeKm * rngU01(&s.rng)
+	// The position is static for the whole session, so each layer's
+	// shadow-free best base RSRP is resolved once here; serveCached
+	// replays only the shadow add and the floor clamp per chunk.
+	d.baseRSRP(s.pos, sh.rsrpBase)
+	sh.events++ // admission, which also fetches chunk 0
+	for s.chunk < sh.nchunks {
+		if delay := sh.stepChunk(&s, now); delay > 0 {
+			now += delay
+		}
+		sh.events++ // the next chunk, or the end of the RRC tail
 	}
-}
-
-// start admits one UE: allocate a slot, seed its stream, place it on the
-// route, and fetch the first chunk immediately (same sim time).
-//
-//fgvet:noalloc
-func (sh *shard) start(ue int) {
-	s := &sh.slab
-	i := s.alloc(sh)
-	now := sh.eng.Now()
-	s.ue[i] = ue
-	s.rng[i] = UESeed(sh.cfg.Seed, uint64(ue))
-	s.pos[i] = routeKm * rngU01(&s.rng[i])
-	s.shadow[i] = 0
-	s.blocked[i] = false
-	s.phase[i] = phaseStream
-	s.chunk[i] = 0
-	s.lastEnd[i] = now
-	s.buffer[i] = 0
-	s.lastQ[i] = 0
-	s.ring[i] = [3]float64{}
-	s.nring[i] = 0
-	s.cwnd[i] = initCwndPkts
-	s.ssth[i] = math.Inf(1)
-	s.wmax[i] = 0
-	s.k[i] = 0
-	s.epoch[i] = now
-	s.slow[i] = true
-	s.arrive[i] = now
-	s.qoe[i] = 0
-	s.stall[i] = 0
-	s.startup[i] = 0
-	s.energyJ[i] = 0
-	s.mb[i] = 0
-	s.activeS[i] = 0
-	s.nr[i] = 0
-	// Admission-time radio cache: the position is static for the whole
-	// session, so each layer's shadow-free best base RSRP is resolved once
-	// here; serveCached replays only the shadow add and the floor clamp
-	// per chunk.
-	nl := int32(len(sh.dep.layers))
-	sh.dep.baseRSRP(s.pos[i], s.rsrpBase[i*nl:(i+1)*nl])
-	sh.stepSlot(i)
-}
-
-// stepSlot is the single event entry point for a slot; phase dispatch lets
-// one pre-allocated closure drive streaming, the tail, and the cascade.
-//
-//fgvet:noalloc
-func (sh *shard) stepSlot(i int32) {
-	switch sh.slab.phase[i] {
-	case phaseStream:
-		sh.stepChunk(i)
-	case phaseTail:
-		sh.stepTail(i)
-	default:
-		sh.finishCascade(i)
+	s.energyJ += d.tailJ
+	if d.hasCascade {
+		// The NSA LTE-anchored tail (at tail power) or the SA
+		// RRC_INACTIVE dwell (at inactive power); cascadeS > 0.
+		now += d.cascadeS
+		sh.events++
+		s.energyJ += d.cascadeJ
 	}
+	sh.finalize(&s, now)
 }
 
 // Session model constants. The channel constants discretize the cell
@@ -188,44 +155,44 @@ const (
 // way, so the hoist is bit-identical.
 var shadowInnovScale = shadowSigmaDb * math.Sqrt(1-shadowRho*shadowRho)
 
-// stepChunk fetches one video chunk: evolve the channel, pay the RRC
-// control-plane delay, pick a track, download it through the CUBIC-lite
-// flow, and account buffer/stall/QoE/energy. Everything is closed-form or
-// boundedly iterative — no per-chunk allocation.
+// stepChunk fetches one video chunk at now: evolve the channel, pay the
+// RRC control-plane delay, pick a track, download it through the
+// CUBIC-lite flow, and account buffer/stall/QoE/energy. It returns the
+// delay until the session's next step: the next chunk's request, or after
+// the last chunk, the end of the RRC tail that starts at the last data
+// activity. Everything is closed-form or boundedly iterative — no
+// per-chunk allocation.
 //
 //fgvet:noalloc
-func (sh *shard) stepChunk(i int32) {
-	s := &sh.slab
+func (sh *shard) stepChunk(s *session, now float64) float64 {
 	d := sh.dep
-	now := sh.eng.Now()
 
 	// Channel evolution since the previous chunk: mmWave blockage Markov
 	// state and AR(1) shadow fading.
 	if d.hasMm {
-		u := rngU01(&s.rng[i])
-		if s.blocked[i] {
+		u := rngU01(&s.rng)
+		if s.blocked {
 			if u < mmBlockClear {
-				s.blocked[i] = false
+				s.blocked = false
 			}
 		} else if u < mmBlockEnter {
-			s.blocked[i] = true
+			s.blocked = true
 		}
 	}
-	s.shadow[i] = shadowRho*s.shadow[i] + shadowInnovScale*rngNorm(&s.rng[i])
-	nl := int32(len(d.layers))
-	la, rsrp, capMbps := d.serveCached(s.rsrpBase[i*nl:(i+1)*nl], s.shadow[i], s.blocked[i])
+	s.shadow = shadowRho*s.shadow + shadowInnovScale*rngNorm(&s.rng)
+	la, rsrp, capMbps := d.serveCached(sh.rsrpBase, s.shadow, s.blocked)
 
 	// Control-plane delay before the request leaves the UE.
 	ctl := 0.0
-	if s.chunk[i] == 0 {
+	if s.chunk == 0 {
 		// RRC_IDLE -> CONNECTED: paging-occasion alignment plus the
 		// promotion (SA promotes straight to NR; NSA/LTE promote the
 		// 4G anchor first and data flows immediately after).
-		ctl = rngU01(&s.rng[i]) * d.prim.IdleDRXMs / 1000
+		ctl = rngU01(&s.rng) * d.prim.IdleDRXMs / 1000
 		ctl += d.promoS
-		s.energyJ[i] += d.switchW * ctl
+		s.energyJ += d.switchW * ctl
 	} else {
-		gap := now - s.lastEnd[i]
+		gap := now - s.lastEnd
 		if gap > tailThresholdS {
 			// Buffer-full wait spent in connected DRX: the next
 			// request waits for the long-DRX wakeup boundary.
@@ -236,139 +203,108 @@ func (sh *shard) stepChunk(i int32) {
 			}
 		}
 		if gap+ctl > 0 {
-			s.energyJ[i] += d.tailW * (gap + ctl)
+			s.energyJ += d.tailW * (gap + ctl)
 		}
 	}
 
-	q := sh.selectTrack(i)
+	q := sh.selectTrack(s)
 	bitrate := d.ladder[q]
-	sizeMb := bitrate * d.chunkS
-	dl := sh.download(i, la, capMbps, sizeMb, now+ctl)
+	sizeMb := bitrate * chunkS
+	dl := sh.download(s, la, capMbps, sizeMb, now+ctl)
 	thr := sizeMb / dl
 
 	// Transfer energy from the ground-truth power process (§4.4), through
 	// the layer's flattened curve — the (device, class) combination was
 	// validated when the deployment was built, so there is no error path.
 	pw := la.dlPower.PowerMw(thr, rsrp)
-	s.energyJ[i] += pw / 1000 * dl
+	s.energyJ += pw / 1000 * dl
 
 	// Player buffer and QoE accounting.
 	fetch := ctl + dl
-	if s.chunk[i] == 0 {
-		s.startup[i] = now + fetch - s.arrive[i]
-	} else if fetch > s.buffer[i] {
-		s.stall[i] += fetch - s.buffer[i]
-		s.buffer[i] = 0
+	if s.chunk == 0 {
+		s.startup = now + fetch - s.arrive
+	} else if fetch > s.buffer {
+		s.stall += fetch - s.buffer
+		s.buffer = 0
 	} else {
-		s.buffer[i] -= fetch
+		s.buffer -= fetch
 	}
-	s.buffer[i] += d.chunkS
-	s.qoe[i] += bitrate
-	if s.chunk[i] > 0 {
-		s.qoe[i] -= smoothPenalty * math.Abs(bitrate-d.ladder[s.lastQ[i]])
+	s.buffer += chunkS
+	s.qoe += bitrate
+	if s.chunk > 0 {
+		s.qoe -= smoothPenalty * math.Abs(bitrate-d.ladder[s.lastQ])
 	}
-	s.lastQ[i] = int32(q)
-	s.ring[i][int(s.nring[i])%3] = thr
-	s.nring[i]++
-	s.mb[i] += sizeMb
-	s.activeS[i] += dl
+	s.lastQ = int32(q)
+	s.ring[int(s.nring)%3] = thr
+	s.nring++
+	s.mb += sizeMb
+	s.activeS += dl
 	if la.nr {
-		s.nr[i]++
+		s.nr++
 	}
-	s.chunk[i]++
-	s.lastEnd[i] = now + fetch
+	s.chunk++
+	s.lastEnd = now + fetch
 
-	if s.chunk[i] < sh.nchunks {
+	if s.chunk < sh.nchunks {
 		wait := 0.0
-		if s.buffer[i] > maxBufferS {
-			wait = s.buffer[i] - maxBufferS
-			s.buffer[i] = maxBufferS
+		if s.buffer > maxBufferS {
+			wait = s.buffer - maxBufferS
+			s.buffer = maxBufferS
 		}
-		sh.eng.Schedule(fetch+wait, s.step[i])
-		return
+		return fetch + wait
 	}
-	// Session over: the RRC tail starts at the last data activity.
-	s.phase[i] = phaseTail
-	sh.eng.Schedule(fetch+d.tailS, s.step[i])
+	return fetch + d.tailS
 }
 
-// stepTail fires when the (NR) connected tail expires: account its energy
-// and either cascade (NSA LTE tail, SA RRC_INACTIVE dwell) or finish.
+// finalize writes the UE's result, its session over at now, into the
+// campaign slice (its own index: no cross-shard contention) or, in stream
+// mode, into the shard's stats.
 //
 //fgvet:noalloc
-func (sh *shard) stepTail(i int32) {
-	s := &sh.slab
+func (sh *shard) finalize(s *session, now float64) {
 	d := sh.dep
-	s.energyJ[i] += d.tailJ
-	if d.hasCascade {
-		s.phase[i] = phaseCascade
-		sh.eng.Schedule(d.cascadeS, s.step[i])
-		return
-	}
-	sh.finalize(i)
-}
-
-// finishCascade ends the post-session state cascade: the NSA LTE-anchored
-// tail (at tail power) or the SA RRC_INACTIVE dwell (at inactive power).
-//
-//fgvet:noalloc
-func (sh *shard) finishCascade(i int32) {
-	s := &sh.slab
-	s.energyJ[i] += sh.dep.cascadeJ
-	sh.finalize(i)
-}
-
-// finalize writes the UE's result into the campaign slice (its own index:
-// no cross-shard contention) and recycles the slot.
-//
-//fgvet:noalloc
-func (sh *shard) finalize(i int32) {
-	s := &sh.slab
-	d := sh.dep
-	chunks := s.chunk[i]
-	qoe := s.qoe[i] - rebufPenalty*d.ladder[len(d.ladder)-1]*s.stall[i]
+	chunks := s.chunk
+	qoe := s.qoe - rebufPenalty*d.ladder[len(d.ladder)-1]*s.stall
 	mean := 0.0
-	if s.activeS[i] > 0 {
-		mean = s.mb[i] / s.activeS[i]
+	if s.activeS > 0 {
+		mean = s.mb / s.activeS
 	}
 	u := UEResult{
-		ArrivalS:  s.arrive[i],
-		DurationS: sh.eng.Now() - s.arrive[i],
+		ArrivalS:  s.arrive,
+		DurationS: now - s.arrive,
 		MeanMbps:  mean,
 		QoE:       qoe / float64(chunks),
-		StallS:    s.stall[i],
-		StartupS:  s.startup[i],
-		EnergyJ:   s.energyJ[i],
+		StallS:    s.stall,
+		StartupS:  s.startup,
+		EnergyJ:   s.energyJ,
 		Chunks:    chunks,
-		NRChunks:  s.nr[i],
+		NRChunks:  s.nr,
 	}
 	if sh.stats != nil {
-		sh.stats.observe(int(s.ue[i]), u)
+		sh.stats.observe(s.ue, u)
 	} else {
-		sh.results[s.ue[i]] = u
+		sh.results[s.ue] = u
 	}
-	s.release(i)
 }
 
-// selectTrack is the slab-resident ABR policy: rate-based selection from
+// selectTrack is the session's ABR policy: rate-based selection from
 // the harmonic mean of the last three chunk throughputs, clamped by a
 // buffer reservoir (low buffer forces the lowest track) and a one-step
 // upward switch limit for smoothness.
 //
 //fgvet:noalloc
-func (sh *shard) selectTrack(i int32) int {
-	s := &sh.slab
+func (sh *shard) selectTrack(s *session) int {
 	d := sh.dep
-	if s.chunk[i] == 0 || s.nring[i] == 0 {
+	if s.chunk == 0 || s.nring == 0 {
 		return 0
 	}
-	n := int(s.nring[i])
+	n := int(s.nring)
 	if n > 3 {
 		n = 3
 	}
 	inv, cnt := 0.0, 0
 	for j := 0; j < n; j++ {
-		if v := s.ring[i][j]; v > 0 {
+		if v := s.ring[j]; v > 0 {
 			inv += 1 / v
 			cnt++
 		}
@@ -384,11 +320,11 @@ func (sh *shard) selectTrack(i int32) int {
 			break
 		}
 	}
-	if s.buffer[i] < reservoirS {
+	if s.buffer < reservoirS {
 		return 0
 	}
-	if q > int(s.lastQ[i])+1 {
-		q = int(s.lastQ[i]) + 1
+	if q > int(s.lastQ)+1 {
+		q = int(s.lastQ) + 1
 	}
 	return q
 }
@@ -417,23 +353,22 @@ const (
 // transfer time. It walks RTT-sized windows (slow-start doubling, then
 // cubic growth against the loss epoch) exactly like transport.SimulateTCP,
 // but per chunk rather than per measurement run, with cwnd persisting in
-// the slab across chunks. Radio loss episodes arrive as at most one
+// the session across chunks. Radio loss episodes arrive as at most one
 // multiplicative decrease per chunk, with probability from the layer's
 // episode rate over the transfer window.
 //
 //fgvet:noalloc
-func (sh *shard) download(i int32, la *layer, capMbps, sizeMb, start float64) float64 {
-	s := &sh.slab
+func (sh *shard) download(s *session, la *layer, capMbps, sizeMb, start float64) float64 {
 	rtt := la.rttS
 	// Per-call CUBIC state lives in registers: ssth/wmax/k/epoch are only
 	// rewritten by the loss branch after the ladder, so inside the loop they
-	// are plain loop-invariant locals, not per-iteration slab loads.
-	cwnd := s.cwnd[i]
-	slow := s.slow[i]
-	ssth := s.ssth[i]
-	wmax := s.wmax[i]
-	kk := s.k[i]
-	epoch := s.epoch[i]
+	// are plain loop-invariant locals, not per-iteration loads through s.
+	cwnd := s.cwnd
+	slow := s.slow
+	ssth := s.ssth
+	wmax := s.wmax
+	kk := s.k
+	epoch := s.epoch
 	capPerRTT := capMbps * rtt // megabits the link drains per RTT
 	bdpPkts := capPerRTT / mssMb
 	bdpCap := bdpPkts * bdpHeadroom
@@ -518,15 +453,15 @@ func (sh *shard) download(i int32, la *layer, capMbps, sizeMb, start float64) fl
 	if util > 1 {
 		util = 1
 	}
-	if rngU01(&s.rng[i]) < 1-math.Exp(-la.lossEv*util*t) {
-		s.wmax[i] = cwnd
-		s.k[i] = math.Cbrt(s.wmax[i] * (1 - cubicBeta) / cubicC)
+	if rngU01(&s.rng) < 1-math.Exp(-la.lossEv*util*t) {
+		s.wmax = cwnd
+		s.k = math.Cbrt(s.wmax * (1 - cubicBeta) / cubicC)
 		cwnd = math.Max(2, cwnd*cubicBeta)
-		s.ssth[i] = cwnd
-		s.epoch[i] = start + t
+		s.ssth = cwnd
+		s.epoch = start + t
 		slow = false
 	}
-	s.slow[i] = slow
-	s.cwnd[i] = cwnd
+	s.slow = slow
+	s.cwnd = cwnd
 	return t
 }

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"io"
-	"slices"
 
 	"fivegsim/internal/obs"
 	"fivegsim/internal/obs/colf"
@@ -93,14 +92,12 @@ func sessionRecord(ue int, u *UEResult, tags []obs.Field) obs.Record {
 
 // samples returns the shard's sampled sessions in UE id order. In exact
 // mode they come from the shard's slice of the results array; in stream
-// mode from the stats fold, which collects them in session-completion
-// order and so needs a sort (the set is the same: both are the stride over
-// the shard's id range).
+// mode from the stats fold, which collects them as sessions finish, and a
+// shard finishes its sessions in UE id order (the set is the same: both
+// are the stride over the shard's id range).
 func (sh *shard) samples(rg Range, every int) []sessionSample {
 	if sh.stats != nil {
-		s := sh.stats.sampled
-		slices.SortFunc(s, func(a, b sessionSample) int { return a.ue - b.ue })
-		return s
+		return sh.stats.sampled
 	}
 	first := rg.Lo + (every-rg.Lo%every)%every // first sampled id >= Lo
 	var out []sessionSample

@@ -22,10 +22,11 @@ import (
 //   - population quantiles come from bottom-k hash-priority sketches
 //     (stats.Sketch) keyed by UE id — the kept sample is a property of
 //     the population set, not of the shard layout or merge order;
-//   - sampled per-session trace records carry their UE id and are sorted
-//     by it before emission, which also makes the stream-mode trace
-//     artifact byte-identical to the exact-mode one (the sampled UEs and
-//     their UEResult values are the same in both modes).
+//   - sampled per-session trace records carry their UE id, and a shard
+//     collects them in UE id order, the order it runs its sessions in,
+//     which also makes the stream-mode trace artifact byte-identical to
+//     the exact-mode one (the sampled UEs and their UEResult values are
+//     the same in both modes).
 
 // DefaultSketchK is the per-metric sketch size when Config.SketchK is 0:
 // large enough that campaigns up to a few thousand UEs keep every session
@@ -86,8 +87,8 @@ func (h *histCounts) foldInto(dst *obs.Histogram) {
 	dst.N += h.n
 }
 
-// sessionSample is one trace-sampled session, tagged with its UE id so
-// a shard's list can be sorted into UE id order.
+// sessionSample is one trace-sampled session, tagged with its UE id for
+// the trace record.
 type sessionSample struct {
 	ue int
 	u  UEResult

@@ -6,9 +6,10 @@ import (
 )
 
 // Validate reports why the config cannot run a campaign: a non-positive
-// population, a negative or non-finite knob, or an unknown mix. Zero values
-// for WindowS/SessionS/Shards/SketchK mean "use the default" and are
-// accepted; anything negative is an error, never a silent empty campaign.
+// population, a negative or non-finite knob, a session whose chunk count
+// overflows int32, or an unknown mix. Zero values for
+// WindowS/SessionS/Shards/SketchK mean "use the default" and are accepted;
+// anything negative is an error, never a silent empty campaign.
 //
 // Run calls Validate itself, so library callers (the battery's fleet
 // experiment, fgservd scenario requests) get the same fail-fast errors the
@@ -26,6 +27,10 @@ func (c Config) Validate() error {
 	}
 	if err := validKnob("SessionS", c.SessionS); err != nil {
 		return err
+	}
+	if c.SessionS > chunkS*math.MaxInt32 {
+		return fmt.Errorf("fleet: SessionS must be <= %v (%d chunks of %v s; got %v)",
+			chunkS*math.MaxInt32, math.MaxInt32, chunkS, c.SessionS)
 	}
 	if c.SketchK < 0 {
 		return fmt.Errorf("fleet: SketchK must be >= 0 (0 = default %d; got %d)", DefaultSketchK, c.SketchK)

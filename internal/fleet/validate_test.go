@@ -27,6 +27,7 @@ func TestConfigValidate(t *testing.T) {
 		{"NaN window", func(c *Config) { c.WindowS = math.NaN() }, "WindowS must be finite"},
 		{"Inf session", func(c *Config) { c.SessionS = math.Inf(1) }, "SessionS must be finite"},
 		{"negative session", func(c *Config) { c.SessionS = -1 }, "SessionS must be >= 0"},
+		{"session chunks overflow int32", func(c *Config) { c.SessionS = 1e10 }, "SessionS must be <="},
 		{"negative sketch", func(c *Config) { c.SketchK = -1 }, "SketchK must be >= 0"},
 		{"negative trace stride", func(c *Config) { c.TraceEvery = -2 }, "TraceEvery must be >= 0"},
 		{"unknown mix", func(c *Config) { c.Mix = Mix(99) }, "unknown mix"},
@@ -58,6 +59,7 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 	for _, cfg := range []Config{
 		{Seed: 1, UEs: 0, Mix: MixMixed},
 		{Seed: 1, UEs: 10, Mix: MixMixed, WindowS: -1},
+		{Seed: 1, UEs: 10, Mix: MixMixed, SessionS: 1e10},
 		{Seed: 1, UEs: 10, Mix: Mix(42)},
 	} {
 		if res, err := Run(cfg); err == nil {

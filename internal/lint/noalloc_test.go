@@ -16,17 +16,11 @@ var noallocPins = []string{
 	"fivegsim/internal/abr.HarmonicPredictor.Predict",
 	"fivegsim/internal/abr.MPC.Select",
 	"fivegsim/internal/abr.SimulateScratch",
-	"fivegsim/internal/fleet.shard.admitDue",
 	"fivegsim/internal/fleet.shard.download",
 	"fivegsim/internal/fleet.shard.finalize",
-	"fivegsim/internal/fleet.shard.finishCascade",
 	"fivegsim/internal/fleet.shard.selectTrack",
-	"fivegsim/internal/fleet.shard.start",
+	"fivegsim/internal/fleet.shard.session",
 	"fivegsim/internal/fleet.shard.stepChunk",
-	"fivegsim/internal/fleet.shard.stepSlot",
-	"fivegsim/internal/fleet.shard.stepTail",
-	"fivegsim/internal/fleet.slab.alloc",
-	"fivegsim/internal/fleet.slab.release",
 	"fivegsim/internal/obs.Ev",
 	"fivegsim/internal/obs.F",
 	"fivegsim/internal/obs.Histogram.Observe",

@@ -237,9 +237,12 @@ func (sc *Scenario) Validate() error {
 //   - shard count never: by the fleet determinism contract it cannot change
 //     a byte of output;
 //   - the trace stride only in trace keys, because it reaches nothing else;
-//   - mode and sketch size only in table and metrics keys, because the
-//     trace is the same bytes in exact and stream mode at any sketch size,
-//     and the sketch size only in stream mode, the one mode that reads it.
+//   - mode only in table and metrics keys, because the trace is the same
+//     bytes in exact and stream mode (metrics are not: stream histogram
+//     sums differ from exact ones in the last ulps);
+//   - sketch size only in stream-mode table keys, because only the table's
+//     percentiles read the sketches (stream metrics come from integer
+//     histograms and counters).
 func (sc *Scenario) CanonicalKey() string {
 	var b strings.Builder
 	b.WriteString(sc.Kind)
@@ -269,7 +272,7 @@ func (sc *Scenario) CanonicalKey() string {
 			fmt.Fprintf(&b, " every=%d", cfg.TraceEvery)
 		} else {
 			fmt.Fprintf(&b, " stream=%t", cfg.Stream)
-			if cfg.Stream {
+			if cfg.Stream && sc.artifact() == ArtifactTable {
 				fmt.Fprintf(&b, " sketchk=%d", cfg.SketchK)
 			}
 		}

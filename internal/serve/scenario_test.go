@@ -32,6 +32,7 @@ func TestParseScenarioRejects(t *testing.T) {
 		{"fleet negative shards", `{"kind":"fleet","fleet":{"ues":10,"shards":-1}}`},
 		{"fleet negative window", `{"kind":"fleet","fleet":{"ues":10,"window_s":-5}}`},
 		{"fleet unknown mix", `{"kind":"fleet","fleet":{"ues":10,"mix":"nope"}}`},
+		{"fleet session chunks overflow int32", `{"kind":"fleet","fleet":{"ues":10,"session_s":1e10}}`},
 		{"second object", `{"kind":"battery"} {"kind":"fleet"}`},
 		{"trailing garbage", `{"kind":"battery","quick":true}garbage`},
 		{"fleet with quick", `{"kind":"fleet","quick":true,"fleet":{"ues":10}}`},
@@ -84,6 +85,9 @@ func TestCanonicalKeyNormalizes(t *testing.T) {
 		{"metrics ignores trace_every",
 			Scenario{Kind: "fleet", Artifact: ArtifactMetrics, Fleet: &FleetScenario{UEs: 50}},
 			Scenario{Kind: "fleet", Artifact: ArtifactMetrics, Fleet: &FleetScenario{UEs: 50, TraceEvery: 3}}},
+		{"metrics ignores sketch_k",
+			Scenario{Kind: "fleet", Artifact: ArtifactMetrics, Fleet: &FleetScenario{UEs: 50, Stream: true}},
+			Scenario{Kind: "fleet", Artifact: ArtifactMetrics, Fleet: &FleetScenario{UEs: 50, Stream: true, SketchK: 64}}},
 		{"trace ignores stream and sketch_k",
 			Scenario{Kind: "fleet", Artifact: ArtifactTrace, Fleet: &FleetScenario{UEs: 50}},
 			Scenario{Kind: "fleet", Artifact: ArtifactTrace, Fleet: &FleetScenario{UEs: 50, Stream: true, SketchK: 64}}},
@@ -121,6 +125,7 @@ func TestSharedKeySharesBytes(t *testing.T) {
 	}{
 		{"table trace_every", fleetSc(ArtifactTable, "", 0, false, 0), fleetSc(ArtifactTable, "", 3, false, 0), true},
 		{"metrics trace_every", fleetSc(ArtifactMetrics, "", 0, false, 0), fleetSc(ArtifactMetrics, "", 3, false, 0), true},
+		{"metrics stream sketch_k", fleetSc(ArtifactMetrics, "", 0, true, 0), fleetSc(ArtifactMetrics, "", 0, true, 64), true},
 		{"jsonl trace stream", fleetSc(ArtifactTrace, "", 0, false, 0), fleetSc(ArtifactTrace, "", 0, true, 0), true},
 		{"jsonl trace stream sketch_k", fleetSc(ArtifactTrace, "", 0, false, 0), fleetSc(ArtifactTrace, "", 0, true, 64), true},
 		{"colf trace stream", fleetSc(ArtifactTrace, "colf", 0, false, 0), fleetSc(ArtifactTrace, "colf", 0, true, 0), true},

@@ -46,17 +46,16 @@ func BenchmarkScheduleRunDeep(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiSessionCalendar is the fleet fan-in shape: thousands of
-// sessions sharing one calendar, each re-arming its own pre-allocated
-// closure at a staggered period (the per-shard slab pattern). Steady state
-// must hold 0 allocs/op at every depth the fleet shards run at.
+// BenchmarkMultiSessionCalendar is the fan-in shape: thousands of sessions
+// sharing one calendar, each re-arming its own pre-allocated closure at a
+// staggered period. Steady state must hold 0 allocs/op at every depth.
 func BenchmarkMultiSessionCalendar(b *testing.B) {
 	for _, sessions := range []int{1 << 10, 1 << 13, 1 << 16} {
 		b.Run(sizeName(sessions), func(b *testing.B) {
 			e := NewEngine()
-			// One closure per session, allocated up front exactly like
-			// slab.grow: each fire re-schedules itself at a period that
-			// staggers the calendar so fire order keeps interleaving.
+			// One closure per session, allocated up front: each fire
+			// re-schedules itself at a period that staggers the calendar
+			// so fire order keeps interleaving.
 			steps := make([]func(), sessions)
 			for i := range steps {
 				period := 1 + float64(i%97)/97

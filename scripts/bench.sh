@@ -46,8 +46,8 @@ trap 'rm -f "$raw"' EXIT
 # tracing-disabled-overhead numbers (must stay 0 extra allocs/op),
 # BenchmarkEnabledEmit / BenchmarkSimulateTCPObs price the enabled path.
 # internal/fleet: city-scale campaign throughput (BenchmarkFleetCampaign
-# reports UEs/s), the 0-alloc steady-state stepping contract, and the
-# stream-mode reducer (retained_B/UE prices the O(shards) state).
+# reports UEs/s), the 0-alloc per-session contract (BenchmarkFleetSession),
+# and the stream-mode reducer (retained_B/UE prices the O(shards) state).
 # internal/obs/colf: the columnar artifact codec — bytes/event and encode
 # MB/s are the ≥5x-smaller-than-JSONL artifact contract.
 go test -run '^$' -bench '^Benchmark' -benchmem -benchtime "$benchtime" \

@@ -116,8 +116,20 @@ go build -o "$tmpdir/fgfleet" ./cmd/fgfleet
 "$tmpdir/fgfleet" -ues 403 -shards 7 -seed 7 -window 60 \
     -trace "$tmpdir/fleet-trace-7.jsonl" -metrics "$tmpdir/fleet-metrics-7.csv" \
     > "$tmpdir/fleet-7.txt"
+# Stream mode at 5000 UEs, where the 2048-entry bottom-k sketches
+# subsample: the sketch merge and each shard's fold order must not reach a
+# byte either.
+for shards in 1 7; do
+    "$tmpdir/fgfleet" -ues 5000 -shards "$shards" -seed 3 -stream \
+        -trace "$tmpdir/fleet-stream-trace-$shards.jsonl" \
+        -metrics "$tmpdir/fleet-stream-metrics-$shards.csv" \
+        > "$tmpdir/fleet-stream-$shards.txt"
+done
 for pair in "fleet-1.txt fleet-7.txt" "fleet-trace-1.jsonl fleet-trace-7.jsonl" \
-            "fleet-metrics-1.csv fleet-metrics-7.csv"; do
+            "fleet-metrics-1.csv fleet-metrics-7.csv" \
+            "fleet-stream-1.txt fleet-stream-7.txt" \
+            "fleet-stream-trace-1.jsonl fleet-stream-trace-7.jsonl" \
+            "fleet-stream-metrics-1.csv fleet-stream-metrics-7.csv"; do
     set -- $pair
     if ! diff -q "$tmpdir/$1" "$tmpdir/$2" >/dev/null; then
         echo "fleet output differs between serial and sharded runs: $1 vs $2" >&2
