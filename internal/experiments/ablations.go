@@ -9,7 +9,6 @@ import (
 	"fivegsim/internal/netpath"
 	"fivegsim/internal/radio"
 	"fivegsim/internal/rrc"
-	"fivegsim/internal/sim"
 	"fivegsim/internal/trace"
 	"fivegsim/internal/transport"
 )
@@ -39,16 +38,16 @@ func AblationTail(cfg Config) []*Table {
 		if c.LTETailMs > 0 && c.LTETailMs < tailMs {
 			c.LTETailMs = tailMs + 1700 // keep the bracketed LTE tail beyond the NR tail
 		}
-		eng := sim.NewEngine()
-		m := rrc.NewMachine(eng, c)
+		m := rrc.NewMachine(c)
 		d := m.DataActivity()
-		eng.RunUntil(eng.Now() + d)
+		m.RunUntil(m.Now() + d)
 		var joules float64
 		const step = 0.05
-		for m.CurrentState() != rrc.Idle && eng.Now() < 120 {
-			joules += m.RadioPowerMw() / 1000 * step
-			eng.RunUntil(eng.Now() + step)
+		for m.CurrentState() != rrc.Idle && m.Now() < 120 {
+			joules += float64(m.RadioPowerMw() / 1000 * step)
+			m.RunUntil(m.Now() + step)
 		}
+		cfg.countEvents(m.Events)
 		return joules
 	}
 	for _, n := range []radio.Network{radio.TMobileNSALowBand, radio.VerizonNSAmmWave} {

@@ -30,6 +30,17 @@ type Config struct {
 	// tables: collection is a side channel. RunMany replaces it with a
 	// per-experiment collector so parallel experiments never share one.
 	Obs *obs.Obs
+
+	// events, when non-nil, accumulates the experiment's simulation
+	// events; RunManyCtx points it at a per-experiment counter.
+	events *uint64
+}
+
+// countEvents adds n simulation events to the experiment's counter.
+func (c Config) countEvents(n uint64) {
+	if c.events != nil {
+		*c.events += n
+	}
 }
 
 // pick returns quick when cfg.Quick, else full.

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"fivegsim/internal/obs"
-	"fivegsim/internal/sim"
 )
 
 // Result is one executed experiment with its campaign accounting.
@@ -23,8 +22,8 @@ type Result struct {
 	Tables []*Table
 	// Wall is the host wall-clock time the experiment took.
 	Wall time.Duration
-	// Events is the number of simulation events the experiment's engines
-	// processed.
+	// Events is the number of simulation events the experiment processed
+	// (the RRC deadlines its state machines fired).
 	Events uint64
 	// Obs holds the experiment's trace/metric collector when the run's
 	// Config had one; nil otherwise. Each experiment gets its own, so
@@ -48,9 +47,10 @@ func (r Result) Render() string {
 // any experiment runs.
 //
 // Parallel execution is deterministic: every experiment builds its own
-// sim.Engine (one engine per goroutine, engines never shared) and all
-// randomness flows from cfg.Seed, so the tables are byte-identical to a
-// serial run with the same Config — only Wall varies between runs.
+// models and gets its own event counter (nothing is shared between
+// experiments), and all randomness flows from cfg.Seed, so the tables are
+// byte-identical to a serial run with the same Config — only Wall varies
+// between runs.
 func RunMany(cfg Config, ids []string, workers int) ([]Result, error) {
 	return RunManyCtx(context.Background(), cfg, ids, workers)
 }
@@ -101,9 +101,10 @@ func RunManyCtx(ctx context.Context, cfg Config, ids []string, workers int) ([]R
 				if cfg.Obs != nil {
 					cfgI.Obs = obs.New()
 				}
+				var events uint64
+				cfgI.events = &events
 				start := time.Now() //fgvet:allow walltime worker wall-clock stats for LPT scheduling, never sim time
-				var tables []*Table
-				events := sim.CountEvents(func() { tables = fns[i](cfgI) })
+				tables := fns[i](cfgI)
 				cfgI.Obs.Meter().Add("experiment.events", float64(events))
 				results[i] = Result{
 					ID:     ids[i],

@@ -86,10 +86,10 @@ func TestRunManyUnknownID(t *testing.T) {
 }
 
 func TestRunManyAccounting(t *testing.T) {
-	// table2 and table7 both drive sim engines (RRC cycles, RRC-Probe), so
-	// their processed-event counts must be captured; not every experiment
-	// is event-driven (e.g. the fig9 mobility loop), so Events == 0 is
-	// legal in general.
+	// table2 and table7 both drive RRC machines (RRC cycles, RRC-Probe),
+	// so the deadlines those machines fire must be counted; not every
+	// experiment is event-driven (e.g. the fig9 mobility loop), so
+	// Events == 0 is legal in general.
 	results, err := RunMany(Config{Seed: 3, Quick: true}, []string{"table2", "table7"}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestRunManyAccounting(t *testing.T) {
 			t.Errorf("%s: Wall = %v, want > 0", r.ID, r.Wall)
 		}
 		if r.Events == 0 {
-			t.Errorf("%s: Events = 0, want > 0 (engine counts not captured)", r.ID)
+			t.Errorf("%s: Events = 0, want > 0 (machine counts not captured)", r.ID)
 		}
 	}
 }

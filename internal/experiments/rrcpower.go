@@ -7,7 +7,6 @@ import (
 	"fivegsim/internal/radio"
 	"fivegsim/internal/rrc"
 	"fivegsim/internal/rrcprobe"
-	"fivegsim/internal/sim"
 )
 
 func init() {
@@ -54,6 +53,7 @@ func probeScatter(cfg Config, id, title string, nets []radio.Network) []*Table {
 			maxGap = 18
 		}
 		samples := p.Run(maxGap, 0.5, perGap)
+		cfg.countEvents(p.Events)
 		t := &Table{ID: id, Title: fmt.Sprintf("%s: %s RTT vs idle gap", title, n),
 			Header: []string{"Idle gap (s)", "min RTT (ms)", "median RTT (ms)", "reply radio"}}
 		// Summarise at 2 s resolution for readability.
@@ -144,21 +144,21 @@ func Table2(cfg Config) []*Table {
 		radio.TMobileNSALowBand, radio.TMobileSALowBand,
 	} {
 		c := rrc.MustConfig(n)
-		eng := sim.NewEngine()
-		m := rrc.NewMachine(eng, c)
+		m := rrc.NewMachine(c)
 		// Each network gets a sub-collector folded back with a net tag, so
 		// the trace distinguishes the six machines' transitions.
 		sub := obs.Sub(cfg.Obs)
 		m.Obs = sub
 		// Idle for 20 s, then one packet, then observe the tail.
-		eng.RunUntil(20)
+		m.RunUntil(20)
 		delay := m.DataActivity()
 		// Sample switch power during promotion.
 		switchPw := m.RadioPowerMw()
-		eng.RunUntil(eng.Now() + delay + 0.2)
+		m.RunUntil(m.Now() + delay + 0.2)
 		// Sample tail power midway through the tail.
-		eng.RunUntil(eng.Now() + c.TailMs/1000/2)
+		m.RunUntil(m.Now() + float64(c.TailMs/1000/2))
 		tailPw := m.RadioPowerMw()
+		cfg.countEvents(m.Events)
 		cfg.Obs.MergeTagged(sub, obs.S("net", n.String()))
 		sw := "N/A"
 		if c.Is5G() {
@@ -211,6 +211,7 @@ func Table7(cfg Config) []*Table {
 		if ms, ok := p.MeasurePromo5G(); ok && n.Mode != radio.ModeLTE {
 			promo5 = f0(ms)
 		}
+		cfg.countEvents(p.Events)
 		rt := "4G"
 		if c.Is5G() {
 			rt = fmt.Sprintf("%s %s", n.Mode, n.Band.Class)

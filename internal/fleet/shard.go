@@ -86,9 +86,9 @@ func (sh *shard) run(lo, hi int) {
 // session simulates one UE from arrival to idle: seed its stream, place it
 // on the route, fetch chunk 0 at the arrival instant and each later chunk
 // when the previous one's delay has passed, then run out the RRC tail and
-// any cascade. The clock moves by each step's delay under
-// sim.Engine.Schedule's rule (a negative or NaN delay counts as 0), so a
-// session's times are the ones an event calendar would give it.
+// any cascade. The clock moves by each step's delay, and a negative or NaN
+// delay counts as 0, so a session's times are the ones an event calendar
+// would give it.
 //
 //fgvet:noalloc
 func (sh *shard) session(ue int) {

@@ -10,8 +10,8 @@ const noallocDirective = "//fgvet:noalloc"
 // NoAllocCheck verifies //fgvet:noalloc annotations against the compiler's
 // own escape analysis (`go build -gcflags='-m -m'`). The annotation, placed
 // in a function's doc comment, asserts the 0-allocs/op contract the hot-path
-// benchmarks pin (sim schedule/fire, one fleet session, abr
-// Simulate/MPC.Select, disabled obs emit, colf encoder inner loops): any
+// benchmarks pin (one fleet session, abr Simulate/MPC.Select, disabled obs
+// emit, colf encoder inner loops): any
 // value the compiler heap-allocates inside the function's lexical body —
 // including its closures — is a diagnostic at the allocation site. Cold
 // paths inside an annotated function (panic formatting, lazy growth) carry a

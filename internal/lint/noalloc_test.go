@@ -34,17 +34,6 @@ var noallocPins = []string{
 	"fivegsim/internal/obs/colf.Writer.flushBlock",
 	"fivegsim/internal/obs/colf.Writer.intern",
 	"fivegsim/internal/obs/colf.Writer.internBytes",
-	"fivegsim/internal/sim.Engine.At",
-	"fivegsim/internal/sim.Engine.Cancel",
-	"fivegsim/internal/sim.Engine.Schedule",
-	"fivegsim/internal/sim.Engine.ScheduleNamed",
-	"fivegsim/internal/sim.Engine.Step",
-	"fivegsim/internal/sim.Engine.heapPush",
-	"fivegsim/internal/sim.Engine.popRoot",
-	"fivegsim/internal/sim.Engine.siftDown",
-	"fivegsim/internal/sim.Engine.siftUp",
-	"fivegsim/internal/sim.Engine.purge",
-	"fivegsim/internal/sim.Timer.Reset",
 }
 
 // annotatedName renders pkgpath[.Recv].Name for a declared function.

@@ -6,8 +6,8 @@ import (
 )
 
 // walltimeForbidden lists the package time functions that read or schedule
-// against the wall clock. Simulation code must get time from the engine
-// clock (internal/sim), or a parallel run would stop being a pure function
+// against the wall clock. Simulation code must get time from the model's
+// own simulated clock, or a parallel run would stop being a pure function
 // of (experiment, seed).
 var walltimeForbidden = map[string]bool{
 	"Now":       true,
@@ -27,7 +27,7 @@ var walltimeForbidden = map[string]bool{
 func WalltimeCheck() *Check {
 	c := &Check{
 		Name: "walltime",
-		Doc:  "forbid time.Now/time.Since/tickers in internal/ packages; simulated time must come from the engine clock",
+		Doc:  "forbid time.Now/time.Since/tickers in internal/ packages; simulated time must come from the model's own clock",
 	}
 	c.Run = func(pass *Pass) {
 		if !internalPath(pass.Pkg.Path) {
@@ -49,7 +49,7 @@ func WalltimeCheck() *Check {
 				}
 				if walltimeForbidden[obj.Name()] {
 					pass.Reportf(sel.Pos(),
-						"time.%s bypasses the simulated clock; thread time through the sim engine (or annotate //fgvet:allow walltime <reason>)",
+						"time.%s bypasses the simulated clock; take time from the model's own clock (or annotate //fgvet:allow walltime <reason>)",
 						obj.Name())
 				}
 				return true

@@ -2,9 +2,9 @@
 // a sim-time Tracer (structured span/event records) and a Metrics registry
 // (counters, gauges, fixed-bucket histograms), both stdlib-only.
 //
-// Determinism contract. Every record is stamped from the engine clock (or
-// the model's own simulated time), never the wall clock, and collectors are
-// merged in a caller-defined deterministic order (trace order inside
+// Determinism contract. Every record is stamped from the model's own
+// simulated clock, never the wall clock, and collectors are merged in a
+// caller-defined deterministic order (trace order inside
 // abr.EvaluateWorkers, sorted experiment-id order in experiments.RunMany).
 // The rendered artifacts are therefore byte-identical across runs and
 // across -parallel worker counts — observability obeys the same contract

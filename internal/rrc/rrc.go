@@ -13,7 +13,10 @@
 //   - on SA deployments, an RRC_INACTIVE dwell (~5 s) after the tail from
 //     which the UE resumes quickly and cheaply.
 //
-// All timing is driven by a sim.Engine so experiments are deterministic.
+// Each Machine keeps its own simulation clock and at most two deadlines,
+// the inactivity tail and one pending promotion completion or demotion
+// step. RunUntil fires them in time order, so experiments are
+// deterministic.
 package rrc
 
 import (
@@ -22,7 +25,6 @@ import (
 
 	"fivegsim/internal/obs"
 	"fivegsim/internal/radio"
-	"fivegsim/internal/sim"
 )
 
 // State is the externally visible RRC state of the UE.
@@ -205,10 +207,11 @@ type Transition struct {
 }
 
 // Machine is the per-UE RRC state machine. Create with NewMachine; drive it
-// by calling DataActivity whenever a packet is sent or received.
+// by calling DataActivity whenever a packet is sent or received, and move
+// its clock forward with RunUntil.
 type Machine struct {
-	eng *sim.Engine
 	cfg Config
+	now float64 // simulation clock, seconds
 
 	state       State
 	stateSince  float64 // when the current state was entered
@@ -216,11 +219,15 @@ type Machine struct {
 	connectedAt float64 // when an in-flight promotion completes
 	nrAt        float64 // when the NR leg becomes the data path (NSA)
 
-	tailTimer *sim.Timer // fires the demotion cascade
-	demoteEvs []sim.Event
+	// tailAt is the inactivity deadline that starts the demotion cascade;
+	// stepAt is the pending promotion completion or demotion step, which
+	// moves the machine to stepTo. A disarmed deadline is +Inf.
+	tailAt float64
+	stepAt float64
+	stepTo State
 
-	// OnTransition, if set, is invoked on every state change.
-	OnTransition func(tr Transition)
+	// Events counts the deadlines that have fired.
+	Events uint64
 	// Log accumulates transitions when LogTransitions is true.
 	LogTransitions bool
 	Log            []Transition
@@ -233,28 +240,72 @@ type Machine struct {
 // times, spanning DRX wakes (~40 ms) through the ~10 s tails of Table 7.
 var dwellBounds = []float64{0.05, 0.1, 0.25, 0.5, 1, 2, 5, 10, 20, 60}
 
-// NewMachine returns a machine in RRC_IDLE at the engine's current time.
-func NewMachine(eng *sim.Engine, cfg Config) *Machine {
-	m := &Machine{eng: eng, cfg: cfg, state: Idle, stateSince: eng.Now(),
-		lastData: math.Inf(-1)}
-	m.tailTimer = sim.NewTimer(eng, m.onTailExpiry)
-	return m
+// NewMachine returns a machine in RRC_IDLE at time 0.
+func NewMachine(cfg Config) *Machine {
+	return &Machine{cfg: cfg, state: Idle, lastData: math.Inf(-1),
+		tailAt: math.Inf(1), stepAt: math.Inf(1)}
 }
 
-// Config returns the machine's RRC configuration.
-func (m *Machine) Config() Config { return m.cfg }
+// Now returns the machine's simulation time in seconds.
+func (m *Machine) Now() float64 { return m.now }
 
-// State returns the current RRC state.
-func (m *Machine) State() State { return m.state }
+// RunUntil fires every deadline at or before t in time order, moving the
+// clock to each as it fires, and then advances the clock to t (never
+// backwards). On a tie the step fires first: whenever both deadlines are
+// pending, the step was set before the tail was (re)armed.
+func (m *Machine) RunUntil(t float64) {
+	for {
+		step := m.stepAt <= m.tailAt
+		at := m.tailAt
+		if step {
+			at = m.stepAt
+		}
+		if at > t || math.IsInf(at, 1) {
+			break
+		}
+		m.now = at
+		m.Events++
+		if step {
+			m.stepAt = math.Inf(1)
+			// A promotion completes only if nothing has moved the
+			// machine out of Promoting meanwhile.
+			if m.stepTo == Idle || m.state == Promoting {
+				m.setState(m.stepTo)
+			}
+		} else {
+			m.tailAt = math.Inf(1)
+			m.onTailExpiry()
+		}
+	}
+	if t > m.now {
+		m.now = t
+	}
+}
 
-func (m *Machine) setState(s State) { m.setStateAt(m.eng.Now(), s) }
+// after returns the time delay seconds from now; a negative or NaN delay
+// counts as zero.
+func (m *Machine) after(delay float64) float64 {
+	if delay < 0 || math.IsNaN(delay) {
+		delay = 0
+	}
+	return m.now + delay
+}
+
+// setStep arms the step deadline: the machine moves to s delay seconds
+// from now.
+func (m *Machine) setStep(delay float64, s State) {
+	m.stepAt = m.after(delay)
+	m.stepTo = s
+}
+
+func (m *Machine) setState(s State) { m.setStateAt(m.now, s) }
 
 // setStateAt is the single transition point of the machine: every state
 // change — including the lazily backdated Connected -> TailNR edge from
-// refresh — funnels through here, so the Log, OnTransition, and obs
-// emissions happen exactly once per transition and stateSince bookkeeping
-// lives in one place. t may be earlier than the engine clock (a backdated
-// edge); it is never earlier than the previous transition.
+// refresh — funnels through here, so the Log and obs emissions happen
+// exactly once per transition and stateSince bookkeeping lives in one
+// place. t may be earlier than the clock (a backdated edge); it is never
+// earlier than the previous transition.
 func (m *Machine) setStateAt(t float64, s State) {
 	if s == m.state {
 		return
@@ -273,17 +324,12 @@ func (m *Machine) setStateAt(t float64, s State) {
 	if m.LogTransitions {
 		m.Log = append(m.Log, tr)
 	}
-	if m.OnTransition != nil {
-		m.OnTransition(tr)
-	}
 }
 
+// cancelDemotions disarms both deadlines.
 func (m *Machine) cancelDemotions() {
-	for _, ev := range m.demoteEvs {
-		m.eng.Cancel(ev)
-	}
-	m.demoteEvs = m.demoteEvs[:0]
-	m.tailTimer.Stop()
+	m.tailAt = math.Inf(1)
+	m.stepAt = math.Inf(1)
 }
 
 // onTailExpiry runs when the UE-inactivity timer fires: the connected state
@@ -293,16 +339,11 @@ func (m *Machine) onTailExpiry() {
 	switch m.cfg.Network.Mode {
 	case radio.ModeSA:
 		m.setState(Inactive)
-		m.demoteEvs = append(m.demoteEvs, m.eng.Schedule(m.cfg.InactiveDwellMs/1000, func() {
-			m.setState(Idle)
-		}))
+		m.setStep(m.cfg.InactiveDwellMs/1000, Idle)
 	case radio.ModeNSA:
 		if m.cfg.LTETailMs > m.cfg.TailMs {
 			m.setState(TailLTE)
-			rest := (m.cfg.LTETailMs - m.cfg.TailMs) / 1000
-			m.demoteEvs = append(m.demoteEvs, m.eng.Schedule(rest, func() {
-				m.setState(Idle)
-			}))
+			m.setStep((m.cfg.LTETailMs-m.cfg.TailMs)/1000, Idle)
 		} else {
 			m.setState(Idle)
 		}
@@ -319,7 +360,7 @@ func (m *Machine) drxWait(startTime, cycleMs float64) float64 {
 		return 0
 	}
 	cycle := cycleMs / 1000
-	elapsed := m.eng.Now() - startTime
+	elapsed := m.now - startTime
 	if elapsed < 0 {
 		return 0
 	}
@@ -337,7 +378,7 @@ func (m *Machine) drxWait(startTime, cycleMs float64) float64 {
 // and zero in continuous reception. It also (re)arms the inactivity timer.
 func (m *Machine) DataActivity() float64 {
 	m.refresh()
-	now := m.eng.Now()
+	now := m.now
 	var delay float64
 	switch m.state {
 	case Idle:
@@ -377,17 +418,14 @@ func (m *Machine) DataActivity() float64 {
 	if served > m.lastData {
 		m.lastData = served
 	}
-	m.tailTimer.Reset(served - now + m.cfg.TailMs/1000)
+	m.tailAt = m.after(served - now + m.cfg.TailMs/1000)
 	return delay
 }
 
 // beginPromotion moves Idle/Inactive -> Promoting -> Connected, computing
 // when the NR data path becomes available.
 func (m *Machine) beginPromotion(delay float64) {
-	now := m.eng.Now()
-	// cancelDemotions just Stop()ed tailTimer, so it is disarmed and
-	// reusable; allocating a fresh sim.Timer here would churn a Timer (and
-	// its fire closure) on every promotion over a long mobility run.
+	now := m.now
 	m.cancelDemotions()
 	m.connectedAt = now + delay
 	switch m.cfg.Network.Mode {
@@ -411,27 +449,19 @@ func (m *Machine) beginPromotion(delay float64) {
 		m.nrAt = math.Inf(1) // LTE-only: never
 	}
 	m.setState(Promoting)
-	m.demoteEvs = append(m.demoteEvs, m.eng.Schedule(delay, func() {
-		if m.state == Promoting {
-			m.setState(Connected)
-		}
-	}))
+	m.setStep(delay, Connected)
 }
 
 // reconnect moves a tail state back to Connected after a DRX-wake delay.
 func (m *Machine) reconnect(delay float64) {
-	m.cancelDemotions() // tailTimer is now disarmed and reused as-is
+	m.cancelDemotions()
 	if delay <= 0 {
 		m.setState(Connected)
 		return
 	}
-	m.connectedAt = m.eng.Now() + delay
+	m.connectedAt = m.now + delay
 	m.setState(Promoting)
-	m.demoteEvs = append(m.demoteEvs, m.eng.Schedule(delay, func() {
-		if m.state == Promoting {
-			m.setState(Connected)
-		}
-	}))
+	m.setStep(delay, Connected)
 }
 
 // minSCGReaddS is the minimum time to re-add the NR secondary cell group
@@ -449,7 +479,7 @@ const tailThresholdS = 0.1
 // backdated to the instant inactivity began (the DRX phase anchor) and goes
 // through setStateAt like every other edge.
 func (m *Machine) refresh() {
-	if m.state == Connected && m.eng.Now()-m.lastData > tailThresholdS {
+	if m.state == Connected && m.now-m.lastData > tailThresholdS {
 		m.setStateAt(m.lastData+tailThresholdS, TailNR)
 	}
 }
@@ -473,7 +503,7 @@ func (m *Machine) ActiveRadio() Radio {
 	if !m.cfg.Is5G() {
 		return Radio4G
 	}
-	if m.eng.Now() >= m.nrAt {
+	if m.now >= m.nrAt {
 		return Radio5G
 	}
 	return Radio4G

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"fivegsim/internal/radio"
-	"fivegsim/internal/sim"
 )
 
 // TestMachineInvariantsProperty drives every network's machine through a
@@ -40,8 +39,7 @@ func TestMachineInvariantsProperty(t *testing.T) {
 	f := func(seed int64, netIdx uint8) bool {
 		n := radio.AllNetworks[int(netIdx)%len(radio.AllNetworks)]
 		cfg := MustConfig(n)
-		eng := sim.NewEngine()
-		m := NewMachine(eng, cfg)
+		m := NewMachine(cfg)
 		m.LogTransitions = true
 		rng := rand.New(rand.NewSource(seed))
 		maxDelay := (cfg.IdleDRXMs + cfg.Promo4GMs + cfg.Promo5GMs + cfg.LongDRXMs) / 1000
@@ -49,7 +47,7 @@ func TestMachineInvariantsProperty(t *testing.T) {
 		for i := 0; i < 60; i++ {
 			// Random gaps spanning all regimes: sub-second to beyond idle.
 			gap := rng.Float64() * 25
-			eng.RunUntil(eng.Now() + gap)
+			m.RunUntil(m.Now() + gap)
 			d := m.DataActivity()
 			if d < 0 {
 				t.Logf("%s: negative delay %v", n, d)
@@ -59,7 +57,7 @@ func TestMachineInvariantsProperty(t *testing.T) {
 				t.Logf("%s: delay %v exceeds bound %v", n, d, maxDelay)
 				return false
 			}
-			eng.RunUntil(eng.Now() + d)
+			m.RunUntil(m.Now() + d)
 			if p := m.RadioPowerMw(); p <= 0 || p > 4000 {
 				t.Logf("%s: implausible power %v in %v", n, p, m.CurrentState())
 				return false
@@ -95,14 +93,13 @@ func TestMachineInvariantsProperty(t *testing.T) {
 func TestTransitionLogMonotoneProperty(t *testing.T) {
 	f := func(seed int64, netIdx uint8) bool {
 		n := radio.AllNetworks[int(netIdx)%len(radio.AllNetworks)]
-		eng := sim.NewEngine()
-		m := NewMachine(eng, MustConfig(n))
+		m := NewMachine(MustConfig(n))
 		m.LogTransitions = true
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 30; i++ {
-			eng.RunUntil(eng.Now() + rng.Float64()*20)
+			m.RunUntil(m.Now() + rng.Float64()*20)
 			d := m.DataActivity()
-			eng.RunUntil(eng.Now() + d)
+			m.RunUntil(m.Now() + d)
 		}
 		m.CurrentState()
 		for i := 1; i < len(m.Log); i++ {

@@ -19,7 +19,6 @@ import (
 
 	"fivegsim/internal/radio"
 	"fivegsim/internal/rrc"
-	"fivegsim/internal/sim"
 	"fivegsim/internal/stats"
 )
 
@@ -44,6 +43,8 @@ type Prober struct {
 	// legs (from the probing server, typically carrier-hosted nearby).
 	Base4GMs float64
 	Base5GMs float64
+	// Events counts the RRC deadlines fired by the prober's machines.
+	Events uint64
 
 	rng *rand.Rand
 }
@@ -71,19 +72,19 @@ func New(n radio.Network, seed int64) (*Prober, error) {
 // ProbeOnce measures the RTT of a single packet that arrives after the UE
 // has been idle for gap seconds (measured from its last data activity).
 func (p *Prober) ProbeOnce(gapS float64) Sample {
-	eng := sim.NewEngine()
-	m := rrc.NewMachine(eng, p.Config)
+	m := rrc.NewMachine(p.Config)
 	// Prime the connection with one packet, then go quiet.
 	d0 := m.DataActivity()
-	eng.RunUntil(eng.Now() + d0 + 1e-3)
+	m.RunUntil(m.Now() + d0 + 1e-3)
 	// The probe arrives gap seconds after the priming packet was served,
 	// plus a small random offset: the real tool cannot phase-align its
 	// probes with the UE's DRX cycle, and that misalignment is what turns
 	// the deterministic DRX sawtooth into the scatter of Fig. 10.
-	eng.RunUntil(eng.Now() + gapS + p.rng.Float64()*0.4)
+	m.RunUntil(m.Now() + gapS + float64(p.rng.Float64()*0.4))
 	st := m.CurrentState()
 	delay := m.DataActivity()
-	eng.RunUntil(eng.Now() + delay)
+	m.RunUntil(m.Now() + delay)
+	p.Events += m.Events
 	r := m.ActiveRadio()
 	base := p.Base5GMs
 	if r == rrc.Radio4G {
@@ -93,7 +94,7 @@ func (p *Prober) ProbeOnce(gapS float64) Sample {
 	if jitter > 20 {
 		jitter = 20
 	}
-	return Sample{IdleGapS: gapS, RTTMs: delay*1000 + base + jitter, Radio: r, State: st}
+	return Sample{IdleGapS: gapS, RTTMs: float64(delay*1000) + base + jitter, Radio: r, State: st}
 }
 
 // Run sweeps idle gaps from 0 to maxGapS in steps of stepS, probing perGap
@@ -187,7 +188,7 @@ func Infer(samples []Sample) (Inference, error) {
 	// Idle promotions cost hundreds of ms; a threshold at 60% of the way
 	// from the connected floor to the maximum floor separates them robustly
 	// from every tail/inactive plateau.
-	idleThresh := inf.ConnectedRTTMs + 0.6*(maxRTT-inf.ConnectedRTTMs)
+	idleThresh := inf.ConnectedRTTMs + float64(0.6*(maxRTT-inf.ConnectedRTTMs))
 	idleStart := -1.0
 	var idleRTTs []float64
 	for i, g := range gaps {
@@ -283,8 +284,7 @@ func Infer(samples []Sample) (Inference, error) {
 // the UE is idle. For NSA networks this is the 4G promotion delay (the first
 // reply flows over the LTE anchor); for SA networks it is the 5G promotion.
 func (p *Prober) MeasurePromoIdle() float64 {
-	eng := sim.NewEngine()
-	m := rrc.NewMachine(eng, p.Config)
+	m := rrc.NewMachine(p.Config)
 	// t = 0 is paging-phase aligned, so the paging wait is zero and the
 	// measured delay is the pure promotion time.
 	return m.DataActivity() * 1000
@@ -297,18 +297,18 @@ func (p *Prober) MeasurePromo5G() (ms float64, ok bool) {
 	if p.Config.Network.Mode == radio.ModeLTE {
 		return 0, false
 	}
-	eng := sim.NewEngine()
-	m := rrc.NewMachine(eng, p.Config)
+	m := rrc.NewMachine(p.Config)
+	defer func() { p.Events += m.Events }()
 	d := m.DataActivity()
-	eng.RunUntil(eng.Now() + d)
+	m.RunUntil(m.Now() + d)
 	start := 0.0 // promotion began at t=0 (paging-aligned)
 	const step, timeout = 0.010, 30.0
-	for eng.Now() < timeout {
+	for m.Now() < timeout {
 		if m.ActiveRadio() == rrc.Radio5G {
-			return (eng.Now() - start) * 1000, true
+			return (m.Now() - start) * 1000, true
 		}
 		m.DataActivity() // keep the connection alive
-		eng.RunUntil(eng.Now() + step)
+		m.RunUntil(m.Now() + step)
 	}
 	return 0, false
 }

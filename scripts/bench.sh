@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# bench.sh — run the per-experiment campaign benchmarks plus the sim-kernel,
-# ABR, fleet, and colf hot-path micro-benchmarks, emit BENCH_<n>.json:
+# bench.sh — run the per-experiment campaign benchmarks plus the ABR, obs,
+# transport, fleet, and colf hot-path micro-benchmarks, emit BENCH_<n>.json:
 # {"<name>": {"ns_per_op": ..., "bytes_per_op": ..., "allocs_per_op": ...,
 # ["ues_per_s": ...], ["bytes_per_event": ...], ["mb_per_s": ...],
 # ["x_vs_jsonl": ...], ["retained_b_per_ue": ...]}, ...}, plus a derived
@@ -39,8 +39,8 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 # Root package: one benchmark per paper table/figure plus the serial and
-# parallel whole-campaign runners. internal/sim: kernel hot-path numbers.
-# internal/abr: the Simulate/MPC.Select/Evaluate hot path. internal/obs +
+# parallel whole-campaign runners. internal/abr: the
+# Simulate/MPC.Select/Evaluate hot path. internal/obs +
 # internal/transport: the observability layer's cost contract —
 # BenchmarkDisabledEmit and BenchmarkSimulateTCP are the
 # tracing-disabled-overhead numbers (must stay 0 extra allocs/op),
@@ -51,7 +51,7 @@ trap 'rm -f "$raw"' EXIT
 # internal/obs/colf: the columnar artifact codec — bytes/event and encode
 # MB/s are the ≥5x-smaller-than-JSONL artifact contract.
 go test -run '^$' -bench '^Benchmark' -benchmem -benchtime "$benchtime" \
-    . ./internal/sim ./internal/abr ./internal/obs ./internal/obs/colf \
+    . ./internal/abr ./internal/obs ./internal/obs/colf \
     ./internal/transport ./internal/fleet | tee "$raw"
 
 awk '

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # ci.sh — the repo's tier-1 gate: formatting, vet, build, and the full test
-# suite under the race detector (which now genuinely exercises the parallel
-# experiment runner and the engines-never-shared invariant).
+# suite under the race detector (which exercises the parallel experiment
+# runner and its nothing-shared-between-experiments invariant).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,7 +17,7 @@ echo "== go vet =="
 go vet ./...
 
 echo "== fgvet (determinism invariants, all nine checks) =="
-# The custom analyzer suite (internal/lint): engine-clock time only,
+# The custom analyzer suite (internal/lint): simulated-clock time only,
 # seed-threaded RNGs, sorted map iteration, clone-per-goroutine ABR
 # engines, no silently dropped internal errors — plus the interprocedural
 # tier: no package-level writes from goroutine-reachable code
@@ -51,7 +51,7 @@ go test -race -shuffle=on -count=1 ./...
 
 echo "== golden artifacts (chunk-kernel and battery bit-identity) =="
 # The pinned fleet artifacts: any perf work on the chunk kernel (radio
-# cache, power hoisting, download ladder, calendar) must leave campaign
+# cache, power hoisting, download ladder, session loop) must leave campaign
 # bytes untouched. The pinned battery artifacts do the same for the quick
 # seed-1 battery: every table, both trace encodings and the metrics CSV,
 # so a change the other gates cannot see (it hits serial and parallel,
