@@ -7,6 +7,7 @@
 package fivegsim
 
 import (
+	"context"
 	"testing"
 
 	"fivegsim/internal/experiments"
@@ -77,26 +78,25 @@ func BenchmarkExtensionBBR(b *testing.B)            { benchExperiment(b, "extens
 func BenchmarkExtensionAbandon(b *testing.B)        { benchExperiment(b, "extension-abandon") }
 func BenchmarkLongitudinal(b *testing.B)            { benchExperiment(b, "longitudinal") }
 
-// Whole-campaign runners: the serial baseline and the worker-pool runner
-// (GOMAXPROCS workers). On a multi-core machine the parallel battery should
-// finish several times faster with byte-identical tables (asserted by
-// TestParallelMatchesSerialByteForByte in internal/experiments).
-func BenchmarkRunAllSerial(b *testing.B) {
-	cfg := experiments.Config{Seed: 1, Quick: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if ts := experiments.RunAll(cfg); len(ts) == 0 {
-			b.Fatal("RunAll produced no tables")
-		}
-	}
-}
+// Whole-campaign runners: RunManyCtx with one worker (the serial baseline)
+// and with GOMAXPROCS workers. On a multi-core machine the parallel battery
+// should finish several times faster with byte-identical tables (asserted
+// by TestRunAllParallelMatchesRunAll in internal/experiments).
+func BenchmarkRunAllSerial(b *testing.B) { benchBattery(b, 1) }
 
-func BenchmarkRunAllParallel(b *testing.B) {
+func BenchmarkRunAllParallel(b *testing.B) { benchBattery(b, 0) }
+
+func benchBattery(b *testing.B, workers int) {
 	cfg := experiments.Config{Seed: 1, Quick: true}
+	ids := experiments.IDs()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if rs := experiments.RunAllParallel(cfg, 0); len(rs) == 0 {
-			b.Fatal("RunAllParallel produced no results")
+		rs, err := experiments.RunManyCtx(context.Background(), cfg, ids, workers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rs) == 0 {
+			b.Fatal("RunManyCtx produced no results")
 		}
 	}
 }

@@ -5,15 +5,16 @@
 //
 //	fgrepro list                 # list experiment ids
 //	fgrepro run fig11 table7     # run specific experiments
-//	fgrepro all                  # run everything
-//	fgrepro all -parallel 0      # run everything on all cores
+//	fgrepro all                  # run everything, on all cores
+//	fgrepro all -parallel 1      # run everything, one experiment at a time
 //	fgrepro colf2json t.colf     # decode a colf trace to JSON Lines
 //
 // Flags:
 //
 //	-seed N         random seed (default 1)
 //	-quick          reduced repeats for a fast pass
-//	-parallel N     run N experiments concurrently (0 = GOMAXPROCS, 1 = serial)
+//	-parallel N     run N experiments concurrently (default 0 = GOMAXPROCS;
+//	                1 = serial)
 //	-stats          per-experiment wall time and event counts on stderr
 //	-trace FILE     write sim-time trace records to FILE
 //	-trace-format F trace encoding: jsonl (JSON Lines) or colf (columnar
@@ -29,12 +30,12 @@
 // served and CLI artifacts are the same bytes by construction.
 //
 // Output is byte-identical for any -parallel value: experiments fan out
-// over a worker pool but are reassembled in sorted id order, and every
-// experiment is deterministic given -seed. The -trace/-metrics artifacts
-// share that contract — enabling them never changes the tables, and the
-// artifact bytes are identical for any worker count, in either trace
-// format. Decoding a colf trace with colf2json reproduces the jsonl
-// artifact byte for byte.
+// over a worker pool, one experiment per worker at a time, but are
+// reassembled in sorted id order, and every experiment is deterministic
+// given -seed. The -trace/-metrics artifacts share that contract —
+// enabling them never changes the tables, and the artifact bytes are
+// identical for any worker count, in either trace format. Decoding a colf
+// trace with colf2json reproduces the jsonl artifact byte for byte.
 package main
 
 import (
@@ -64,7 +65,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	seed := fs.Int64("seed", 1, "random seed")
 	quick := fs.Bool("quick", false, "reduced repeats for a fast pass")
-	parallel := fs.Int("parallel", 1, "experiments to run concurrently (0 = GOMAXPROCS)")
+	parallel := fs.Int("parallel", 0, "experiments to run concurrently (0 = GOMAXPROCS, 1 = serial)")
 	stats := fs.Bool("stats", false, "print per-experiment wall time and event counts to stderr")
 	traceOut := fs.String("trace", "", "write sim-time trace records to this file")
 	traceFormat := "jsonl"
@@ -193,7 +194,8 @@ usage:
 flags:
   -seed N         random seed (default 1)
   -quick          reduced repeats for a fast pass
-  -parallel N     experiments to run concurrently (0 = GOMAXPROCS, 1 = serial)
+  -parallel N     experiments to run concurrently (default 0 = GOMAXPROCS;
+                  1 = serial)
   -stats          per-experiment wall time and event counts on stderr
   -trace FILE     write sim-time trace records to FILE
   -trace-format F trace encoding: jsonl or colf (default jsonl)

@@ -16,9 +16,6 @@ package abr
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"fivegsim/internal/obs"
 )
@@ -94,15 +91,6 @@ type Algorithm interface {
 	Select(ctx *Context) int
 	// Reset clears per-session state before a new playback.
 	Reset()
-}
-
-// Cloner is implemented by algorithms that can replicate themselves for
-// concurrent evaluation. A clone carries the same configuration and (shared,
-// read-only) trained models but owns all mutable per-session state, so one
-// clone per goroutine is safe. All seven built-in algorithms implement it;
-// Evaluate falls back to a serial pass for algorithms that do not.
-type Cloner interface {
-	Clone() Algorithm
 }
 
 // Options configures a playback simulation.
@@ -413,106 +401,36 @@ type Aggregate struct {
 	MeanSwitches float64
 }
 
-// traceStats is the per-trace contribution to an Aggregate.
-type traceStats struct {
-	norm, stallPct, stallS, qoe, switches float64
-}
-
-func oneTrace(v Video, algo Algorithm, tr []float64, opt Options, sc *Scratch) traceStats {
-	r := SimulateScratch(v, algo, tr, opt, sc)
-	return traceStats{
-		norm:     r.NormBitrate,
-		stallPct: r.StallPct,
-		stallS:   r.StallS,
-		qoe:      r.QoE,
-		switches: float64(r.Switches),
-	}
-}
-
-// Evaluate runs algo over every trace and averages the metrics. It is
-// EvaluateWorkers with GOMAXPROCS workers: on a multi-core host traces fan
-// out over per-goroutine clones of algo, with results identical to a serial
-// pass.
+// Evaluate runs algo over every trace, in trace order, and averages the
+// metrics. One Scratch and the caller's algo serve every trace: Simulate
+// resets algo before each playback, so a trace's result does not depend on
+// the traces played before it.
+//
+// With collection on, every trace gets its own sub-collector, merged back
+// in trace order and tagged with the trace index. The per-trace histogram
+// partial sums are part of the artifact bytes: emitting straight into
+// opt.Obs would add the same observations in a different float order.
 func Evaluate(v Video, algo Algorithm, traces [][]float64, opt Options) Aggregate {
-	return EvaluateWorkers(v, algo, traces, opt, 0)
-}
-
-// EvaluateWorkers evaluates the traces over a bounded worker pool
-// (workers <= 0 selects GOMAXPROCS; 1 forces a serial pass). Each worker
-// gets its own Clone of algo and its own Scratch, and the per-trace metrics
-// are reduced in trace order, so the returned Aggregate is byte-identical
-// for every worker count: every Simulate starts from Reset state, and the
-// float additions happen in the same sequence as a serial loop. Algorithms
-// that do not implement Cloner are evaluated serially.
-func EvaluateWorkers(v Video, algo Algorithm, traces [][]float64, opt Options, workers int) Aggregate {
 	agg := Aggregate{Algorithm: algo.Name()}
 	if len(traces) == 0 {
 		return agg
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(traces) {
-		workers = len(traces)
-	}
-	cl, cloneable := algo.(Cloner)
-	per := make([]traceStats, len(traces))
-	// When collection is on, every trace gets its own sub-collector — in the
-	// serial path too — and the subs fold back in trace order. Emitting
-	// straight into opt.Obs from the serial loop would accumulate histogram
-	// sums in per-observation order while the parallel path merges per-trace
-	// partial sums, and the two float summation orders need not agree.
-	var perObs []*obs.Obs
-	if opt.Obs.Enabled() {
-		perObs = make([]*obs.Obs, len(traces))
-		for i := range perObs {
-			perObs[i] = obs.Sub(opt.Obs)
+	sc := &Scratch{}
+	for i, tr := range traces {
+		o := opt
+		if opt.Obs.Enabled() {
+			o.Obs = obs.Sub(opt.Obs)
 			// A trace emits exactly one span per chunk: reserve them all
 			// rather than doubling from empty.
-			perObs[i].Trace().Grow(v.NumChunks)
+			o.Obs.Trace().Grow(v.NumChunks)
 		}
-	}
-	optFor := func(i int) Options {
-		o := opt
-		if perObs != nil {
-			o.Obs = perObs[i]
-		}
-		return o
-	}
-	if workers <= 1 || !cloneable {
-		sc := &Scratch{}
-		for i, tr := range traces {
-			per[i] = oneTrace(v, algo, tr, optFor(i), sc)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				a := cl.Clone()
-				sc := &Scratch{}
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(traces) {
-						return
-					}
-					per[i] = oneTrace(v, a, traces[i], optFor(i), sc)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for i, po := range perObs {
-		opt.Obs.MergeTagged(po, obs.F("trace", float64(i)))
-	}
-	for _, s := range per {
-		agg.NormBitrate += s.norm
-		agg.StallPct += s.stallPct
-		agg.MeanStallS += s.stallS
-		agg.MeanQoE += s.qoe
-		agg.MeanSwitches += s.switches
+		r := SimulateScratch(v, algo, tr, o, sc)
+		opt.Obs.MergeTagged(o.Obs, obs.F("trace", float64(i)))
+		agg.NormBitrate += r.NormBitrate
+		agg.StallPct += r.StallPct
+		agg.MeanStallS += r.StallS
+		agg.MeanQoE += r.QoE
+		agg.MeanSwitches += float64(r.Switches)
 	}
 	n := float64(len(traces))
 	agg.NormBitrate /= n

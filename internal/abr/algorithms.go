@@ -26,9 +26,6 @@ func (b *BBA) Name() string { return "BBA" }
 // Reset implements Algorithm.
 func (b *BBA) Reset() {}
 
-// Clone implements Cloner.
-func (b *BBA) Clone() Algorithm { c := *b; return &c }
-
 // Select implements Algorithm.
 func (b *BBA) Select(ctx *Context) int {
 	v := ctx.Video
@@ -62,9 +59,6 @@ func (b *BOLA) Name() string { return "BOLA" }
 // Reset implements Algorithm.
 func (b *BOLA) Reset() {}
 
-// Clone implements Cloner.
-func (b *BOLA) Clone() Algorithm { c := *b; return &c }
-
 // Select implements Algorithm.
 func (b *BOLA) Select(ctx *Context) int {
 	v := ctx.Video
@@ -96,9 +90,6 @@ func (r *RB) Name() string { return "RB" }
 
 // Reset implements Algorithm.
 func (r *RB) Reset() {}
-
-// Clone implements Cloner.
-func (r *RB) Clone() Algorithm { c := *r; return &c }
 
 // Select implements Algorithm.
 func (r *RB) Select(ctx *Context) int {
@@ -145,9 +136,6 @@ func (f *FESTIVE) Name() string { return "FESTIVE" }
 
 // Reset implements Algorithm.
 func (f *FESTIVE) Reset() { f.upStreak = 0 }
-
-// Clone implements Cloner: the clone does not keep the per-session streak.
-func (f *FESTIVE) Clone() Algorithm { return &FESTIVE{} }
 
 // Select implements Algorithm.
 func (f *FESTIVE) Select(ctx *Context) int {

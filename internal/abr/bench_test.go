@@ -51,18 +51,15 @@ func BenchmarkMPCSelect(b *testing.B) {
 	}
 }
 
-func benchEvaluate(b *testing.B, workers int) {
+// BenchmarkEvaluateSerial measures one robustMPC evaluation over 16 traces:
+// the per-algorithm point of an ABR figure.
+func BenchmarkEvaluateSerial(b *testing.B) {
 	v := benchVideo(b)
 	traces := trace.GenSet5G(16, 400, 21)
 	algo := &MPC{Robust: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EvaluateWorkers(v, algo, traces, Options{}, workers)
+		Evaluate(v, algo, traces, Options{})
 	}
 }
-
-// BenchmarkEvaluateSerial / Parallel bracket the per-trace fan-out of the
-// tentpole: identical Aggregates, different wall clock on multi-core hosts.
-func BenchmarkEvaluateSerial(b *testing.B)   { benchEvaluate(b, 1) }
-func BenchmarkEvaluateParallel(b *testing.B) { benchEvaluate(b, 4) }

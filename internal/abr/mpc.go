@@ -71,12 +71,6 @@ type GBDTPredictor struct {
 // Reset clears per-session smoothing state (called via MPC.Reset).
 func (g *GBDTPredictor) Reset() { g.ema = 0 }
 
-// ClonePredictor returns a replica sharing the trained (read-only) model
-// but owning its smoothing state and feature buffer.
-func (g *GBDTPredictor) ClonePredictor() Predictor {
-	return &GBDTPredictor{model: g.model, Lags: g.Lags}
-}
-
 // Name implements Predictor.
 func (g *GBDTPredictor) Name() string { return "gbdt" }
 
@@ -218,8 +212,6 @@ type MPC struct {
 	// Robust applies RobustMPC's error discount: the prediction is divided
 	// by (1 + max recent prediction error).
 	Robust bool
-	// Horizon is the lookahead in chunks; zero defaults to 5.
-	Horizon int
 
 	// Recent relative prediction errors (Robust), a fixed ring: only the
 	// max over the window is consumed, so order is irrelevant.
@@ -236,6 +228,9 @@ type MPC struct {
 
 // predErrWindow is RobustMPC's error-history length.
 const predErrWindow = 5
+
+// mpcHorizon is MPC's lookahead in chunks, cut to the chunks remaining.
+const mpcHorizon = 5
 
 // mpcNode is one partial track sequence in the branch-and-bound frontier.
 type mpcNode struct {
@@ -267,35 +262,11 @@ func (m *MPC) Reset() {
 	}
 }
 
-// Clone implements Cloner: the clone shares trained predictor models but
-// owns all per-session state (prediction-error window, predictor smoothing,
-// search scratch).
-func (m *MPC) Clone() Algorithm {
-	return &MPC{
-		Label:   m.Label,
-		Pred:    clonePredictor(m.Pred),
-		Robust:  m.Robust,
-		Horizon: m.Horizon,
-	}
-}
-
-// clonePredictor replicates a predictor for a new goroutine: stateful
-// predictors provide ClonePredictor, stateless ones are shared as-is.
-func clonePredictor(p Predictor) Predictor {
-	if c, ok := p.(interface{ ClonePredictor() Predictor }); ok {
-		return c.ClonePredictor()
-	}
-	return p
-}
-
 // Select implements Algorithm.
 //
 //fgvet:noalloc
 func (m *MPC) Select(ctx *Context) int {
-	h := m.Horizon
-	if h == 0 {
-		h = 5
-	}
+	h := mpcHorizon
 	if left := ctx.Video.NumChunks - ctx.ChunkIndex; h > left {
 		h = left
 	}
@@ -430,7 +401,7 @@ func upperBound(v Video, steps int) float64 {
 }
 
 // defaultHarmonic is the shared fallback predictor: HarmonicPredictor is
-// stateless, so one instance serves every MPC and every goroutine.
+// stateless, so one instance serves every MPC.
 var defaultHarmonic = &HarmonicPredictor{}
 
 func (m *MPC) predictor() Predictor {

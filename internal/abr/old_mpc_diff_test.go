@@ -54,12 +54,13 @@ func oldSelect(v Video, ctx *Context, h int, pred, rebuf, smooth float64) int {
 func TestNewMPCMatchesOldDFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	mismatches := 0
+	var horizons [mpcHorizon + 1]int
 	for trial := 0; trial < 20000; trial++ {
 		v := Video{BitratesMbps: []float64{1, 2, 3, 4, 5}, ChunkS: 4, NumChunks: 10}
 		if trial%3 == 0 {
 			v.BitratesMbps = []float64{0.5, 1, 2, 3}
 		}
-		m := &MPC{Horizon: 2 + rng.Intn(3)}
+		m := &MPC{}
 		m.Reset()
 		ctx := &Context{
 			Video:       v,
@@ -78,21 +79,29 @@ func TestNewMPCMatchesOldDFS(t *testing.T) {
 		rebuf := v.Top()
 		smooth := 1.0
 		// Mirror Select's horizon clamp to the chunks remaining.
-		h := m.Horizon
+		h := mpcHorizon
 		if left := v.NumChunks - ctx.ChunkIndex; h > left {
 			h = left
 		}
+		horizons[h]++
 		want := oldSelect(v, ctx, h, pred, rebuf, smooth)
 		got := m.Select(ctx)
 		if got != want {
 			mismatches++
 			if mismatches <= 5 {
 				t.Logf("trial %d: horizon=%d buffer=%.3f last=%d past=%v: old=%d new=%d",
-					trial, m.Horizon, ctx.BufferS, ctx.LastQuality, ctx.PastChunkMbps, want, got)
+					trial, h, ctx.BufferS, ctx.LastQuality, ctx.PastChunkMbps, want, got)
 			}
 		}
 	}
 	t.Logf("mismatches: %d / 20000", mismatches)
+	// Chunk indices 1-8 of 10 leave 9-2 chunks, so the clamp must have
+	// produced every horizon from 2 up to the full one.
+	for h := 2; h <= mpcHorizon; h++ {
+		if horizons[h] == 0 {
+			t.Errorf("no trial ran at horizon %d", h)
+		}
+	}
 	if mismatches > 0 {
 		t.Fail()
 	}

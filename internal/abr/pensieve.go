@@ -22,7 +22,6 @@ const stateDim = 3 + thrptLags
 // it wins on 4G but suffers the worst stalls on mmWave 5G (§5.2).
 type Pensieve struct {
 	policy *nn.Policy
-	video  Video
 	// Stochastic switches between greedy (evaluation) and sampled
 	// (training) action selection.
 	Stochastic bool
@@ -35,14 +34,6 @@ func (p *Pensieve) Name() string { return "Pensieve" }
 
 // Reset implements Algorithm.
 func (p *Pensieve) Reset() {}
-
-// Clone implements Cloner: the clone shares the trained (frozen) network
-// weights but owns its forward-pass scratch and action RNG, so greedy
-// evaluation is safe per goroutine. Stochastic clones stay deterministic
-// but draw from their own stream, not the parent's.
-func (p *Pensieve) Clone() Algorithm {
-	return &Pensieve{policy: p.policy.CloneEval(1), video: p.video, Stochastic: p.Stochastic}
-}
 
 // state assembles the normalised feature vector.
 func pensieveState(ctx *Context) []float64 {
@@ -84,36 +75,16 @@ func (p *Pensieve) Select(ctx *Context) int {
 	return p.policy.Greedy(p.state)
 }
 
-// TrainOptions configures Pensieve training.
-type TrainOptions struct {
-	// Episodes is the number of REINFORCE fine-tuning episodes; 0 means
-	// 30.
-	Episodes int
-	// ImitationPasses is the number of supervised epochs over the
-	// oracle-teacher dataset before fine-tuning; 0 means 30.
-	ImitationPasses int
-	// Hidden is the hidden-layer width; 0 means 48.
-	Hidden int
-}
-
-// Pensieve's policy-gradient learning rate and exploration (entropy) bonus.
+// Pensieve's training: supervised epochs over the oracle-teacher dataset,
+// then REINFORCE fine-tuning episodes, for a policy with one hidden layer,
+// at a fixed policy-gradient learning rate and exploration (entropy) bonus.
 const (
-	pensieveLR      = 0.05
-	pensieveEntropy = 0.03
+	pensieveImitationPasses = 30
+	pensieveEpisodes        = 30
+	pensieveHidden          = 48
+	pensieveLR              = 0.05
+	pensieveEntropy         = 0.03
 )
-
-func (o TrainOptions) withDefaults() TrainOptions {
-	if o.Episodes == 0 {
-		o.Episodes = 30
-	}
-	if o.ImitationPasses == 0 {
-		o.ImitationPasses = 30
-	}
-	if o.Hidden == 0 {
-		o.Hidden = 48
-	}
-	return o
-}
 
 // TrainPensieve trains a policy on the given video and throughput traces:
 // first supervised imitation of an oracle-informed MPC teacher (standing in
@@ -121,16 +92,15 @@ func (o TrainOptions) withDefaults() TrainOptions {
 // faster), then REINFORCE fine-tuning on the linear-QoE reward. Rewards are
 // normalised by the top bitrate so the same hyperparameters work for the
 // 20 Mbps 4G ladder and the 160 Mbps 5G ladder.
-func TrainPensieve(v Video, traces [][]float64, opt TrainOptions, seed int64) (*Pensieve, error) {
+func TrainPensieve(v Video, traces [][]float64, seed int64) (*Pensieve, error) {
 	if len(traces) == 0 {
 		return nil, fmt.Errorf("abr: no training traces")
 	}
-	opt = opt.withDefaults()
-	net, err := nn.NewMLP(seed, stateDim, opt.Hidden, v.Tracks())
+	net, err := nn.NewMLP(seed, stateDim, pensieveHidden, v.Tracks())
 	if err != nil {
 		return nil, err
 	}
-	agent := &Pensieve{policy: nn.NewPolicy(net, seed+1), video: v, Stochastic: true}
+	agent := &Pensieve{policy: nn.NewPolicy(net, seed+1), Stochastic: true}
 
 	// Phase 1: imitation of an oracle-informed MPC teacher by minibatch
 	// SGD. A constant advantage of w turns the policy gradient into
@@ -159,7 +129,7 @@ func TrainPensieve(v Video, traces [][]float64, opt TrainOptions, seed int64) (*
 	rng := rand.New(rand.NewSource(seed + 2))
 	idx := rng.Perm(len(imStates))
 	const batch = 64
-	for pass := 0; pass < opt.ImitationPasses; pass++ {
+	for pass := 0; pass < pensieveImitationPasses; pass++ {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		for off := 0; off+batch <= len(idx); off += batch {
 			bS := make([][]float64, 0, batch)
@@ -179,7 +149,7 @@ func TrainPensieve(v Video, traces [][]float64, opt TrainOptions, seed int64) (*
 	// an episode by construction, so a scalar baseline would encode the
 	// chunk index rather than action quality.
 	var baseline []float64
-	for ep := 0; ep < opt.Episodes; ep++ {
+	for ep := 0; ep < pensieveEpisodes; ep++ {
 		tr := traces[ep%len(traces)]
 		states, actions, rewards := rollout(v, agent, tr)
 		if len(states) == 0 {
@@ -258,17 +228,6 @@ type captureAlgo struct {
 	actions []int
 }
 
-// Clone implements Cloner: the clone records into its own empty buffers
-// and teaches from its own copy of the teacher, so per-goroutine capture
-// never interleaves two sessions' states.
-func (c *captureAlgo) Clone() Algorithm {
-	inner := c.inner
-	if cl, ok := inner.(Cloner); ok {
-		inner = cl.Clone()
-	}
-	return &captureAlgo{inner: inner}
-}
-
 func (c *captureAlgo) Name() string { return c.inner.Name() }
 func (c *captureAlgo) Reset()       { c.inner.Reset() }
 func (c *captureAlgo) Select(ctx *Context) int {
@@ -283,12 +242,6 @@ type recordingAlgo struct {
 	inner   *Pensieve
 	states  [][]float64
 	actions []int
-}
-
-// Clone implements Cloner: fresh recording buffers, cloned policy head.
-func (r *recordingAlgo) Clone() Algorithm {
-	inner, _ := r.inner.Clone().(*Pensieve)
-	return &recordingAlgo{inner: inner}
 }
 
 func (r *recordingAlgo) Name() string { return r.inner.Name() }

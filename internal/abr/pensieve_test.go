@@ -8,7 +8,7 @@ import (
 
 func TestTrainPensieveValidation(t *testing.T) {
 	v := video4G(t)
-	if _, err := TrainPensieve(v, nil, TrainOptions{}, 1); err == nil {
+	if _, err := TrainPensieve(v, nil, 1); err == nil {
 		t.Error("training with no traces did not error")
 	}
 }
@@ -17,7 +17,7 @@ func TestPensieve4GCompetitive(t *testing.T) {
 	// §5.2: Pensieve is competitive with the MPC family on 4G (the paper
 	// reports it winning there by a slim margin).
 	v := video4G(t)
-	p, err := TrainPensieve(v, trace.GenSet4G(30, 320, 99), TrainOptions{}, 7)
+	p, err := TrainPensieve(v, trace.GenSet4G(30, 320, 99), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestPensieveWorstStallsOn5G(t *testing.T) {
 	// §5.2: Pensieve incurs the highest stall time under 5G (a 259.5%
 	// increase in the paper) despite high bitrates.
 	v5 := video5G(t)
-	p5, err := TrainPensieve(v5, trace.GenSet5G(30, 320, 99), TrainOptions{}, 7)
+	p5, err := TrainPensieve(v5, trace.GenSet5G(30, 320, 99), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +62,11 @@ func TestPensieveWorstStallsOn5G(t *testing.T) {
 
 func TestPensieveStallIncrease4GTo5G(t *testing.T) {
 	v4, v5 := video4G(t), video5G(t)
-	p4, err := TrainPensieve(v4, trace.GenSet4G(30, 320, 99), TrainOptions{}, 7)
+	p4, err := TrainPensieve(v4, trace.GenSet4G(30, 320, 99), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p5, err := TrainPensieve(v5, trace.GenSet5G(30, 320, 99), TrainOptions{}, 7)
+	p5, err := TrainPensieve(v5, trace.GenSet5G(30, 320, 99), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +80,11 @@ func TestPensieveStallIncrease4GTo5G(t *testing.T) {
 func TestPensieveDeterministicGivenSeed(t *testing.T) {
 	v := video4G(t)
 	traces := trace.GenSet4G(10, 320, 5)
-	opts := TrainOptions{ImitationPasses: 5, Episodes: 10}
-	a, err := TrainPensieve(v, traces, opts, 3)
+	a, err := TrainPensieve(v, traces, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TrainPensieve(v, traces, opts, 3)
+	b, err := TrainPensieve(v, traces, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

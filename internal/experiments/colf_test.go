@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"fivegsim/internal/fleet"
@@ -16,7 +17,7 @@ import (
 func TestWriteTraceColfByteIdentical(t *testing.T) {
 	run := func(workers int) (colfBytes, jsonlBytes string) {
 		cfg := Config{Seed: 5, Quick: true, Obs: obs.New()}
-		results, err := RunMany(cfg, obsIDs, workers)
+		results, err := RunManyCtx(context.Background(), cfg, obsIDs, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,26 +6,6 @@ import (
 	"testing"
 )
 
-// TestRunManyCtxBackgroundMatchesRunMany: the context-aware entry point with
-// a live context is byte-identical to RunMany — same tables, same order.
-func TestRunManyCtxBackgroundMatchesRunMany(t *testing.T) {
-	cfg := Config{Seed: 1, Quick: true}
-	ids := []string{"table7", "fig11", "fig2"}
-	want, err := RunMany(cfg, ids, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunManyCtx(context.Background(), cfg, ids, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i].ID != want[i].ID || got[i].Render() != want[i].Render() {
-			t.Fatalf("RunManyCtx result %d (%s) differs from RunMany", i, want[i].ID)
-		}
-	}
-}
-
 // TestRunManyCtxCanceled: a pre-canceled context dispatches nothing and the
 // error says so — a partial battery must never look complete.
 func TestRunManyCtxCanceled(t *testing.T) {

@@ -27,7 +27,7 @@ type Config struct {
 	Quick bool
 	// Obs, when enabled, collects sim-time traces and metrics from the
 	// instrumented subsystems an experiment drives. It never changes the
-	// tables: collection is a side channel. RunMany replaces it with a
+	// tables: collection is a side channel. RunManyCtx replaces it with a
 	// per-experiment collector so parallel experiments never share one.
 	Obs *obs.Obs
 
@@ -150,15 +150,6 @@ func Run(id string, cfg Config) ([]*Table, error) {
 			id, strings.Join(IDs(), ", "))
 	}
 	return f(cfg), nil
-}
-
-// RunAll executes every registered experiment in sorted id order.
-func RunAll(cfg Config) []*Table {
-	var out []*Table
-	for _, id := range IDs() {
-		out = append(out, registry[id](cfg)...)
-	}
-	return out
 }
 
 // mustFinite guards an aggregation input against NaN: sort.Float64s orders

@@ -276,16 +276,6 @@ func TestTable4EnergySaving(t *testing.T) {
 	}
 }
 
-func TestRunAllQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("RunAll is covered piecewise elsewhere")
-	}
-	ts := RunAll(quick())
-	if len(ts) < len(IDs()) {
-		t.Errorf("RunAll produced %d tables for %d experiments", len(ts), len(IDs()))
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := &Table{ID: "x", Title: "T", Header: []string{"a", "bb"},
 		Notes: []string{"n1"}}

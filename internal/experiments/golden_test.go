@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -26,7 +27,7 @@ const goldenBatteryPath = "testdata/golden_battery.txt"
 func goldenBattery(t *testing.T) string {
 	t.Helper()
 	cfg := Config{Seed: 1, Quick: true, Obs: obs.New()}
-	results, err := RunMany(cfg, IDs(), 0)
+	results, err := RunManyCtx(context.Background(), cfg, IDs(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ var obsIDs = []string{"fig18b", "fig8", "table2"}
 func renderAll(results []Result) string {
 	var b strings.Builder
 	for _, r := range results {
-		b.WriteString(r.Render())
+		b.WriteString(render(r.Tables))
 	}
 	return b.String()
 }
@@ -26,7 +27,7 @@ func renderAll(results []Result) string {
 // 4-worker run.
 func TestRunManyObsByteIdentical(t *testing.T) {
 	base := Config{Seed: 5, Quick: true}
-	ref, err := RunMany(base, obsIDs, 1)
+	ref, err := RunManyCtx(context.Background(), base, obsIDs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestRunManyObsByteIdentical(t *testing.T) {
 	run := func(workers int) (tables, traceJSON, metricsCSV string) {
 		cfg := base
 		cfg.Obs = obs.New()
-		results, err := RunMany(cfg, obsIDs, workers)
+		results, err := RunManyCtx(context.Background(), cfg, obsIDs, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestRunManyObsByteIdentical(t *testing.T) {
 // collector in the Config, results carry none and the artifact writers
 // emit nothing (header aside).
 func TestRunManyNoObsLeavesResultsBare(t *testing.T) {
-	results, err := RunMany(Config{Seed: 5, Quick: true}, []string{"table2"}, 1)
+	results, err := RunManyCtx(context.Background(), Config{Seed: 5, Quick: true}, []string{"table2"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 
 // WriteTrace writes the battery's merged trace artifact: each result's
 // records as JSON Lines scoped by experiment id, concatenated in the order
-// of results (id order from RunMany/RunAllParallel). Results without a
+// of results (id order from RunManyCtx). Results without a
 // collector contribute nothing. The bytes are identical for every worker
 // count because collection is per experiment and results arrive ordered.
 func WriteTrace(w io.Writer, results []Result) error {

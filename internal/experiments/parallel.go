@@ -31,36 +31,23 @@ type Result struct {
 	Obs *obs.Obs
 }
 
-// Render returns the experiment's tables concatenated, each rendered
-// exactly as the fgrepro CLI prints them.
-func (r Result) Render() string {
-	var b strings.Builder
-	for _, t := range r.Tables {
-		b.WriteString(t.String())
-	}
-	return b.String()
-}
-
-// RunMany executes the given experiments over a bounded worker pool and
+// RunManyCtx executes the given experiments over a bounded worker pool and
 // returns results in the order of ids, regardless of which worker finished
-// first. workers <= 0 selects GOMAXPROCS. Unknown ids fail up front, before
-// any experiment runs.
+// first. workers <= 0 selects GOMAXPROCS; 1 runs them one after another.
+// Unknown ids fail up front, before any experiment runs.
 //
 // Parallel execution is deterministic: every experiment builds its own
 // models and gets its own event counter (nothing is shared between
 // experiments), and all randomness flows from cfg.Seed, so the tables are
-// byte-identical to a serial run with the same Config — only Wall varies
-// between runs.
-func RunMany(cfg Config, ids []string, workers int) ([]Result, error) {
-	return RunManyCtx(context.Background(), cfg, ids, workers)
-}
-
-// RunManyCtx is RunMany with cooperative cancellation: when ctx is done, no
-// further experiment is dispatched — workers finish the experiment they are
-// on (experiments are pure compute between reduce steps; there is nothing
-// mid-experiment to interrupt safely) and RunManyCtx returns ctx's error
-// with nil results. A nil error guarantees every requested experiment ran,
-// so partial batteries can never masquerade as complete ones.
+// byte-identical to Run(id, cfg) for each id — only Wall varies between
+// runs.
+//
+// Cancellation is cooperative: when ctx is done, no further experiment is
+// dispatched — workers finish the experiment they are on (experiments are
+// pure compute between reduce steps; there is nothing mid-experiment to
+// interrupt safely) and RunManyCtx returns ctx's error with nil results. A
+// nil error guarantees every requested experiment ran, so partial batteries
+// can never masquerade as complete ones.
 func RunManyCtx(ctx context.Context, cfg Config, ids []string, workers int) ([]Result, error) {
 	fns := make([]Func, len(ids))
 	for i, id := range ids {
@@ -202,16 +189,4 @@ func scheduleOrder(ids []string) []int {
 		return weight(order[a]) > weight(order[b])
 	})
 	return order
-}
-
-// RunAllParallel executes every registered experiment over a worker pool
-// (workers <= 0 selects GOMAXPROCS) and returns results in sorted id order,
-// with tables byte-identical to RunAll(cfg).
-func RunAllParallel(cfg Config, workers int) []Result {
-	results, err := RunMany(cfg, IDs(), workers)
-	if err != nil {
-		// Unreachable: IDs() only returns registered experiments.
-		panic(err)
-	}
-	return results
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -31,13 +32,13 @@ func TestParallelMatchesSerialByteForByte(t *testing.T) {
 		serial.WriteString(render(tables))
 	}
 
-	results, err := RunMany(cfg, ids, 4)
+	results, err := RunManyCtx(context.Background(), cfg, ids, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var parallel strings.Builder
 	for _, r := range results {
-		parallel.WriteString(r.Render())
+		parallel.WriteString(render(r.Tables))
 	}
 
 	if serial.String() != parallel.String() {
@@ -46,19 +47,28 @@ func TestParallelMatchesSerialByteForByte(t *testing.T) {
 	}
 }
 
-// RunAllParallel must preserve sorted-id order and agree with RunAll table
-// by table across the whole battery.
+// The worker pool must preserve sorted-id order and agree with Run, table
+// by table, across the whole battery.
 func TestRunAllParallelMatchesRunAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full battery; skipped in -short mode")
 	}
 	cfg := Config{Seed: 1, Quick: true}
-	serial := RunAll(cfg)
-	results := RunAllParallel(cfg, 0)
-
 	ids := IDs()
+	var serial []*Table
+	for _, id := range ids {
+		tables, err := Run(id, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial = append(serial, tables...)
+	}
+	results, err := RunManyCtx(context.Background(), cfg, ids, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != len(ids) {
-		t.Fatalf("RunAllParallel returned %d results, want %d", len(results), len(ids))
+		t.Fatalf("RunManyCtx returned %d results, want %d", len(results), len(ids))
 	}
 	var parTables []*Table
 	for i, r := range results {
@@ -79,7 +89,7 @@ func TestRunAllParallelMatchesRunAll(t *testing.T) {
 }
 
 func TestRunManyUnknownID(t *testing.T) {
-	_, err := RunMany(Config{Seed: 1, Quick: true}, []string{"fig9", "nope"}, 2)
+	_, err := RunManyCtx(context.Background(), Config{Seed: 1, Quick: true}, []string{"fig9", "nope"}, 2)
 	if err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("err = %v, want unknown-experiment error naming %q", err, "nope")
 	}
@@ -90,7 +100,7 @@ func TestRunManyAccounting(t *testing.T) {
 	// so the deadlines those machines fire must be counted; not every
 	// experiment is event-driven (e.g. the fig9 mobility loop), so
 	// Events == 0 is legal in general.
-	results, err := RunMany(Config{Seed: 3, Quick: true}, []string{"table2", "table7"}, 2)
+	results, err := RunManyCtx(context.Background(), Config{Seed: 3, Quick: true}, []string{"table2", "table7"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,12 +118,12 @@ func TestRunManyAccounting(t *testing.T) {
 }
 
 func TestRunManyEmptyAndWorkerClamp(t *testing.T) {
-	results, err := RunMany(Config{}, nil, 8)
+	results, err := RunManyCtx(context.Background(), Config{}, nil, 8)
 	if err != nil || len(results) != 0 {
-		t.Fatalf("RunMany(nil ids) = %v, %v; want empty, nil", results, err)
+		t.Fatalf("RunManyCtx(nil ids) = %v, %v; want empty, nil", results, err)
 	}
 	// More workers than experiments must still run everything exactly once.
-	results, err = RunMany(Config{Seed: 1, Quick: true}, []string{"table2"}, 64)
+	results, err = RunManyCtx(context.Background(), Config{Seed: 1, Quick: true}, []string{"table2"}, 64)
 	if err != nil || len(results) != 1 || results[0].ID != "table2" {
 		t.Fatalf("worker clamp broken: %v, %v", results, err)
 	}

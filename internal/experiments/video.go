@@ -51,7 +51,7 @@ func video4G() abr.Video {
 // algorithms builds fresh instances of the seven evaluated ABRs, training
 // Pensieve for the given video on matching traces.
 func algorithms(cfg Config, v abr.Video, train [][]float64) []abr.Algorithm {
-	pens, err := abr.TrainPensieve(v, train, abr.TrainOptions{}, cfg.Seed+7)
+	pens, err := abr.TrainPensieve(v, train, cfg.Seed+7)
 	if err != nil {
 		panic(err)
 	}

@@ -17,8 +17,9 @@
 //     its own state, and its own stream; shards write disjoint ranges of
 //     one results slice, indexed by global UE id.
 //  3. All aggregation happens in a serial reduce over the results slice in
-//     UE id order after every shard joins — the EvaluateWorkers /
-//     obs.Sub+MergeTagged pattern, with the UE id as the fold order.
+//     UE id order after every shard joins — the battery's rule of folding
+//     results in a fixed order, never completion order, with the UE id as
+//     the fold order.
 package fleet
 
 import (

@@ -2,9 +2,9 @@
 // go/token, go/types — no x/tools) set of checks that mechanically enforce
 // the repo's determinism invariants. The paper's figures are reproducible
 // only because every run is a pure function of (experiment, seed); these
-// checks turn the conventions that guarantee that — engine-clock time,
-// seed-threaded RNGs, sorted map iteration, clone-per-goroutine ABR
-// engines, no silently dropped errors — into compile-time diagnostics.
+// checks turn the conventions that guarantee that — model-clock time,
+// seed-threaded RNGs, sorted map iteration, no silently dropped errors —
+// into compile-time diagnostics.
 //
 // A finding can be suppressed line-by-line with
 //
@@ -78,7 +78,6 @@ func AllChecks() []*Check {
 		WalltimeCheck(),
 		SeededRandCheck(),
 		MapOrderCheck(),
-		CloneContractCheck(),
 		ErrDropCheck(),
 		SharedWriteCheck(),
 		FpFoldCheck(),

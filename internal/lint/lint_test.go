@@ -154,7 +154,7 @@ func TestCheckDocs(t *testing.T) {
 		}
 		seen[c.Name] = true
 	}
-	if len(seen) < 9 {
-		t.Errorf("expected the nine-check suite, got %d", len(seen))
+	if len(seen) < 8 {
+		t.Errorf("expected the eight-check suite, got %d", len(seen))
 	}
 }

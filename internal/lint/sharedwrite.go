@@ -7,7 +7,7 @@ import (
 
 // SharedWriteCheck flags writes to package-level variables — assignment,
 // ++/--, delete — from any function reachable from a go statement. The
-// fleet shards and the ABR worker pool run module code concurrently; a
+// fleet shards and the experiment pool run module code concurrently; a
 // package-level write on those paths is at best a data race and at worst a
 // shard-count-dependent result, either of which breaks the byte-identity
 // contract. Writes through method calls (sync.Map.Store, atomic.Add) are

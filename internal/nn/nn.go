@@ -145,7 +145,7 @@ type Policy struct {
 	rng *rand.Rand
 
 	// Inference and gradient scratch, lazily sized and reused across calls
-	// (one Policy per goroutine — see CloneEval).
+	// (so a Policy is not safe for concurrent use).
 	acts   [][]float64
 	probs  []float64
 	gw, gb [][]float64
@@ -156,13 +156,6 @@ type Policy struct {
 // NewPolicy creates a policy with its own action-sampling random source.
 func NewPolicy(net *MLP, seed int64) *Policy {
 	return &Policy{Net: net, rng: rand.New(rand.NewSource(seed))}
-}
-
-// CloneEval returns a policy sharing the (frozen) network weights but
-// owning private scratch buffers and action RNG. One clone per goroutine
-// makes concurrent inference safe as long as nobody calls Step.
-func (p *Policy) CloneEval(seed int64) *Policy {
-	return NewPolicy(p.Net, seed)
 }
 
 // probsFor computes the action distribution into the policy's scratch; the

@@ -4,8 +4,8 @@
 //
 // Determinism contract. Every record is stamped from the model's own
 // simulated clock, never the wall clock, and collectors are merged in a
-// caller-defined deterministic order (trace order inside
-// abr.EvaluateWorkers, sorted experiment-id order in experiments.RunMany).
+// caller-defined deterministic order (trace order inside abr.Evaluate,
+// sorted experiment-id order in experiments.RunManyCtx).
 // The rendered artifacts are therefore byte-identical across runs and
 // across -parallel worker counts — observability obeys the same contract
 // it exists to audit, and fgvet's walltime check holds over this package.

@@ -156,7 +156,8 @@ func TestSharedKeySharesBytes(t *testing.T) {
 }
 
 // TestBatteryTableMatchesRunMany: the served battery table is the exact
-// byte concatenation fgrepro prints for the same ids and seed.
+// byte concatenation of RunManyCtx's tables, as fgrepro prints them for the
+// same ids and seed.
 func TestBatteryTableMatchesRunMany(t *testing.T) {
 	sc := &Scenario{Kind: "battery", Quick: true, Experiments: []string{"table7", "fig11"}}
 	if err := sc.Validate(); err != nil {
@@ -166,8 +167,8 @@ func TestBatteryTableMatchesRunMany(t *testing.T) {
 	if err := RunScenario(context.Background(), sc, &got); err != nil {
 		t.Fatal(err)
 	}
-	results, err := experiments.RunMany(experiments.Config{Seed: 1, Quick: true},
-		[]string{"table7", "fig11"}, 0)
+	results, err := experiments.RunManyCtx(context.Background(),
+		experiments.Config{Seed: 1, Quick: true}, []string{"table7", "fig11"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestBatteryTableMatchesRunMany(t *testing.T) {
 		}
 	}
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Errorf("served battery table differs from RunMany rendering")
+		t.Errorf("served battery table differs from RunManyCtx rendering")
 	}
 }
 

@@ -16,20 +16,19 @@ fi
 echo "== go vet =="
 go vet ./...
 
-echo "== fgvet (determinism invariants, all nine checks) =="
+echo "== fgvet (determinism invariants, all eight checks) =="
 # The custom analyzer suite (internal/lint): simulated-clock time only,
-# seed-threaded RNGs, sorted map iteration, clone-per-goroutine ABR
-# engines, no silently dropped internal errors — plus the interprocedural
-# tier: no package-level writes from goroutine-reachable code
-# (sharedwrite), no order-sensitive float folds over shard/worker results
-# (fpfold), compiler-verified //fgvet:noalloc contracts (noalloc), and no
-# stale //fgvet:allow suppressions (allowaudit). Any diagnostic — stale
-# allows included — fails CI. FGVET.json is the machine-readable artifact,
+# seed-threaded RNGs, sorted map iteration, no silently dropped internal
+# errors — plus the interprocedural tier: no package-level writes from
+# goroutine-reachable code (sharedwrite), no order-sensitive float folds
+# over shard/worker results (fpfold), compiler-verified //fgvet:noalloc
+# contracts (noalloc), and no stale //fgvet:allow suppressions
+# (allowaudit). Any diagnostic — stale allows included — fails CI. FGVET.json is the machine-readable artifact,
 # archived next to the BENCH_*.json files.
 go build -o /tmp/fgvet-ci ./cmd/fgvet
 fgvet_start=$(date +%s%N)
 if ! /tmp/fgvet-ci -json \
-    -checks walltime,seededrand,maporder,clonecontract,errdrop,sharedwrite,fpfold,noalloc,allowaudit \
+    -checks walltime,seededrand,maporder,errdrop,sharedwrite,fpfold,noalloc,allowaudit \
     ./... > FGVET.json; then
     echo "fgvet diagnostics (also in FGVET.json):" >&2
     cat FGVET.json >&2
@@ -78,7 +77,7 @@ echo "== battery determinism (serial vs parallel) =="
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 go build -o "$tmpdir/fgrepro" ./cmd/fgrepro
-"$tmpdir/fgrepro" -quick -seed 1 all > "$tmpdir/serial.txt"
+"$tmpdir/fgrepro" -quick -seed 1 -parallel 1 all > "$tmpdir/serial.txt"
 "$tmpdir/fgrepro" -quick -seed 1 -parallel 4 all > "$tmpdir/parallel.txt"
 if ! diff -q "$tmpdir/serial.txt" "$tmpdir/parallel.txt" >/dev/null; then
     echo "battery output differs between serial and parallel runs:" >&2
@@ -90,7 +89,7 @@ echo "== observability determinism (artifacts + table bytes) =="
 # Same contract for the side channel: -trace/-metrics artifacts must be
 # byte-identical for any -parallel value, and enabling collection must not
 # change a single table byte.
-"$tmpdir/fgrepro" -quick -seed 1 \
+"$tmpdir/fgrepro" -quick -seed 1 -parallel 1 \
     -trace "$tmpdir/trace-s.jsonl" -metrics "$tmpdir/metrics-s.csv" all \
     > "$tmpdir/serial-obs.txt"
 "$tmpdir/fgrepro" -quick -seed 1 -parallel 4 \
