@@ -232,6 +232,10 @@ const predErrWindow = 5
 // mpcHorizon is MPC's lookahead in chunks, cut to the chunks remaining.
 const mpcHorizon = 5
 
+// mpcBoundSlack is the relative margin Select adds to its climb bound so
+// that floating-point path sums can never exceed it.
+const mpcBoundSlack = 1e-9
+
 // mpcNode is one partial track sequence in the branch-and-bound frontier.
 type mpcNode struct {
 	step   int32
@@ -305,7 +309,8 @@ func (m *MPC) Select(ctx *Context) int {
 	// The search scores sequences with the player's QoE weights: stalls
 	// cost the top bitrate per second, switches their bitrate change.
 	v := ctx.Video
-	rebuf := v.Top()
+	top := v.Top()
+	rebuf := top
 
 	bestFirst, bestQoE := 0, math.Inf(-1)
 	tracks := v.Tracks()
@@ -331,13 +336,33 @@ func (m *MPC) Select(ctx *Context) int {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		steps := h - int(n.step)
+		// An optimistic bound on every completion of n. Stalls only
+		// subtract, and no step earns more than the top bitrate, which
+		// bounds the root of chunk 0 (its next step pays no switch cost).
+		// Elsewhere the next step pays the switch from n.last, and
+		// b[q] - |b[q] - b[last]| <= b[last] for every track q, so every
+		// completion scores at most (steps-1)*Top + b[last] over n.qoe:
+		// the climb bound, tighter whenever n.last is below the top.
+		bound := n.qoe + float64(float64(steps)*top)
+		if steps > 0 && !(n.step == 0 && ctx.ChunkIndex == 0) {
+			// Path sums round: a completion's computed QoE rounds five
+			// times per step (stall penalty, switch difference, two
+			// subtractions, running sum), each within 2^-53 of a
+			// magnitude at most scale (a bigger stall penalty only sinks
+			// the path further), and the bound rounds four more times.
+			// That is under 30*2^-53 (4e-15) of scale; mpcBoundSlack
+			// covers it 10^5 times over, so no computed completion
+			// exceeds the bound.
+			climb := float64(float64(steps-1)*top) + v.BitratesMbps[n.last]
+			scale := math.Abs(n.qoe) + float64(float64(steps)*top)
+			bound = n.qoe + climb + float64(mpcBoundSlack*scale)
+		}
 		// Prune against the incumbent. On an exact QoE tie the search must
 		// return the lowest first-chunk track (the old recursive DFS
 		// enumerated sequences lexicographically with strict improvement,
 		// so among maximisers the minimal seq[0] won); a subtree whose
 		// optimistic bound only ties the incumbent can still matter, but
 		// only if its first chunk is lower than the incumbent's.
-		bound := n.qoe + upperBound(v, steps)
 		if bound < bestQoE || (bound == bestQoE && int(n.first) >= bestFirst) {
 			continue // cannot beat the incumbent, not even on the tie-break
 		}
@@ -391,13 +416,6 @@ func (m *MPC) Select(ctx *Context) int {
 	}
 	m.stack = stack[:0]
 	return bestFirst
-}
-
-// upperBound is an admissible optimistic bound on the QoE obtainable in the
-// remaining steps (top bitrate, no stalls, no switches), used to prune the
-// enumeration.
-func upperBound(v Video, steps int) float64 {
-	return float64(steps) * v.Top()
 }
 
 // defaultHarmonic is the shared fallback predictor: HarmonicPredictor is

@@ -14,7 +14,7 @@ func oldSelect(v Video, ctx *Context, h int, pred, rebuf, smooth float64) int {
 	seq := make([]int, h)
 	var walk func(step int, buffer float64, last int, qoe float64)
 	walk = func(step int, buffer float64, last int, qoe float64) {
-		if qoe+upperBound(v, h-step) <= bestQoE {
+		if qoe+float64(h-step)*v.Top() <= bestQoE {
 			return
 		}
 		if step == h {

@@ -29,6 +29,14 @@ type Module struct {
 
 	impls map[*types.Func][]*types.Func // abstract iface method -> concrete methods
 
+	// valueFuncs are the functions the module uses as values: declared
+	// functions and methods referenced outside call position (stored,
+	// passed, returned, method values) and literals not called in place,
+	// in first-use order. They are the possible targets of a call through
+	// a function value.
+	valueFuncs []*CGNode
+	valueSet   map[*CGNode]bool
+
 	sorts  paramSummary // SortsParam summaries
 	accums paramSummary // FloatAccumParam summaries
 
@@ -49,7 +57,8 @@ func NewModule(pkgs []*Package) *Module {
 // CGNode is one function in the call graph: a declared function/method or a
 // function literal. Edges are possibilistic — every reference to a function
 // (call, method value, closure creation) is an edge, because a referenced
-// function can run wherever the reference flows.
+// function can run wherever the reference flows — and a call through a
+// function value is an edge to every function that value could hold.
 type CGNode struct {
 	Fn   *types.Func   // nil for function literals
 	Lit  *ast.FuncLit  // nil for declared functions
@@ -95,8 +104,9 @@ func (n *CGNode) addCallee(c *CGNode) {
 	n.Callees = append(n.Callees, c)
 }
 
-// build constructs nodes for every declared function, then walks every body
-// adding edges and marking go-statement targets as spawn roots.
+// build constructs nodes for every declared function, collects the
+// functions used as values, then walks every body adding edges and marking
+// go-statement targets as spawn roots.
 func (m *Module) build() {
 	if m.built {
 		return
@@ -105,6 +115,7 @@ func (m *Module) build() {
 	m.nodes = make(map[*types.Func]*CGNode)
 	m.lits = make(map[*ast.FuncLit]*CGNode)
 	m.impls = make(map[*types.Func][]*types.Func)
+	m.valueSet = make(map[*CGNode]bool)
 	for _, pkg := range m.Pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -124,19 +135,126 @@ func (m *Module) build() {
 	}
 	for _, pkg := range m.Pkgs {
 		for _, f := range pkg.Files {
+			m.collectValueFuncs(pkg, f)
+		}
+	}
+	for _, pkg := range m.Pkgs {
+		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					fn, ok := pkg.Info.Defs[d.Name].(*types.Func)
+					if ok && d.Body != nil {
+						m.addEdges(m.nodes[fn], pkg, d.Body)
+					}
+				case *ast.GenDecl:
+					// A literal in a package-level initializer has no
+					// enclosing function; its body still has edges.
+					ast.Inspect(d, func(n ast.Node) bool {
+						if lit, ok := n.(*ast.FuncLit); ok {
+							m.addEdges(m.litNode(pkg, lit), pkg, lit.Body)
+							return false
+						}
+						return true
+					})
 				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				m.addEdges(m.nodes[fn], pkg, fd.Body)
 			}
 		}
 	}
+}
+
+// collectValueFuncs records every module function one file references
+// outside call position, package-level initializers included (a registry
+// map filled at init time is the typical case), and every function literal
+// it does not call in place.
+func (m *Module) collectValueFuncs(pkg *Package, f *ast.File) {
+	called := make(map[*ast.Ident]bool)
+	calledLit := make(map[*ast.FuncLit]bool)
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr: // visited before its Fun, so the mark is in time
+			if id := funcIdent(n.Fun); id != nil {
+				called[id] = true
+			}
+			if lit, ok := ast.Unparen(n.Fun).(*ast.FuncLit); ok {
+				calledLit[lit] = true
+			}
+		case *ast.FuncLit:
+			if !calledLit[n] {
+				m.addValueFunc(m.litNode(pkg, n))
+			}
+		case *ast.Ident:
+			fn, ok := pkg.Info.Uses[n].(*types.Func)
+			if !ok || called[n] {
+				return true
+			}
+			for _, t := range m.resolve(fn) {
+				m.addValueFunc(t)
+			}
+		}
+		return true
+	})
+}
+
+// addValueFunc appends n to valueFuncs once.
+func (m *Module) addValueFunc(n *CGNode) {
+	if !m.valueSet[n] {
+		m.valueSet[n] = true
+		m.valueFuncs = append(m.valueFuncs, n)
+	}
+}
+
+// funcIdent returns the identifier naming a call's function (f, pkg.F,
+// x.M, or an instantiation of either), or nil for any other expression.
+func funcIdent(fun ast.Expr) *ast.Ident {
+	switch fun := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		return fun
+	case *ast.SelectorExpr:
+		return fun.Sel
+	case *ast.IndexExpr:
+		return funcIdent(fun.X)
+	case *ast.IndexListExpr:
+		return funcIdent(fun.X)
+	}
+	return nil
+}
+
+// valueCallees resolves a call through a function value (a variable, a
+// field, a slice or map element, a call result) to every function in
+// valueFuncs whose signature is identical to the value's type: any of them
+// may be what the value holds. Static calls, conversions, builtins and
+// literals called in place return nil; their edges come from the
+// identifier or the literal itself.
+func (m *Module) valueCallees(pkg *Package, fun ast.Expr) []*CGNode {
+	fun = ast.Unparen(fun)
+	if _, lit := fun.(*ast.FuncLit); lit {
+		return nil
+	}
+	if id := funcIdent(fun); id != nil {
+		if _, static := pkg.Info.Uses[id].(*types.Func); static {
+			return nil
+		}
+	}
+	tv, ok := pkg.Info.Types[fun]
+	if !ok || !tv.IsValue() {
+		return nil
+	}
+	sig, ok := tv.Type.Underlying().(*types.Signature)
+	if !ok {
+		return nil
+	}
+	var out []*CGNode
+	for _, n := range m.valueFuncs {
+		t := n.Pkg.Info.TypeOf(n.Lit)
+		if n.Fn != nil {
+			t = n.Fn.Type()
+		}
+		if types.Identical(t, sig) { // receivers are ignored
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // litNode returns (creating if needed) the node for a function literal.
@@ -164,6 +282,10 @@ func (m *Module) addEdges(cur *CGNode, pkg *Package, body *ast.BlockStmt) {
 			for _, t := range m.targetsOf(pkg, n.Call.Fun) {
 				t.SpawnRoot = true
 			}
+		case *ast.CallExpr:
+			for _, t := range m.valueCallees(pkg, n.Fun) {
+				cur.addCallee(t)
+			}
 		case *ast.Ident:
 			if fn, ok := pkg.Info.Uses[n].(*types.Func); ok {
 				for _, t := range m.resolve(fn) {
@@ -177,22 +299,19 @@ func (m *Module) addEdges(cur *CGNode, pkg *Package, body *ast.BlockStmt) {
 
 // targetsOf resolves the function expression of a go statement to its
 // possible nodes. A literal resolves to its own node; an identifier or
-// selector resolves through the type info (with interface methods expanded
-// to every module implementation).
+// selector naming a function resolves through the type info (with
+// interface methods expanded to every module implementation); a function
+// value fans out like any call through one (valueCallees).
 func (m *Module) targetsOf(pkg *Package, fun ast.Expr) []*CGNode {
-	switch fun := ast.Unparen(fun).(type) {
-	case *ast.FuncLit:
-		return []*CGNode{m.litNode(pkg, fun)}
-	case *ast.Ident:
-		if fn, ok := pkg.Info.Uses[fun].(*types.Func); ok {
-			return m.resolve(fn)
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
+	if lit, ok := ast.Unparen(fun).(*ast.FuncLit); ok {
+		return []*CGNode{m.litNode(pkg, lit)}
+	}
+	if id := funcIdent(fun); id != nil {
+		if fn, ok := pkg.Info.Uses[id].(*types.Func); ok {
 			return m.resolve(fn)
 		}
 	}
-	return nil
+	return m.valueCallees(pkg, fun)
 }
 
 // resolve maps a referenced *types.Func to call-graph nodes. Concrete

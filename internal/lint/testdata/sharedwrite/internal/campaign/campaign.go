@@ -1,8 +1,9 @@
 // Package campaign exercises the sharedwrite check: package-level writes
-// reached from a goroutine spawn — directly, through plain calls, and
-// through interface dispatch — are flagged; init-time registration,
-// main-goroutine reduces, field writes, and synchronized-container method
-// calls are not.
+// reached from a goroutine spawn — directly, through plain calls, through
+// interface dispatch, and through function values (a registry, a closure)
+// — are flagged; init-time registration, main-goroutine reduces, field
+// writes, synchronized-container method calls, and functions that merely
+// share a registry's signature are not.
 package campaign
 
 import "sync"
@@ -70,6 +71,57 @@ func Run(shards int) {
 	for i := 0; i < shards; i++ {
 		wg.Add(1)
 		go runShard(shardB{}, &wg)
+	}
+	wg.Wait()
+}
+
+// jobs is a registry of per-shard jobs, filled at init time and called
+// only through its function values.
+var jobs []func(int)
+
+var jobRuns int
+
+func init() {
+	jobs = append(jobs, countJob)
+}
+
+func countJob(n int) {
+	jobRuns += n // flagged: reachable via go runJobs -> jobs[i](1) -> countJob
+}
+
+// resetJobs has the registry's signature but is never used as a value, so
+// no call through a func(int) can reach it: not flagged.
+func resetJobs(n int) {
+	jobRuns = n
+}
+
+func runJobs(wg *sync.WaitGroup) {
+	defer wg.Done()
+	for i := range jobs {
+		jobs[i](1)
+	}
+}
+
+var lastShard int
+
+func callEach(f func(), wg *sync.WaitGroup) {
+	defer wg.Done()
+	f()
+}
+
+// RunJobs resets the counter on the main goroutine, then spawns registry
+// runners and hands each shard a closure that runs only behind a function
+// value.
+func RunJobs(shards int) {
+	resetJobs(0)
+	var wg sync.WaitGroup
+	for i := 0; i < shards; i++ {
+		wg.Add(2)
+		go runJobs(&wg)
+		shard := i
+		go callEach(func() {
+			lastShard = shard // flagged: the literal runs where callEach calls f
+		}, &wg)
 	}
 	wg.Wait()
 }

@@ -53,10 +53,11 @@ func SimulateBBR(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 	var res Result
 	nSec := int(math.Ceil(o.DurationS))
 	res.PerSecondMbps = make([]float64, nSec)
+	desired := make([]float64, len(flows)) // every RTT overwrites every entry
+	spans := newSpans(rtt, nSec)
 	now := 0.0
 	for now < o.DurationS {
 		demand := 0.0
-		desired := make([]float64, len(flows))
 		for i := range flows {
 			f := &flows[i]
 			gain := 1.0
@@ -81,12 +82,13 @@ func SimulateBBR(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 		if demand > capPkts {
 			share = capPkts / demand
 		}
+		spans = splitRTT(spans, now, rtt, o.DurationS, nSec)
 		for i := range flows {
 			f := &flows[i]
 			delivered := desired[i] * share
 			bytes := delivered * MSSBytes
 			res.Bytes += bytes
-			attribute(res.PerSecondMbps, now, rtt, bytes, o.DurationS)
+			addSpans(res.PerSecondMbps, spans, bytes)
 
 			// Random/radio losses reduce delivered slightly but do not
 			// change the pacing decision (BBR is not loss-based).

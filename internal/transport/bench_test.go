@@ -42,21 +42,28 @@ func BenchmarkSimulateTCPObs(b *testing.B) {
 	}
 }
 
-// TestDisabledObsLoopAllocFree pins the nil-Obs contract: SimulateTCP's
-// allocations are the three setup slices (flows, desired, per-second
-// buckets), independent of how many RTT iterations run. If the obs hooks
-// ever allocate on the disabled path, the longer run allocates more and
-// this fails.
+// TestDisabledObsLoopAllocFree pins the nil-Obs contract for both
+// simulators: their allocations are the setup slices (flows, desired, the
+// RTT split, per-second buckets), independent of how many RTT iterations
+// run. If the loop ever allocates per RTT (an obs hook on the disabled
+// path, a per-RTT buffer), the longer run allocates more and this fails.
 func TestDisabledObsLoopAllocFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	run := func(durS float64) float64 {
-		opt := TCPOptions{Flows: 8, WmemBytes: TunedWmemBytes, DurationS: durS}
-		return testing.AllocsPerRun(50, func() {
-			SimulateTCP(mmwavePath, opt, rng)
-		})
-	}
-	short, long := run(1), run(12)
-	if short != long {
-		t.Fatalf("allocs grow with duration: %v (1s) vs %v (12s) — disabled obs path allocates per RTT", short, long)
+	sims := []struct {
+		name string
+		run  func(PathParams, TCPOptions, *rand.Rand) Result
+	}{{"SimulateTCP", SimulateTCP}, {"SimulateBBR", SimulateBBR}}
+	for _, sim := range sims {
+		rng := rand.New(rand.NewSource(3))
+		run := func(durS float64) float64 {
+			opt := TCPOptions{Flows: 8, WmemBytes: TunedWmemBytes, DurationS: durS}
+			return testing.AllocsPerRun(50, func() {
+				sim.run(mmwavePath, opt, rng)
+			})
+		}
+		short, long := run(1), run(12)
+		if short != long {
+			t.Errorf("%s: allocs grow with duration: %v (1s) vs %v (12s) — the loop allocates per RTT",
+				sim.name, short, long)
+		}
 	}
 }

@@ -134,6 +134,16 @@ type cubicFlow struct {
 // SimulateTCP runs parallel CUBIC flows over the path for the configured
 // duration and returns the aggregate goodput. The rng drives random loss;
 // pass a seeded source for reproducibility.
+//
+// The loop advances one RTT at a time. Each RTT it splits the window into
+// the one-second goodput buckets it overlaps (once, for all flows), then
+// gives every flow its share of the link and one uniform draw, in flow
+// order. The draw costs the flow a window when it falls below the flow's
+// loss probability (lossExact): random per-packet loss over the packets it
+// sent, plus the radio-event rate, plus the drop-tail overflow share. A
+// proven bracket (lossBracket) settles that comparison without math.Exp
+// unless the draw lands inside it, which production inputs almost never
+// do, so the result does not depend on the host's Exp.
 func SimulateTCP(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 	o = o.withDefaults()
 	rtt := p.RTTSeconds
@@ -145,6 +155,11 @@ func SimulateTCP(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 		capPkts = 1
 	}
 	wndCap := o.WmemBytes * wndFraction / MSSBytes // send-buffer window limit
+	// cwndCap is the ceiling on cwnd itself. Every caller's wmem is a
+	// positive, finite buffer size (1-64 MiB), so cwndCap is positive and
+	// finite, and cwnd never falls below 2 (it starts at initCwnd, a loss
+	// floors it at 2, and growth only raises it or clamps it to cwndCap).
+	cwndCap := wndCap * 1.05
 	flows := make([]cubicFlow, o.Flows)
 	for i := range flows {
 		flows[i] = cubicFlow{cwnd: initCwnd, ssthresh: math.Inf(1), inSlowStrt: true}
@@ -153,13 +168,16 @@ func SimulateTCP(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 	var res Result
 	nSec := int(math.Ceil(o.DurationS))
 	res.PerSecondMbps = make([]float64, nSec)
-	// log(1-LossRate), hoisted so the per-flow survival probability is one
-	// Exp instead of a Pow every RTT.
+	// log(1-LossRate), hoisted so the per-flow survival probability is at
+	// most one Exp instead of a Pow every RTT (and behind lossBracket,
+	// almost never that).
+	randomLoss := p.LossRate > 0
 	logKeep := 0.0
-	if p.LossRate > 0 {
+	if randomLoss {
 		logKeep = math.Log1p(-p.LossRate)
 	}
 	desired := make([]float64, len(flows))
+	spans := newSpans(rtt, nSec)
 	// Observability handles, hoisted so the per-RTT loop pays one bool
 	// check when disabled and no map lookups when enabled.
 	obsOn := o.Obs.Enabled()
@@ -184,37 +202,45 @@ func SimulateTCP(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 		if demand > capPkts {
 			share = capPkts / demand
 		}
-		congested := demand > capPkts*(1+queueFactor)
+		// The loss probability's two per-RTT terms. Radio loss episodes
+		// (ev) only cost a window reduction when the pipe is actually
+		// full; a window-limited flow rides out a short capacity dip with
+		// its (empty) queue headroom. Drop-tail overflow (cg) is
+		// proportional to the excess when the aggregate exceeds link +
+		// queue; it is 0 otherwise, and adding +0 changes no comparison
+		// with a draw.
+		util := demand / capPkts
+		if util > 1 {
+			util = 1
+		}
+		ev := float64(p.LossEventRate * rtt * util)
+		cg := 0.0
+		if demand > capPkts*(1+queueFactor) {
+			cg = (demand - float64(capPkts*(1+queueFactor))) / demand
+		}
+		spans = splitRTT(spans, now, rtt, o.DurationS, nSec)
 		for i := range flows {
 			sent := desired[i] * share
 			bytes := sent * MSSBytes
 			res.Bytes += bytes
-			// Attribute bytes to 1-second buckets (may straddle two).
-			attribute(res.PerSecondMbps, now, rtt, bytes, o.DurationS)
+			addSpans(res.PerSecondMbps, spans, bytes)
 
 			f := &flows[i]
 			if obsOn {
 				cwndHist.Observe(f.cwnd)
 			}
 			// Loss: random per-packet + time-driven radio events +
-			// proportional drop-tail overflow when the aggregate exceeds
-			// link + queue.
-			lossP := 0.0
-			if p.LossRate > 0 {
-				lossP = 1 - math.Exp(logKeep*sent)
+			// drop-tail overflow, one uniform draw per flow per RTT.
+			u := rng.Float64()
+			var lost bool
+			if randomLoss {
+				// Settled by the bracket unless u falls inside it.
+				x := float64(logKeep * sent)
+				lo, hi := lossBracket(x, ev, cg)
+				lost = u < lo || u < hi && u < lossExact(x, ev, cg)
+			} else {
+				lost = u < ev+cg
 			}
-			// Radio loss episodes only cost a window reduction when the
-			// pipe is actually full; a window-limited flow rides out a
-			// short capacity dip with its (empty) queue headroom.
-			util := demand / capPkts
-			if util > 1 {
-				util = 1
-			}
-			lossP += p.LossEventRate * rtt * util
-			if congested {
-				lossP += (demand - capPkts*(1+queueFactor)) / demand
-			}
-			lost := rng.Float64() < lossP
 			if lost {
 				f.wmax = f.cwnd
 				f.k = math.Cbrt(f.wmax * (1 - cubicBeta) / cubicC)
@@ -232,7 +258,12 @@ func SimulateTCP(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 				continue
 			}
 			if f.inSlowStrt && f.cwnd < f.ssthresh {
-				f.cwnd = math.Min(f.cwnd*2, wndCap*1.05)
+				// math.Min(f.cwnd*2, cwndCap): both operands are positive
+				// and finite (see cwndCap), so the compare is exact.
+				f.cwnd *= 2
+				if f.cwnd > cwndCap {
+					f.cwnd = cwndCap
+				}
 				continue
 			}
 			f.inSlowStrt = false
@@ -246,10 +277,17 @@ func SimulateTCP(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 				target = reno
 			}
 			if target > f.cwnd {
-				f.cwnd = math.Min(target, f.cwnd*1.5) // bound per-RTT jump
+				// Bound the per-RTT jump: math.Min(target, f.cwnd*1.5).
+				// target > f.cwnd rules out NaN in either operand and a
+				// pair of zeros, the only inputs on which this compare and
+				// math.Min differ.
+				if g := f.cwnd * 1.5; target > g {
+					target = g
+				}
+				f.cwnd = target
 			}
-			if f.cwnd > wndCap*1.05 {
-				f.cwnd = wndCap * 1.05
+			if f.cwnd > cwndCap {
+				f.cwnd = cwndCap
 			}
 		}
 		now += rtt
@@ -270,22 +308,96 @@ func SimulateTCP(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 	return res
 }
 
-// attribute spreads `bytes` transferred during [now, now+rtt) into the
-// 1-second goodput buckets.
-func attribute(buckets []float64, now, rtt, bytes, duration float64) {
+// lossSlack is the absolute margin lossBracket keeps around 1 - Exp(x).
+// It dwarfs the few-ulp error of any Exp (below 1e-15 here), and widens
+// the bracket by only 2e-12, the extra chance per draw of needing Exp.
+const lossSlack = 1e-12
+
+// lossExact is a flow's loss probability for one RTT: the chance that at
+// least one of its packets is lost at random, 1 - Exp(x) with
+// x = sent*log(1-LossRate) <= 0, plus the radio-event term ev, plus the
+// overflow term cg, rounded in that order.
+func lossExact(x, ev, cg float64) float64 {
+	return 1 - math.Exp(x) + ev + cg
+}
+
+// lossBracket returns lo and hi with lo <= lossExact(x, ev, cg) <= hi, for
+// every host's Exp, without calling Exp. SimulateTCP's loss draw u is then
+// settled by u < lo (lost) or u >= hi (not lost), and evaluates lossExact
+// only for lo <= u < hi, with the same result as u < lossExact bit for bit.
+//
+// The proof, for y = -x in [0, 1]:
+//
+//   - For every real y >= 0, y - y²/2 <= 1 - e^(-y) <= y.
+//   - lossExact's 1 - Exp(x) is within 1e-15 of the real 1 - e^(-y) for any
+//     Exp accurate to a few ulps: amd64's assembly with FMA on or off, the
+//     pure-Go exp that 386 runs, or a portable kernel. Its argument is x
+//     itself, and negating x is exact, so the bound holds for the very
+//     value lossExact computes. (SimulateTCP rounds x = logKeep*sent
+//     explicitly, so no compiler fuses the product into either side.)
+//   - lo = y - y²/2 - lossSlack and hi = y + lossSlack are rounded at most
+//     three times each on values below 2, so each is within 1e-15 of its
+//     real value: lo < 1 - Exp(x) < hi with about 1e-12 to spare.
+//   - Rounded addition is monotone: a <= b implies fl(a+c) <= fl(b+c). So
+//     adding ev and then cg to lo, to hi and to 1 - Exp(x), in lossExact's
+//     order, keeps lo <= lossExact <= hi.
+//
+// A draw lands inside the bracket with probability about y²/2 + 2e-12.
+// Production's y stays below 3e-3 (LossRate 1e-6, at most about 2,900
+// packets per flow per RTT). Outside [0, 1], NaN included, lossBracket
+// returns (-Inf, +Inf), which sends every draw to lossExact.
+func lossBracket(x, ev, cg float64) (lo, hi float64) {
+	if y := -x; y >= 0 && y <= 1 {
+		return y - float64(y*y/2) - lossSlack + ev + cg, y + lossSlack + ev + cg
+	}
+	inf := math.Inf(1)
+	return -inf, inf
+}
+
+// rttSpan is the share of one RTT window that lands in one one-second
+// goodput bucket.
+type rttSpan struct {
+	sec  int
+	frac float64
+}
+
+// newSpans allocates the per-call span buffer: a window of rtt seconds
+// overlaps at most int(rtt)+2 one-second buckets, and never more than nSec.
+func newSpans(rtt float64, nSec int) []rttSpan {
+	n := nSec
+	if rtt < float64(nSec) {
+		n = int(rtt) + 2
+	}
+	return make([]rttSpan, 0, n)
+}
+
+// splitRTT splits [now, now+rtt), clipped to the run's duration, into the
+// first nSec one-second buckets it overlaps, reusing dst's storage. The
+// split does not depend on the flow, so each RTT computes it once for all
+// flows.
+func splitRTT(dst []rttSpan, now, rtt, duration float64, nSec int) []rttSpan {
+	dst = dst[:0]
 	end := now + rtt
 	if end > duration {
 		end = duration
 	}
 	for t := now; t < end; {
 		sec := int(t)
-		if sec >= len(buckets) {
+		if sec >= nSec {
 			break
 		}
 		next := math.Min(float64(sec+1), end)
-		frac := (next - t) / rtt
-		buckets[sec] += bytes * frac * 8 / 1e6 // Mbps contribution within 1 s
+		dst = append(dst, rttSpan{sec: sec, frac: (next - t) / rtt})
 		t = next
+	}
+	return dst
+}
+
+// addSpans spreads `bytes` sent during one RTT into the one-second goodput
+// buckets, in span order.
+func addSpans(buckets []float64, spans []rttSpan, bytes float64) {
+	for _, s := range spans {
+		buckets[s.sec] += bytes * s.frac * 8 / 1e6 // Mbps contribution within 1 s
 	}
 }
 
