@@ -15,7 +15,8 @@
 //	-quick          reduced repeats for a fast pass
 //	-parallel N     run N experiments concurrently (default 0 = GOMAXPROCS;
 //	                1 = serial)
-//	-stats          per-experiment wall time and event counts on stderr
+//	-stats          per-experiment wall time, event counts and trace
+//	                records (0 without -trace or -metrics) on stderr
 //	-trace FILE     write sim-time trace records to FILE
 //	-trace-format F trace encoding: jsonl (JSON Lines) or colf (columnar
 //	                binary; decode with the colf2json subcommand)
@@ -66,7 +67,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "random seed")
 	quick := fs.Bool("quick", false, "reduced repeats for a fast pass")
 	parallel := fs.Int("parallel", 0, "experiments to run concurrently (0 = GOMAXPROCS, 1 = serial)")
-	stats := fs.Bool("stats", false, "print per-experiment wall time and event counts to stderr")
+	stats := fs.Bool("stats", false, "print per-experiment wall time, event counts and trace records to stderr")
 	traceOut := fs.String("trace", "", "write sim-time trace records to this file")
 	traceFormat := "jsonl"
 	fs.Func("trace-format", "trace encoding: jsonl or colf", func(v string) error {
@@ -168,13 +169,16 @@ func runBattery(sc *serve.Scenario, stats bool, traceOut, metricsOut string, std
 	}
 	if stats {
 		w := tabwriter.NewWriter(stderr, 2, 0, 2, ' ', 0)
-		fmt.Fprintln(w, "experiment\twall\tevents")
+		fmt.Fprintln(w, "experiment\twall\tevents\trecords")
 		var events uint64
+		var records int
 		for _, r := range rep.Battery {
+			n := r.Obs.Trace().Len()
 			events += r.Events
-			fmt.Fprintf(w, "%s\t%v\t%d\n", r.ID, r.Wall.Round(10*time.Microsecond), r.Events)
+			records += n
+			fmt.Fprintf(w, "%s\t%v\t%d\t%d\n", r.ID, r.Wall.Round(10*time.Microsecond), r.Events, n)
 		}
-		fmt.Fprintf(w, "total\t\t%d\n", events)
+		fmt.Fprintf(w, "total\t\t%d\t%d\n", events, records)
 		if err := w.Flush(); err != nil {
 			fmt.Fprintln(stderr, "fgrepro:", err)
 		}
@@ -196,7 +200,8 @@ flags:
   -quick          reduced repeats for a fast pass
   -parallel N     experiments to run concurrently (default 0 = GOMAXPROCS;
                   1 = serial)
-  -stats          per-experiment wall time and event counts on stderr
+  -stats          per-experiment wall time, event counts and trace
+                  records (0 without -trace or -metrics) on stderr
   -trace FILE     write sim-time trace records to FILE
   -trace-format F trace encoding: jsonl or colf (default jsonl)
   -metrics FILE   write the metrics snapshot (CSV) to FILE

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -134,8 +135,9 @@ func TestArtifacts(t *testing.T) {
 
 // TestStatsLeavesArtifactsAlone: -stats only adds a summary on stderr, one
 // row per experiment plus a total. Stdout and both artifact files are the
-// same bytes with and without it. table2 is there because it traces;
-// table7 and fig11 emit no trace records.
+// same bytes with and without it, and the total of the records column is
+// the number of lines in the JSONL trace. table2 is there because it
+// traces; table7 and fig11 emit no trace records.
 func TestStatsLeavesArtifactsAlone(t *testing.T) {
 	ids := []string{"table7", "fig11", "table2"}
 	runOnce := func(stats bool) (stdout, stderr string, files [2][]byte) {
@@ -180,5 +182,10 @@ func TestStatsLeavesArtifactsAlone(t *testing.T) {
 		if f := strings.Fields(row); len(f) == 0 || f[0] != want[i] {
 			t.Errorf("-stats line %d = %q, want it to start with %q", i, row, want[i])
 		}
+	}
+	total := strings.Fields(rows[len(rows)-1])
+	lines := bytes.Count(plainFiles[0], []byte("\n"))
+	if got := total[len(total)-1]; got != strconv.Itoa(lines) {
+		t.Errorf("-stats records total = %s, want the trace's %d lines:\n%s", got, lines, statsErr)
 	}
 }

@@ -274,6 +274,12 @@ func Simulate(v Video, algo Algorithm, tr []float64, opt Options) Result {
 	return SimulateScratch(v, algo, tr, opt, nil)
 }
 
+// chunkSpanNums is the number of numeric fields on the span SimulateScratch
+// emits per chunk. The span's fields are an array of this length, and
+// Evaluate reserves this many per chunk, so the reservation follows the
+// record.
+const chunkSpanNums = 4
+
 // SimulateScratch is Simulate with caller-owned buffers: passing the same
 // scratch across calls makes the steady path allocation-free. nil behaves
 // like a fresh scratch (and the Result then owns its slices).
@@ -355,11 +361,16 @@ func SimulateScratch(v Video, algo Algorithm, tr []float64, opt Options, sc *Scr
 
 		if obsOn {
 			opt.Obs.Meter().Inc("abr.chunks")
-			opt.Obs.Trace().Emit(obs.Span(selT, dl, "abr", "chunk").
-				With(obs.F("idx", float64(i))).
-				With(obs.F("quality", float64(q))).
-				With(obs.F("buffer_s", ctx.BufferS)).
-				With(obs.F("download_s", dl)))
+			span := obs.Span(selT, dl, "abr", "chunk")
+			for _, f := range [chunkSpanNums]obs.Field{
+				obs.F("idx", float64(i)),
+				obs.F("quality", float64(q)),
+				obs.F("buffer_s", ctx.BufferS),
+				obs.F("download_s", dl),
+			} {
+				span = span.With(f)
+			}
+			opt.Obs.Trace().Emit(span)
 		}
 		ctx.PastChunkMbps = append(ctx.PastChunkMbps, size/dl)
 		ctx.PastChunkTimeS = append(ctx.PastChunkTimeS, dl)
@@ -422,7 +433,7 @@ func Evaluate(v Video, algo Algorithm, traces [][]float64, opt Options) Aggregat
 			o.Obs = obs.Sub(opt.Obs)
 			// A trace emits exactly one span per chunk: reserve them all
 			// rather than doubling from empty.
-			o.Obs.Trace().Grow(v.NumChunks)
+			o.Obs.Trace().Grow(v.NumChunks, chunkSpanNums)
 		}
 		r := SimulateScratch(v, algo, tr, o, sc)
 		opt.Obs.MergeTagged(o.Obs, obs.F("trace", float64(i)))

@@ -81,7 +81,7 @@ func TestFleetColfSpillShardInvariance(t *testing.T) {
 		// A small block size forces many block boundaries mid-campaign;
 		// colf bytes must not depend on where the shards split the UEs.
 		cw := colf.NewWriterSize(&buf, 37)
-		if err := root.Trace().Walk(func(r *obs.Record) error { return cw.Add("fleet", *r) }); err != nil {
+		if err := root.Trace().Walk(func(r *obs.Record) error { return cw.Add("fleet", r) }); err != nil {
 			t.Fatal(err)
 		}
 		if err := cw.Close(); err != nil {

@@ -30,7 +30,7 @@ func WriteTraceColf(w io.Writer, results []Result) error {
 	cw := colf.NewWriter(w)
 	for _, r := range results {
 		err := r.Obs.Trace().Walk(func(rec *obs.Record) error {
-			return cw.Add(r.ID, *rec)
+			return cw.Add(r.ID, rec)
 		})
 		if err != nil {
 			return err

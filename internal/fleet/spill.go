@@ -56,7 +56,7 @@ func (sp *Spill) Close() error {
 // add encodes one record of the current campaign.
 func (sp *Spill) add(r obs.Record) error {
 	if sp.cw != nil {
-		return sp.cw.Add(sp.scope, r)
+		return sp.cw.Add(sp.scope, &r)
 	}
 	sp.buf = obs.AppendRecordJSON(sp.buf, sp.scope, &r)
 	sp.buf = append(sp.buf, '\n')

@@ -50,7 +50,7 @@ func renderTrace(t *testing.T, tr *obs.Tracer, format string, blockRecs int) []b
 		return buf.Bytes()
 	}
 	cw := colf.NewWriterSize(&buf, blockRecs)
-	if err := tr.Walk(func(r *obs.Record) error { return cw.Add("fleet", *r) }); err != nil {
+	if err := tr.Walk(func(r *obs.Record) error { return cw.Add("fleet", r) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := cw.Close(); err != nil {

@@ -41,15 +41,12 @@ func BenchmarkEnabledEmit(b *testing.B) {
 // two tags. The merge moves the child's trace by reference, so B/op must
 // hold no record bytes however large the child is.
 func BenchmarkMergeTagged(b *testing.B) {
-	recs := make([]Record, 4096)
-	for i := range recs {
-		recs[i] = Span(float64(i), 1, "abr", "chunk").With(F("idx", float64(i)))
-	}
+	seq := chunkSeq(4096)
 	parent := NewTracer()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		child := &Tracer{recordSeq: recordSeq{recs: recs}}
+		child := &Tracer{recordSeq: seq}
 		parent.AppendTagged(child, F("trace", float64(i)), S("algo", "BBA"))
 		if len(parent.merged) == 1024 {
 			parent.recordSeq = recordSeq{} // bound the benchmark's own memory

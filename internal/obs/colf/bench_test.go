@@ -98,7 +98,7 @@ func BenchmarkColfEncode(b *testing.B) {
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
 		for j := range recs {
-			if err := w.Add(scopes[j], recs[j]); err != nil {
+			if err := w.Add(scopes[j], &recs[j]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -121,7 +121,7 @@ func BenchmarkColfDecode(b *testing.B) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	for j := range recs {
-		if err := w.Add(scopes[j], recs[j]); err != nil {
+		if err := w.Add(scopes[j], &recs[j]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -179,7 +179,7 @@ func TestColfAtLeast5xSmaller(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	for j := range recs {
-		if err := w.Add(scopes[j], recs[j]); err != nil {
+		if err := w.Add(scopes[j], &recs[j]); err != nil {
 			t.Fatal(err)
 		}
 	}

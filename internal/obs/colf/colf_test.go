@@ -132,7 +132,7 @@ func encode(t testing.TB, scopes []string, recs []obs.Record, blockRecs int) []b
 	var buf bytes.Buffer
 	w := NewWriterSize(&buf, blockRecs)
 	for i := range recs {
-		if err := w.Add(scopes[i], recs[i]); err != nil {
+		if err := w.Add(scopes[i], &recs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

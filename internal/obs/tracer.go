@@ -14,7 +14,10 @@
 // collector: every method is a nil-check no-op, and hot paths additionally
 // guard emission with Enabled() so the disabled path performs no field
 // marshalling and no allocations (asserted by the ReportAllocs benchmarks
-// here and in internal/abr and internal/transport).
+// here and in internal/abr and internal/transport). An enabled tracer
+// keeps only what each record renders (see Tracer for the layout), and
+// after Grow, Emit of numeric records allocates nothing until the reserved
+// room is used up (TestTracerFootprint).
 package obs
 
 import "slices"
@@ -59,7 +62,9 @@ func S(key, v string) Field { return Field{Key: key, Kind: KindStr, Str: v} }
 
 // Record is one structured trace entry: a point event (Dur == 0) or a span
 // (Dur > 0, with At the span's start). Records are plain values; build them
-// with Ev or Span and chain With to attach fields.
+// with Ev or Span and chain With to attach fields. A Record is the form a
+// record is built and read in, not the form a Tracer keeps: Emit stores it
+// compactly and Walk rebuilds it.
 type Record struct {
 	// At is the simulation time (seconds) the event happened or the span
 	// began. Never wall time.
@@ -95,11 +100,16 @@ func Span(at, dur float64, sub, name string) Record {
 //
 //fgvet:noalloc
 func (r Record) With(f Field) Record {
+	r.add(f)
+	return r
+}
+
+// add appends f in place, under the same cap as With.
+func (r *Record) add(f Field) {
 	if r.n < maxFields {
 		r.fields[r.n] = f
 		r.n++
 	}
-	return r
 }
 
 // Fields returns the record's fields in emission order. The slice aliases
@@ -109,6 +119,15 @@ func (r *Record) Fields() []Field { return r.fields[:r.n] }
 // Tracer accumulates sim-time records in emission order. A nil *Tracer is
 // the disabled tracer: Emit is an allocation-free no-op and Enabled reports
 // false, so hot paths can skip even building the Record.
+//
+// A tracer stores its own records compactly, not as Records: one header
+// per record (At, Dur, Sub, Name, the field count and a mask of which
+// fields are strings) and the fields in two per-kind slabs, in emission
+// order. A numeric field keeps its key and number, a string field its key
+// and string; neither keeps the value its kind never renders. On a 64-bit
+// host a header is 56 B, a numeric field 24 B and a string field 32 B, so
+// a chunk span with four numeric fields costs 152 B where a Record takes
+// 440 B. Walk rebuilds each record into a scratch Record.
 //
 // A tracer holds its trace as a tree. Emit appends to the tracer's own
 // records; AppendTagged (and so Obs.MergeTagged) takes over a child
@@ -121,13 +140,39 @@ type Tracer struct {
 }
 
 // recordSeq is a trace in emission order: a tracer's own records, with the
-// traces merged into it spliced in between them.
+// traces merged into it spliced in between them. Record i's fields are the
+// next heads[i].n entries of nums and strs, taken by its kind mask, after
+// the fields of every earlier record of heads.
 type recordSeq struct {
-	recs   []Record
+	heads  []recHead
+	nums   []numField
+	strs   []strField
 	merged []mergedSeq
 }
 
-// mergedSeq is a trace taken over by a merge. It sits before recs[at] of
+// recHead is a stored record without its fields.
+type recHead struct {
+	at, dur   float64
+	sub, name string
+	n         uint8 // field count, at most maxFields
+	strMask   uint8 // bit i set: field i is a string field
+}
+
+// strMask has one bit per field slot.
+const _ uint8 = 1<<maxFields - 1
+
+// numField is a stored KindNum field.
+type numField struct {
+	key string
+	num float64
+}
+
+// strField is a stored KindStr field.
+type strField struct {
+	key, str string
+}
+
+// mergedSeq is a trace taken over by a merge. It sits before heads[at] of
 // the sequence it was merged into (after every earlier merge at the same
 // point), and its tags attach to each of its records after the tags of
 // the merges inside it.
@@ -143,14 +188,18 @@ func NewTracer() *Tracer { return &Tracer{} }
 // Enabled reports whether records are being collected.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Grow reserves room for n more records of the tracer's own, so a caller
-// that knows how many records a tracer will receive pays for one
-// allocation instead of a doubling series. No-op on a nil tracer.
-func (t *Tracer) Grow(n int) {
+// Grow reserves room for n more records of the tracer's own, each carrying
+// up to nums numeric fields, so a caller that knows what a tracer will
+// receive pays for one allocation per store instead of a doubling series,
+// and Emit of numeric records allocates nothing until the room is used up.
+// String fields are not reserved: they grow by append. No-op on a nil
+// tracer.
+func (t *Tracer) Grow(n, nums int) {
 	if t == nil || n <= 0 {
 		return
 	}
-	t.recs = slices.Grow(t.recs, n)
+	t.heads = slices.Grow(t.heads, n)
+	t.nums = slices.Grow(t.nums, n*nums)
 }
 
 // Emit appends a record. Emitting to a nil tracer is a no-op.
@@ -160,7 +209,17 @@ func (t *Tracer) Emit(r Record) {
 	if t == nil {
 		return
 	}
-	t.recs = append(t.recs, r)
+	h := recHead{at: r.At, dur: r.Dur, sub: r.Sub, name: r.Name, n: uint8(r.n)}
+	for i := 0; i < r.n; i++ {
+		f := &r.fields[i]
+		if f.Kind == KindStr {
+			h.strMask |= 1 << i
+			t.strs = append(t.strs, strField{key: f.Key, str: f.Str})
+		} else {
+			t.nums = append(t.nums, numField{key: f.Key, num: f.Num})
+		}
+	}
+	t.heads = append(t.heads, h)
 }
 
 // Len returns the number of records the tracer holds, merged ones included
@@ -175,9 +234,10 @@ func (t *Tracer) Len() int {
 // Walk calls fn on every record the tracer holds, in emission order, with
 // merge tags attached: the tags of the innermost merge first, the
 // outermost last, up to the record's field capacity. fn gets a scratch
-// copy that is valid only for the call; the tracer itself is unchanged,
-// so a trace can be walked any number of times. Walk stops at, and
-// returns, the first error fn returns. A nil tracer walks nothing.
+// Record, rebuilt from the stored header and fields and valid only for the
+// call; the tracer itself is unchanged, so a trace can be walked any
+// number of times. Walk stops at, and returns, the first error fn returns.
+// A nil tracer walks nothing.
 func (t *Tracer) Walk(fn func(r *Record) error) error {
 	if t == nil {
 		return nil
@@ -201,7 +261,7 @@ func (t *Tracer) AppendTagged(other *Tracer, tags ...Field) {
 		return
 	}
 	t.merged = append(t.merged, mergedSeq{
-		at:   len(t.recs),
+		at:   len(t.heads),
 		tags: slices.Clone(tags),
 		seq:  other.recordSeq,
 	})
@@ -210,7 +270,7 @@ func (t *Tracer) AppendTagged(other *Tracer, tags ...Field) {
 
 // len counts the records of s and of every trace merged into it.
 func (s *recordSeq) len() int {
-	n := len(s.recs)
+	n := len(s.heads)
 	for i := range s.merged {
 		n += s.merged[i].seq.len()
 	}
@@ -226,14 +286,21 @@ type walker struct {
 	r    Record // scratch: the record handed to fn
 }
 
+// seqCursor is a position in one sequence's own records: the next header
+// and the next field of each kind. It runs through the sequence across its
+// merge points.
+type seqCursor struct {
+	seq            *recordSeq
+	head, num, str int
+}
+
 func (w *walker) walk(s *recordSeq) error {
-	own := 0
+	c := seqCursor{seq: s}
 	for i := range s.merged {
 		m := &s.merged[i]
-		if err := w.visit(s.recs[own:m.at]); err != nil {
+		if err := w.visit(&c, m.at); err != nil {
 			return err
 		}
-		own = m.at
 		w.tags = append(w.tags, m.tags)
 		err := w.walk(&m.seq)
 		w.tags = w.tags[:len(w.tags)-1]
@@ -241,19 +308,33 @@ func (w *walker) walk(s *recordSeq) error {
 			return err
 		}
 	}
-	return w.visit(s.recs[own:])
+	return w.visit(&c, len(s.heads))
 }
 
-// visit hands each of recs to fn, with the enclosing merges' tags attached.
-func (w *walker) visit(recs []Record) error {
-	for i := range recs {
-		w.r = recs[i]
-		for l := len(w.tags) - 1; l >= 0; l-- {
-			for _, tag := range w.tags[l] {
-				w.r = w.r.With(tag)
+// visit rebuilds each of c's records before header `to` and hands it to
+// fn, with the enclosing merges' tags attached.
+func (w *walker) visit(c *seqCursor, to int) error {
+	r := &w.r
+	for ; c.head < to; c.head++ {
+		h := &c.seq.heads[c.head]
+		r.At, r.Dur, r.Sub, r.Name, r.n = h.at, h.dur, h.sub, h.name, int(h.n)
+		for i := 0; i < r.n; i++ {
+			if h.strMask&(1<<i) != 0 {
+				f := &c.seq.strs[c.str]
+				r.fields[i] = Field{Key: f.key, Kind: KindStr, Str: f.str}
+				c.str++
+			} else {
+				f := &c.seq.nums[c.num]
+				r.fields[i] = Field{Key: f.key, Num: f.num}
+				c.num++
 			}
 		}
-		if err := w.fn(&w.r); err != nil {
+		for l := len(w.tags) - 1; l >= 0; l-- {
+			for _, tag := range w.tags[l] {
+				r.add(tag)
+			}
+		}
+		if err := w.fn(r); err != nil {
 			return err
 		}
 	}

@@ -303,8 +303,9 @@ type Outputs struct {
 // Report is what a run's -stats summary prints, and nothing else. Its wall
 // times are host wall clock; no artifact reads them.
 type Report struct {
-	// Battery holds one result per experiment, with its wall time and
-	// event count (kind battery).
+	// Battery holds one result per experiment, with its wall time, event
+	// count and collector, whose trace Len is the record count (kind
+	// battery).
 	Battery []experiments.Result
 	// Fleet holds one campaign per mix and FleetWall each campaign's wall
 	// time (kind fleet).

@@ -78,9 +78,14 @@ echo "== golden artifacts under GOARCH=386 (pure-Go math, 32-bit int) =="
 # against the pure-Go math on every pinned workload; it also runs the
 # trace path with a 32-bit int. The transport kernel digest, the loss-draw
 # bracket oracle and the MPC brute-force oracle run here too, so the pins
-# on the two battery kernels hold under the pure-Go Exp.
+# on the two battery kernels hold under the pure-Go Exp. So do all of obs's
+# tests (the merge oracle, the tracer footprint pin, colf's round trip and
+# fuzz seed corpora): the tracer's compact store packs each record's field
+# count and kind mask into bytes, and must hold with 4-byte ints and 8-byte
+# strings too.
 GOARCH=386 go test ./internal/fleet -run 'TestGoldenArtifacts|TestSpillMatchesCentral' -count=1
 GOARCH=386 go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -count=1
+GOARCH=386 go test ./internal/obs/... -count=1
 GOARCH=386 go test ./internal/transport -run 'TestKernelDigest|TestLossBracketOracle' -count=1
 GOARCH=386 go test ./internal/abr -run 'TestMPCMatchesBruteForce|TestNewMPCMatchesOldDFS' -count=1
 
