@@ -1,19 +1,22 @@
 // Command fgvet runs the repo's determinism analyzer suite (internal/lint)
-// over the module: nine stdlib-only checks — five single-function scans and
-// four interprocedural analyses over a typed call graph — that keep every
+// over the module: eight stdlib-only checks — four single-function scans,
+// three whole-module analyses over a typed call graph and the compiler's
+// escape analysis, and an audit of stale suppressions — that keep every
 // experiment a pure function of (experiment, seed).
 //
 // Usage:
 //
 //	fgvet [-checks walltime,maporder,...] [-json] [-list] [patterns]
 //
-// Patterns follow the go tool's shape: `./...` (the default) analyzes the
-// whole module; `./internal/abr/...` or `./internal/abr` restrict the
-// reported packages (the whole module is still typechecked, since checks
-// need cross-package type information). -json replaces the file:line:col
-// lines with a machine-readable array on stdout (CI archives it next to
-// the bench JSONs). Exit status is 1 when any diagnostic is reported, 2 on
-// usage or load errors.
+// With no patterns fgvet reports on the whole module that holds the
+// working directory. Patterns are the go tool's own (`./...`, `.`,
+// `./internal/abr/...`, an import path), and the go tool resolves them
+// from the working directory; they restrict the reported packages, while
+// the whole module is still typechecked, since checks need cross-package
+// type information. -json replaces the file:line:col lines with a
+// machine-readable array on stdout (CI archives it next to the bench
+// JSONs). Exit status is 1 when any diagnostic is reported, 2 on usage or
+// load errors.
 //
 // Findings are suppressed line-by-line with
 //
@@ -24,10 +27,13 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 
@@ -35,21 +41,29 @@ import (
 )
 
 func main() {
-	checksFlag := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	list := flag.Bool("list", false, "list the available checks and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: fgvet [-checks list] [-json] [-list] [patterns]\n")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fgvet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	checksFlag := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
+	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
+	list := fs.Bool("list", false, "list the available checks and exit")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: fgvet [-checks list] [-json] [-list] [patterns]\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	all := lint.AllChecks()
 	if *list {
 		for _, c := range all {
-			fmt.Printf("%-14s %s\n", c.Name, c.Doc)
+			fmt.Fprintf(stdout, "%-14s %s\n", c.Name, c.Doc)
 		}
-		return
+		return 0
 	}
 	checks := all
 	if *checksFlag != "" {
@@ -61,49 +75,50 @@ func main() {
 		for _, name := range strings.Split(*checksFlag, ",") {
 			c, ok := byName[strings.TrimSpace(name)]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "fgvet: unknown check %q (try -list)\n", name)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "fgvet: unknown check %q (try -list)\n", name)
+				return 2
 			}
 			checks = append(checks, c)
 		}
 	}
 
-	root, err := moduleRoot()
+	gomod, err := goTool("env", "GOMOD")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fgvet: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "fgvet: %v\n", err)
+		return 2
 	}
-	loader, err := lint.NewLoader(root)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fgvet: %v\n", err)
-		os.Exit(2)
+	gomod = strings.TrimSpace(gomod)
+	if gomod == "" || gomod == os.DevNull {
+		fmt.Fprintln(stderr, "fgvet: the working directory is not inside a module")
+		return 2
 	}
-	pkgs, err := loader.LoadAll()
+	pkgs, err := lint.Load(filepath.Dir(gomod))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fgvet: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "fgvet: %v\n", err)
+		return 2
 	}
-	pkgs, err = filterPackages(pkgs, root, flag.Args())
+	pkgs, err = filterPackages(pkgs, fs.Args())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fgvet: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "fgvet: %v\n", err)
+		return 2
 	}
 
 	diags := lint.Run(pkgs, checks)
 	if *jsonOut {
-		if err := writeJSON(os.Stdout, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "fgvet: %v\n", err)
-			os.Exit(2)
+		if err := writeJSON(stdout, diags); err != nil {
+			fmt.Fprintf(stderr, "fgvet: %v\n", err)
+			return 2
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "fgvet: %d diagnostic(s)\n", len(diags))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "fgvet: %d diagnostic(s)\n", len(diags))
+		return 1
 	}
+	return 0
 }
 
 // jsonDiag is the machine-readable diagnostic shape: stable field names,
@@ -118,7 +133,7 @@ type jsonDiag struct {
 
 // writeJSON renders the diagnostics as one indented JSON array (an empty
 // run emits [], so the artifact is always valid JSON).
-func writeJSON(w *os.File, diags []lint.Diagnostic) error {
+func writeJSON(w io.Writer, diags []lint.Diagnostic) error {
 	out := make([]jsonDiag, 0, len(diags))
 	for _, d := range diags {
 		out = append(out, jsonDiag{
@@ -134,73 +149,42 @@ func writeJSON(w *os.File, diags []lint.Diagnostic) error {
 	return enc.Encode(out)
 }
 
-// moduleRoot walks up from the working directory to the nearest go.mod.
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod found above %s", dir)
-		}
-		dir = parent
-	}
-}
-
-// filterPackages restricts the analyzed set to the given patterns. With no
-// patterns (or `./...`) everything is kept.
-func filterPackages(pkgs []*lint.Package, root string, patterns []string) ([]*lint.Package, error) {
+// filterPackages keeps the loaded packages that the go tool names for
+// patterns, resolved from the working directory. With no patterns every
+// package is kept.
+func filterPackages(pkgs []*lint.Package, patterns []string) ([]*lint.Package, error) {
 	if len(patterns) == 0 {
 		return pkgs, nil
 	}
-	keep := func(relDir string) bool { return false }
-	any := false
-	var preds []func(string) bool
-	for _, pat := range patterns {
-		pat = filepath.ToSlash(filepath.Clean(pat))
-		pat = strings.TrimPrefix(pat, "./")
-		if pat == "..." || pat == "." {
-			any = true
-			continue
-		}
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok {
-			p := rest
-			preds = append(preds, func(rel string) bool {
-				return rel == p || strings.HasPrefix(rel, p+"/")
-			})
-			continue
-		}
-		p := pat
-		preds = append(preds, func(rel string) bool { return rel == p })
+	out, err := goTool(append([]string{"list", "-e", "-f", "{{.ImportPath}}", "--"}, patterns...)...)
+	if err != nil {
+		return nil, err
 	}
-	if any {
-		return pkgs, nil
+	named := make(map[string]bool)
+	for _, path := range strings.Fields(out) {
+		named[path] = true
 	}
-	keep = func(rel string) bool {
-		for _, pred := range preds {
-			if pred(rel) {
-				return true
-			}
-		}
-		return false
-	}
-	var out []*lint.Package
+	var kept []*lint.Package
 	for _, pkg := range pkgs {
-		rel, err := filepath.Rel(root, pkg.Dir)
-		if err != nil {
-			return nil, err
-		}
-		if keep(filepath.ToSlash(rel)) {
-			out = append(out, pkg)
+		if named[pkg.Path] {
+			kept = append(kept, pkg)
 		}
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%w: %s", lint.ErrNotFound, strings.Join(patterns, " "))
+	if len(kept) == 0 {
+		return nil, fmt.Errorf("no packages matched %s", strings.Join(patterns, " "))
 	}
-	return out, nil
+	return kept, nil
+}
+
+// goTool runs the go command in the working directory and returns its
+// standard output.
+func goTool(args ...string) (string, error) {
+	cmd := exec.Command("go", args...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return "", fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	return string(out), nil
 }

@@ -85,14 +85,6 @@ func (n *CGNode) Name() string {
 	return fmt.Sprintf("func literal at %s", n.Pkg.Fset.Position(n.Lit.Pos()))
 }
 
-// Pos is the node's declaration position.
-func (n *CGNode) Pos() token.Pos {
-	if n.Decl != nil {
-		return n.Decl.Pos()
-	}
-	return n.Lit.Pos()
-}
-
 func (n *CGNode) addCallee(c *CGNode) {
 	if c == nil || c == n || n.calleeSet[c] {
 		return

@@ -31,13 +31,9 @@ func checksFor(t *testing.T, fixture string) []*Check {
 // loadFixture typechecks one testdata module.
 func loadFixture(t *testing.T, dir string) []*Package {
 	t.Helper()
-	l, err := NewLoader(dir)
+	pkgs, err := Load(dir)
 	if err != nil {
-		t.Fatalf("NewLoader(%s): %v", dir, err)
-	}
-	pkgs, err := l.LoadAll()
-	if err != nil {
-		t.Fatalf("LoadAll(%s): %v", dir, err)
+		t.Fatalf("Load(%s): %v", dir, err)
 	}
 	if len(pkgs) == 0 {
 		t.Fatalf("fixture %s contains no packages", dir)

@@ -2,23 +2,18 @@ package lint
 
 import (
 	"bytes"
-	"errors"
+	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
-	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // Package is one typechecked module package, ready for analysis.
@@ -30,7 +25,7 @@ type Package struct {
 	// Root is the absolute module root (the directory holding go.mod).
 	// Interprocedural checks use it to invoke the go tool for the module.
 	Root string
-	// Fset is shared by every package of one Loader.
+	// Fset is shared by every package of one Load.
 	Fset *token.FileSet
 	// Files holds the parsed non-test sources, sorted by file name, with
 	// positions (and therefore diagnostics) relative to the module root.
@@ -40,340 +35,121 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Loader parses and typechecks every package of one module using only the
-// standard library: module-internal imports are resolved recursively from
-// source, and external (stdlib) imports are satisfied from gc export data
-// located with a single `go list -export -deps` invocation.
-type Loader struct {
-	root   string // absolute module root (directory containing go.mod)
-	module string // module path from go.mod
-
-	fset    *token.FileSet
-	parsed  map[string][]*ast.File // import path -> sources
-	dirs    map[string]string      // import path -> absolute dir
-	pkgs    map[string]*Package
-	loading map[string]bool
-	exports map[string]string // external import path -> export data file
-	std     types.Importer
-	errs    []error
+// listedPackage is the part of `go list -json` output the loader reads.
+type listedPackage struct {
+	Dir        string
+	ImportPath string
+	Export     string   // gc export-data file
+	GoFiles    []string // the files that build on this host
+	DepOnly    bool     // a dependency from outside the ./... pattern
+	Module     *struct{ GoVersion string }
+	Error      *struct{ Err string }
 }
 
-// NewLoader prepares a loader for the module rooted at root (the directory
-// holding go.mod).
-func NewLoader(root string) (*Loader, error) {
-	abs, err := filepath.Abs(root)
+// Load parses and typechecks every package of the module rooted at root
+// (the directory holding go.mod) and returns them sorted by import path.
+//
+// One `go list -e -export -deps -json ./...` run decides everything the go
+// tool owns: which directories are module packages (testdata, vendor and
+// nested modules are not), which files build on this host (//go:build
+// lines and _GOOS/_GOARCH file names alike), the module's go version, and
+// the export-data file of every import from outside the module. Module
+// packages are then typechecked from source, in the dependency order go
+// list prints them in, with file names relative to root so diagnostic
+// positions are stable. A package the go tool cannot list or build fails
+// the load with the go tool's message.
+func Load(root string) ([]*Package, error) {
+	root, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
 	}
-	mod, err := modulePath(filepath.Join(abs, "go.mod"))
+	cmd := exec.Command("go", "list", "-e", "-export", "-deps", "-json", "./...")
+	cmd.Dir = root
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lint: go list failed: %v\n%s", err, stderr.String())
 	}
-	return &Loader{
-		root:    abs,
-		module:  mod,
-		fset:    token.NewFileSet(),
-		parsed:  make(map[string][]*ast.File),
-		dirs:    make(map[string]string),
-		pkgs:    make(map[string]*Package),
-		loading: make(map[string]bool),
-		exports: make(map[string]string),
-	}, nil
-}
 
-// modulePath extracts the module path from a go.mod file.
-func modulePath(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
-	if err != nil {
-		return "", fmt.Errorf("lint: cannot read %s: %w", gomod, err)
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module"); ok {
-			if p := strings.TrimSpace(rest); p != "" {
-				return p, nil
-			}
-		}
-	}
-	return "", fmt.Errorf("lint: no module line in %s", gomod)
-}
-
-// LoadAll parses and typechecks every package under the module root and
-// returns them sorted by import path. Test files (_test.go) and testdata,
-// vendor, and dot/underscore directories are skipped, mirroring the go
-// tool's conventions.
-func (l *Loader) LoadAll() ([]*Package, error) {
-	if err := l.parseTree(); err != nil {
-		return nil, err
-	}
-	if err := l.resolveExports(); err != nil {
-		return nil, err
-	}
-	paths := make([]string, 0, len(l.parsed))
-	for p := range l.parsed {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	pkgs := make([]*Package, 0, len(paths))
-	for _, p := range paths {
-		pkg, err := l.load(p)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	if len(l.errs) > 0 {
-		msgs := make([]string, 0, len(l.errs))
-		for _, e := range l.errs {
-			msgs = append(msgs, e.Error())
-		}
-		return nil, fmt.Errorf("lint: type errors:\n%s", strings.Join(msgs, "\n"))
-	}
-	return pkgs, nil
-}
-
-// parseTree walks the module and parses every buildable package.
-func (l *Loader) parseTree() error {
-	return filepath.WalkDir(l.root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != l.root && (name == "testdata" || name == "vendor" ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-			return fs.SkipDir
-		}
-		return l.parseDir(path)
-	})
-}
-
-// parseDir parses the non-test sources of one directory, if any, with
-// file names recorded relative to the module root so positions are stable.
-func (l *Loader) parseDir(dir string) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		src, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		if !buildTagsSatisfied(src) {
-			continue
-		}
-		rel, err := filepath.Rel(l.root, filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		f, err := parser.ParseFile(l.fset, filepath.ToSlash(rel), src,
-			parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return fmt.Errorf("lint: parse %s: %w", rel, err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil
-	}
-	imp := l.module
-	if dir != l.root {
-		rel, err := filepath.Rel(l.root, dir)
-		if err != nil {
-			return err
-		}
-		imp = l.module + "/" + filepath.ToSlash(rel)
-	}
-	l.parsed[imp] = files
-	l.dirs[imp] = dir
-	return nil
-}
-
-// resolveExports maps every external import (transitively) to its gc
-// export-data file via one `go list -export -deps` run, then builds the
-// stdlib importer on top of that table.
-func (l *Loader) resolveExports() error {
-	ext := make(map[string]bool)
-	pkgPaths := make([]string, 0, len(l.parsed))
-	for p := range l.parsed {
-		pkgPaths = append(pkgPaths, p)
-	}
-	sort.Strings(pkgPaths)
-	for _, p := range pkgPaths {
-		for _, f := range l.parsed[p] {
-			for _, spec := range f.Imports {
-				p, err := strconv.Unquote(spec.Path.Value)
-				if err != nil || p == "C" || p == "unsafe" || l.inModule(p) {
-					continue
-				}
-				ext[p] = true
-			}
-		}
-	}
-	if len(ext) > 0 {
-		paths := make([]string, 0, len(ext))
-		for p := range ext {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		args := append([]string{"list", "-export", "-deps", "-f",
-			"{{.ImportPath}}={{.Export}}", "--"}, paths...)
-		cmd := exec.Command("go", args...)
-		cmd.Dir = l.root
-		var out, stderr bytes.Buffer
-		cmd.Stdout = &out
-		cmd.Stderr = &stderr
-		if err := cmd.Run(); err != nil {
-			return fmt.Errorf("lint: go list -export failed: %v\n%s", err, stderr.String())
-		}
-		for _, line := range strings.Split(out.String(), "\n") {
-			imp, file, ok := strings.Cut(strings.TrimSpace(line), "=")
-			if ok && file != "" {
-				l.exports[imp] = file
-			}
-		}
-	}
-	l.std = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
-		file, ok := l.exports[path]
+	fset := token.NewFileSet()
+	exports := make(map[string]string)
+	typed := make(map[string]*types.Package)
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("lint: no export data for %q", path)
 		}
 		return os.Open(file)
 	})
-	return nil
-}
-
-// inModule reports whether an import path belongs to the loaded module.
-func (l *Loader) inModule(path string) bool {
-	return path == l.module || strings.HasPrefix(path, l.module+"/")
-}
-
-// Import implements types.Importer: module packages are typechecked from
-// source on demand; everything else comes from gc export data.
-func (l *Loader) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	if l.inModule(path) {
-		pkg, err := l.load(path)
-		if err != nil {
-			return nil, err
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if pkg, ok := typed[path]; ok {
+			return pkg, nil
 		}
-		return pkg.Types, nil
-	}
-	return l.std.Import(path)
-}
+		return std.Import(path)
+	})}
 
-// load typechecks one module package (memoized, cycle-guarded).
-func (l *Loader) load(path string) (*Package, error) {
-	if pkg, ok := l.pkgs[path]; ok {
-		return pkg, nil
-	}
-	if l.loading[path] {
-		return nil, fmt.Errorf("lint: import cycle through %s", path)
-	}
-	files, ok := l.parsed[path]
-	if !ok {
-		return nil, fmt.Errorf("lint: package %s not found under %s", path, l.root)
-	}
-	l.loading[path] = true
-	defer delete(l.loading, path)
-
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { l.errs = append(l.errs, err) },
-	}
-	tpkg, err := conf.Check(path, l.fset, files, info)
-	if err != nil && tpkg == nil {
-		return nil, err
-	}
-	pkg := &Package{
-		Path:  path,
-		Dir:   l.dirs[path],
-		Root:  l.root,
-		Fset:  l.fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-	}
-	l.pkgs[path] = pkg
-	return pkg, nil
-}
-
-// buildTagsSatisfied evaluates a file's //go:build constraint (the lines
-// before the package clause) against the host GOOS/GOARCH, mirroring the go
-// tool's file selection. The tag set is fixed for one process, so the loaded
-// file set — and every diagnostic position derived from it — is
-// deterministic: two runs on the same toolchain always typecheck the same
-// files. Files with no constraint are always included; legacy // +build
-// lines without a //go:build line are ignored (the gofmt'd tree always
-// carries the //go:build form).
-func buildTagsSatisfied(src []byte) bool {
-	for _, line := range strings.Split(string(src), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if strings.HasPrefix(trimmed, "package ") {
-			break // constraints must precede the package clause
+	var pkgs []*Package
+	dec := json.NewDecoder(bytes.NewReader(out))
+	for dec.More() {
+		var lp listedPackage
+		if err := dec.Decode(&lp); err != nil {
+			return nil, fmt.Errorf("lint: decoding go list output: %w", err)
 		}
-		if !constraint.IsGoBuild(trimmed) {
+		if lp.Error != nil {
+			return nil, fmt.Errorf("lint: %s: %s", lp.ImportPath, lp.Error.Err)
+		}
+		if lp.DepOnly {
+			exports[lp.ImportPath] = lp.Export
 			continue
 		}
-		expr, err := constraint.Parse(trimmed)
+		files := make([]*ast.File, 0, len(lp.GoFiles))
+		for _, name := range lp.GoFiles {
+			path := filepath.Join(lp.Dir, name)
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return nil, err
+			}
+			rel, err := filepath.Rel(root, path)
+			if err != nil {
+				return nil, err
+			}
+			f, err := parser.ParseFile(fset, filepath.ToSlash(rel), src,
+				parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				return nil, fmt.Errorf("lint: parse %s: %w", rel, err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		}
+		if lp.Module != nil {
+			conf.GoVersion = "go" + lp.Module.GoVersion
+		}
+		tpkg, err := conf.Check(lp.ImportPath, fset, files, info)
 		if err != nil {
-			return true // malformed constraint: let the typechecker complain
+			return nil, fmt.Errorf("lint: type error: %w", err)
 		}
-		return expr.Eval(buildTagOK)
+		typed[lp.ImportPath] = tpkg
+		pkgs = append(pkgs, &Package{
+			Path:  lp.ImportPath,
+			Dir:   lp.Dir,
+			Root:  root,
+			Fset:  fset,
+			Files: files,
+			Types: tpkg,
+			Info:  info,
+		})
 	}
-	return true
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
+	return pkgs, nil
 }
 
-// buildTagOK is the loader's tag universe: host OS/arch, the gc toolchain,
-// cgo off (the analyzer never needs it), and every go1.N release tag up to
-// the running toolchain.
-func buildTagOK(tag string) bool {
-	switch tag {
-	case runtime.GOOS, runtime.GOARCH, "gc":
-		return true
-	}
-	if rest, ok := strings.CutPrefix(tag, "go1."); ok {
-		if minor, err := strconv.Atoi(rest); err == nil {
-			return minor <= toolchainMinor()
-		}
-	}
-	return false
-}
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
 
-// toolchainMinor extracts N from runtime.Version()'s "go1.N[.M]" form;
-// development versions ("devel ...") report a high minor so every release
-// tag is satisfied.
-func toolchainMinor() int {
-	v := runtime.Version()
-	rest, ok := strings.CutPrefix(v, "go1.")
-	if !ok {
-		return 999
-	}
-	if i := strings.IndexByte(rest, '.'); i >= 0 {
-		rest = rest[:i]
-	}
-	if minor, err := strconv.Atoi(rest); err == nil {
-		return minor
-	}
-	return 999
-}
-
-// ErrNotFound reports a pattern that matched nothing (used by cmd/fgvet).
-var ErrNotFound = errors.New("lint: no packages matched")
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -2,11 +2,10 @@ package lint
 
 import (
 	"path/filepath"
-	"runtime"
 	"testing"
 )
 
-// loaderFixture loads testdata/loader: a module with a build-tagged
+// loaderFixture loads testdata/loader: a module with a build-constrained
 // package and a nested testdata module containing Go that cannot
 // typecheck.
 func loaderFixture(t *testing.T) []*Package {
@@ -28,10 +27,11 @@ func TestLoaderSkipsFixtureTrees(t *testing.T) {
 	}
 }
 
-// TestLoaderBuildTags asserts constraint evaluation: the always-satisfied
-// go1.1 file is typechecked, the impossible-tag file (which would
-// redeclare impl) is excluded, and two loads see the identical file set —
-// the determinism the diagnostic positions depend on.
+// TestLoaderBuildTags asserts the go tool's file selection: the
+// always-satisfied go1.1 file is typechecked, while the impossible-tag file
+// and the _plan9.go file (each would redeclare impl) are excluded, and two
+// loads see the identical file set — the determinism the diagnostic
+// positions depend on.
 func TestLoaderBuildTags(t *testing.T) {
 	fileNames := func(pkgs []*Package) []string {
 		var names []string
@@ -59,31 +59,6 @@ func TestLoaderBuildTags(t *testing.T) {
 	for i := range first {
 		if second[i] != first[i] {
 			t.Errorf("second load diverged at file[%d]: %s vs %s", i, second[i], first[i])
-		}
-	}
-}
-
-// TestBuildTagEval pins the constraint evaluator's tag universe.
-func TestBuildTagEval(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want bool
-	}{
-		{"no constraint", "package p\n", true},
-		{"host os", "//go:build " + runtime.GOOS + "\n\npackage p\n", true},
-		{"host arch", "//go:build " + runtime.GOARCH + "\n\npackage p\n", true},
-		{"gc toolchain", "//go:build gc\n\npackage p\n", true},
-		{"old release tag", "//go:build go1.1\n\npackage p\n", true},
-		{"future release tag", "//go:build go1.999\n\npackage p\n", false},
-		{"unknown tag", "//go:build fgvet_no_such_tag\n\npackage p\n", false},
-		{"negated unknown tag", "//go:build !fgvet_no_such_tag\n\npackage p\n", true},
-		{"or with host os", "//go:build fgvet_no_such_tag || " + runtime.GOOS + "\n\npackage p\n", true},
-		{"constraint after package clause ignored", "package p\n\n//go:build fgvet_no_such_tag\n", true},
-	}
-	for _, c := range cases {
-		if got := buildTagsSatisfied([]byte(c.src)); got != c.want {
-			t.Errorf("%s: buildTagsSatisfied = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

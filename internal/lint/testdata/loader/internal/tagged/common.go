@@ -1,8 +1,9 @@
 // Package tagged is the loader fixture: one unconditional file, one file
-// whose //go:build constraint always holds, and one whose constraint can
-// never hold. The impossible file redeclares impl, so accidentally
-// including it would be a duplicate-declaration typecheck error — the test
-// passing proves the loader evaluated the constraints.
+// whose //go:build constraint always holds, one whose constraint can never
+// hold, and one whose _plan9 file name excludes it off plan9. The excluded
+// files redeclare impl, so accidentally including either would be a
+// duplicate-declaration typecheck error — the test passing proves the
+// loader built the same file set as the go tool.
 package tagged
 
 // Value uses the implementation provided by the satisfied tagged file.

@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -408,13 +407,4 @@ func (c *artifactCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// sortedKeys is a test/debug helper: the completed keys, sorted.
-func (c *artifactCache) sortedKeys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := append([]string(nil), c.order...)
-	sort.Strings(out)
-	return out
 }

@@ -62,9 +62,6 @@ func NewSketch(k int, seed uint64) *Sketch {
 // K returns the sketch's capacity.
 func (s *Sketch) K() int { return s.k }
 
-// Seed returns the priority-hash seed.
-func (s *Sketch) Seed() uint64 { return s.seed }
-
 // Len returns the number of kept observations (<= K).
 func (s *Sketch) Len() int { return len(s.vals) }
 

@@ -138,18 +138,6 @@ func GenSet4G(n, durS int, seed int64) [][]float64 {
 	return out
 }
 
-// Mean returns the average of a trace.
-func Mean(tr []float64) float64 {
-	if len(tr) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range tr {
-		s += v
-	}
-	return s / float64(len(tr))
-}
-
 // WriteCSV writes a trace as one value per line (the Lumos5G interchange
 // format used by the artifact).
 func WriteCSV(w io.Writer, tr []float64) error {

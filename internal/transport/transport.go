@@ -65,10 +65,6 @@ const queueFactor = 1.0
 // rate) in packets.
 const initCwnd = 10
 
-func (p PathParams) bdpPackets() float64 {
-	return p.CapacityMbps * 1e6 * p.RTTSeconds / 8 / MSSBytes
-}
-
 // TCPOptions configures a TCP simulation.
 type TCPOptions struct {
 	// Flows is the number of parallel connections; 0 means 1.
