@@ -153,8 +153,6 @@ type Selector struct {
 
 	current  Site
 	attached bool
-	handoffs int
-	lastRSRP float64
 }
 
 // hystDb is the handoff hysteresis, a common A3 offset.
@@ -178,32 +176,17 @@ func (s *Selector) Update(km, shadowDb float64, los bool) (site Site, rsrp float
 	if !s.attached {
 		s.current = best
 		s.attached = true
-		s.lastRSRP = bestRSRP
 		return best, bestRSRP, true, false
 	}
 	curRSRP := s.current.RSRPAt(km, shadowDb, los)
 	if best.ID != s.current.ID && bestRSRP > curRSRP+hystDb {
 		s.current = best
-		s.handoffs++
-		s.lastRSRP = bestRSRP
 		return best, bestRSRP, true, true
 	}
 	if curRSRP <= s.Layout.Net.Band.EdgeRSRPDbm {
 		// Serving cell died but a neighbour is usable: forced handoff.
 		s.current = best
-		s.handoffs++
-		s.lastRSRP = bestRSRP
 		return best, bestRSRP, true, true
 	}
-	s.lastRSRP = curRSRP
 	return s.current, curRSRP, true, false
 }
-
-// Handoffs returns the number of horizontal handoffs so far.
-func (s *Selector) Handoffs() int { return s.handoffs }
-
-// Attached reports whether the UE currently has a usable serving cell.
-func (s *Selector) Attached() bool { return s.attached }
-
-// Current returns the serving site; meaningful only while Attached.
-func (s *Selector) Current() Site { return s.current }

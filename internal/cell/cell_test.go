@@ -103,14 +103,19 @@ func TestSelectorHandoffsOnDrive(t *testing.T) {
 	l := LinearLayout(radio.TMobileNSALowBand, 10, 2, 0)
 	sel := NewSelector(l)
 	steps := 1000
+	h, attached := 0, false
 	for i := 0; i <= steps; i++ {
 		km := 10 * float64(i) / float64(steps)
-		sel.Update(km, 0, true)
+		_, _, att, ho := sel.Update(km, 0, true)
+		if ho {
+			h++
+		}
+		attached = att
 	}
-	if h := sel.Handoffs(); h < 4 || h > 6 {
+	if h < 4 || h > 6 {
 		t.Errorf("handoffs = %d, want ~5", h)
 	}
-	if !sel.Attached() {
+	if !attached {
 		t.Error("not attached at route end")
 	}
 }
@@ -121,10 +126,13 @@ func TestSelectorHysteresisSuppressesPingPong(t *testing.T) {
 	l := LinearLayout(radio.TMobileNSALowBand, 4, 2, 0)
 	sel := NewSelector(l)
 	f := NewFading(3, 1.0, 0.5) // small fades vs 3 dB hysteresis
+	h := 0
 	for i := 0; i < 500; i++ {
-		sel.Update(1.0, f.Next(), true)
+		if _, _, _, ho := sel.Update(1.0, f.Next(), true); ho {
+			h++
+		}
 	}
-	if h := sel.Handoffs(); h > 3 {
+	if h > 3 {
 		t.Errorf("handoffs at midpoint = %d, want <= 3 (hysteresis)", h)
 	}
 }
@@ -157,8 +165,7 @@ func TestSelectorDetachReattach(t *testing.T) {
 func TestCurrentSite(t *testing.T) {
 	l := LinearLayout(radio.TMobileLTE, 4, 2, 0)
 	sel := NewSelector(l)
-	sel.Update(0.1, 0, true)
-	if got := sel.Current(); got.Km != 0 {
+	if got, _, _, _ := sel.Update(0.1, 0, true); got.Km != 0 {
 		t.Errorf("current site at %v, want 0", got.Km)
 	}
 }

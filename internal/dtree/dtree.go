@@ -10,7 +10,7 @@
 //   - DTR calibration of the software power monitor (§4.6, Fig. 16);
 //   - Gradient Boosted Decision Trees for mmWave throughput prediction in
 //     ABR streaming (§5.3, Fig. 18a, after Lumos5G);
-//   - interpretable classification trees with Gini feature importance for
+//   - interpretable classification trees, read through their splits, for
 //     4G/5G interface selection in web browsing (§6.2, Fig. 22, Table 6).
 package dtree
 
@@ -30,8 +30,6 @@ type node struct {
 	right     *node
 	value     float64 // regression prediction or encoded class
 	samples   int
-	impurity  float64 // SSE (regression) or Gini (classification) at node
-	classDist []int   // classification only: per-class counts
 }
 
 func (n *node) isLeaf() bool { return n.feature < 0 }
@@ -59,23 +57,23 @@ func (o Options) withDefaults(regression bool) Options {
 	return o
 }
 
-func validate(X [][]float64, n int) (int, error) {
+func validate(X [][]float64, n int) error {
 	if len(X) == 0 {
-		return 0, errors.New("dtree: empty training set")
+		return errors.New("dtree: empty training set")
 	}
 	if len(X) != n {
-		return 0, fmt.Errorf("dtree: %d feature rows vs %d labels", len(X), n)
+		return fmt.Errorf("dtree: %d feature rows vs %d labels", len(X), n)
 	}
 	nf := len(X[0])
 	if nf == 0 {
-		return 0, errors.New("dtree: zero-width feature rows")
+		return errors.New("dtree: zero-width feature rows")
 	}
 	for i, r := range X {
 		if len(r) != nf {
-			return 0, fmt.Errorf("dtree: row %d has %d features, want %d", i, len(r), nf)
+			return fmt.Errorf("dtree: row %d has %d features, want %d", i, len(r), nf)
 		}
 	}
-	return nf, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -83,21 +81,17 @@ func validate(X [][]float64, n int) (int, error) {
 
 // Regressor is a CART regression tree minimising squared error.
 type Regressor struct {
-	root      *node
-	nFeatures int
+	root *node
 }
 
 // TrainRegressor grows a regression tree on (X, y).
 func TrainRegressor(X [][]float64, y []float64, opt Options) (*Regressor, error) {
-	nf, err := validate(X, len(y))
-	if err != nil {
+	if err := validate(X, len(y)); err != nil {
 		return nil, err
 	}
 	g := &regGrower{X: X, y: y, opt: opt.withDefaults(true),
 		scratch: make([]int32, 0, len(X))}
-	r := &Regressor{nFeatures: nf}
-	r.root = g.grow(featureOrders(X), 0)
-	return r, nil
+	return &Regressor{root: g.grow(featureOrders(X), 0)}, nil
 }
 
 func meanAndSSE(y []float64, idx []int32) (mean, sse float64) {
@@ -149,7 +143,7 @@ type regGrower struct {
 func (g *regGrower) grow(orders [][]int32, depth int) *node {
 	idx := orders[0]
 	mean, sse := meanAndSSE(g.y, idx)
-	n := &node{feature: -1, value: mean, samples: len(idx), impurity: sse}
+	n := &node{feature: -1, value: mean, samples: len(idx)}
 	if depth >= g.opt.MaxDepth || len(idx) < 2*g.opt.MinLeaf || sse <= 1e-12 {
 		return n
 	}
@@ -241,18 +235,6 @@ func (r *Regressor) Predict(x []float64) float64 {
 	return n.value
 }
 
-// PredictAll evaluates the tree at every row.
-func (r *Regressor) PredictAll(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	for i, x := range X {
-		out[i] = r.Predict(x)
-	}
-	return out
-}
-
-// NFeatures returns the feature-vector width the tree was trained with.
-func (r *Regressor) NFeatures() int { return r.nFeatures }
-
 // Depth returns the maximum depth of the tree (a stump has depth 0).
 func (r *Regressor) Depth() int { return depth(r.root) }
 
@@ -285,9 +267,7 @@ func leaves(n *node) int {
 
 // Classifier is a CART classification tree minimising Gini impurity.
 type Classifier struct {
-	root      *node
-	nFeatures int
-	nClasses  int
+	root *node
 	// FeatureNames, if set, is used by Describe to render splits.
 	FeatureNames []string
 }
@@ -295,8 +275,7 @@ type Classifier struct {
 // TrainClassifier grows a classification tree on (X, y) with labels in
 // [0, nClasses).
 func TrainClassifier(X [][]float64, y []int, nClasses int, opt Options) (*Classifier, error) {
-	nf, err := validate(X, len(y))
-	if err != nil {
+	if err := validate(X, len(y)); err != nil {
 		return nil, err
 	}
 	if nClasses < 2 {
@@ -312,9 +291,7 @@ func TrainClassifier(X [][]float64, y []int, nClasses int, opt Options) (*Classi
 	for i := range idx {
 		idx[i] = i
 	}
-	c := &Classifier{nFeatures: nf, nClasses: nClasses}
-	c.root = growCls(X, y, idx, nClasses, opt, 0)
-	return c, nil
+	return &Classifier{root: growCls(X, y, idx, nClasses, opt, 0)}, nil
 }
 
 func classCounts(y []int, idx []int, k int) []int {
@@ -350,8 +327,7 @@ func argmax(counts []int) int {
 func growCls(X [][]float64, y []int, idx []int, k int, opt Options, d int) *node {
 	counts := classCounts(y, idx, k)
 	g := gini(counts, len(idx))
-	n := &node{feature: -1, value: float64(argmax(counts)), samples: len(idx),
-		impurity: g, classDist: counts}
+	n := &node{feature: -1, value: float64(argmax(counts)), samples: len(idx)}
 	if d >= opt.MaxDepth || len(idx) < 2*opt.MinLeaf || g == 0 {
 		return n
 	}
@@ -443,44 +419,11 @@ func (c *Classifier) Accuracy(X [][]float64, y []int) float64 {
 	return float64(ok) / float64(len(X))
 }
 
-// NFeatures returns the trained feature-vector width.
-func (c *Classifier) NFeatures() int { return c.nFeatures }
-
 // Depth returns the tree depth.
 func (c *Classifier) Depth() int { return depth(c.root) }
 
 // Leaves returns the number of leaves.
 func (c *Classifier) Leaves() int { return leaves(c.root) }
-
-// FeatureImportance returns normalised Gini importance per feature: the
-// total impurity decrease contributed by splits on that feature. This is
-// what makes the web interface-selection models interpretable (§6.2).
-func (c *Classifier) FeatureImportance() []float64 {
-	imp := make([]float64, c.nFeatures)
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil || n.isLeaf() {
-			return
-		}
-		nl, nr := n.left, n.right
-		dec := float64(n.samples)*n.impurity -
-			float64(nl.samples)*nl.impurity - float64(nr.samples)*nr.impurity
-		imp[n.feature] += dec
-		walk(nl)
-		walk(nr)
-	}
-	walk(c.root)
-	s := 0.0
-	for _, v := range imp {
-		s += v
-	}
-	if s > 0 {
-		for i := range imp {
-			imp[i] /= s
-		}
-	}
-	return imp
-}
 
 // Prune performs bottom-up reduced-error pruning against a validation set:
 // any internal node whose collapse does not reduce validation accuracy
@@ -607,8 +550,7 @@ type GBDT struct {
 // work buffer each round: only the residuals change between rounds, never
 // the feature values the orders depend on.
 func TrainGBDT(X [][]float64, y []float64, opt GBDTOptions) (*GBDT, error) {
-	nf, err := validate(X, len(y))
-	if err != nil {
+	if err := validate(X, len(y)); err != nil {
 		return nil, err
 	}
 	opt = opt.withDefaults()
@@ -645,8 +587,7 @@ func TrainGBDT(X [][]float64, y []float64, opt GBDTOptions) (*GBDT, error) {
 		for f := range master {
 			copy(work[f], master[f])
 		}
-		tr := &Regressor{nFeatures: nf}
-		tr.root = grower.grow(work, 0)
+		tr := &Regressor{root: grower.grow(work, 0)}
 		g.trees = append(g.trees, tr)
 		for i := range pred {
 			pred[i] += g.lr * tr.Predict(X[i])
@@ -663,6 +604,3 @@ func (g *GBDT) Predict(x []float64) float64 {
 	}
 	return out
 }
-
-// Rounds returns the number of boosted trees.
-func (g *GBDT) Rounds() int { return len(g.trees) }

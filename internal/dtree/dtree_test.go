@@ -39,9 +39,6 @@ func TestRegressorLearnsStep(t *testing.T) {
 	if got := r.Predict([]float64{8, 0}); math.Abs(got-50) > 4 {
 		t.Errorf("Predict(high) = %v, want ~50", got)
 	}
-	if r.NFeatures() != 2 {
-		t.Errorf("NFeatures = %d", r.NFeatures())
-	}
 	if r.Depth() < 1 || r.Leaves() < 2 {
 		t.Errorf("tree too small: depth %d leaves %d", r.Depth(), r.Leaves())
 	}
@@ -131,20 +128,6 @@ func TestRegressorPredictionBoundedProperty(t *testing.T) {
 	}
 }
 
-func TestPredictAll(t *testing.T) {
-	X, y := makeStepData(100, 4)
-	r, _ := TrainRegressor(X, y, Options{})
-	preds := r.PredictAll(X)
-	if len(preds) != len(X) {
-		t.Fatalf("PredictAll length %d", len(preds))
-	}
-	for i := range preds {
-		if preds[i] != r.Predict(X[i]) {
-			t.Fatal("PredictAll disagrees with Predict")
-		}
-	}
-}
-
 // makeClsData: class = 1 if x0 > 3 and x1 > 1 else 0.
 func makeClsData(n int, seed int64) ([][]float64, []int) {
 	rng := rand.New(rand.NewSource(seed))
@@ -191,8 +174,10 @@ func TestClassifierValidation(t *testing.T) {
 	}
 }
 
+// TestFeatureImportance: when the class depends only on feature 0, the
+// tree's splits — what the web models' TopFactors reads as the important
+// features — use feature 0 alone.
 func TestFeatureImportance(t *testing.T) {
-	// Class depends only on feature 0; importance must concentrate there.
 	rng := rand.New(rand.NewSource(6))
 	n := 500
 	X := make([][]float64, n)
@@ -207,16 +192,14 @@ func TestFeatureImportance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imp := c.FeatureImportance()
-	if len(imp) != 3 {
-		t.Fatalf("importance length %d", len(imp))
+	sp := c.Splits()
+	if len(sp) == 0 {
+		t.Fatal("no splits recorded")
 	}
-	if imp[0] < 0.9 {
-		t.Errorf("importance[0] = %v, want >= 0.9", imp[0])
-	}
-	sum := imp[0] + imp[1] + imp[2]
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("importances sum to %v, want 1", sum)
+	for _, s := range sp {
+		if s.Feature != 0 {
+			t.Errorf("split %+v, want splits on feature 0 only", s)
+		}
 	}
 }
 
@@ -311,7 +294,7 @@ func TestGBDTBeatsSingleTreeOnSmooth(t *testing.T) {
 	if mb >= ms {
 		t.Errorf("GBDT mse %v not better than single depth-3 tree %v", mb, ms)
 	}
-	if boost.Rounds() == 0 {
+	if len(boost.trees) == 0 {
 		t.Error("GBDT trained zero rounds")
 	}
 }
@@ -323,8 +306,8 @@ func TestGBDTEarlyStopOnPerfectFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Rounds() != 0 {
-		t.Errorf("constant target should stop immediately, got %d rounds", g.Rounds())
+	if len(g.trees) != 0 {
+		t.Errorf("constant target should stop immediately, got %d rounds", len(g.trees))
 	}
 	if got := g.Predict([]float64{4}); got != 3 {
 		t.Errorf("Predict = %v, want 3", got)

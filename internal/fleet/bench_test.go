@@ -41,7 +41,7 @@ func BenchmarkFleetStreamCampaign(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(ues)*float64(b.N)/b.Elapsed().Seconds(), "UEs/s")
-	retained := res.Stream.skTput.Len()*24*4 + len(res.Stream.sampled)*72 +
+	retained := len(res.Stream.skTput.Values())*24*4 + len(res.Stream.sampled)*72 +
 		4*(len(tputBounds)+len(qoeBounds)+len(energyBounds)+len(stallBounds))*8
 	b.ReportMetric(float64(retained)/float64(ues), "retained_B/UE")
 }

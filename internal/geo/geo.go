@@ -1,7 +1,7 @@
 // Package geo models the geographic substrate of the measurement study: city
-// coordinates, great-circle distances, and the registry of bandwidth-test
-// servers (carrier-hosted Speedtest servers, third-party Speedtest servers,
-// and Azure regions) that the paper's UE-server distance experiments sweep
+// coordinates, great-circle distances, the registry of bandwidth-test
+// servers (carrier-hosted and third-party Speedtest servers) and the list
+// of Azure regions that the paper's UE-server distance experiments sweep
 // over.
 //
 // The paper fixes the UE in Minneapolis, MN and measures against servers all
@@ -50,7 +50,6 @@ func (c City) String() string { return c.Name + ", " + c.State }
 var (
 	Minneapolis  = City{"Minneapolis", "MN", Point{44.98, -93.27}}
 	StPaul       = City{"St. Paul", "MN", Point{44.95, -93.09}}
-	AnnArbor     = City{"Ann Arbor", "MI", Point{42.28, -83.74}}
 	Chicago      = City{"Chicago", "IL", Point{41.88, -87.63}}
 	Detroit      = City{"Detroit", "MI", Point{42.33, -83.05}}
 	KansasCity   = City{"Kansas City", "MO", Point{39.10, -94.58}}
@@ -143,28 +142,6 @@ func (s Server) DistanceKm(ue Point) float64 { return HaversineKm(ue, s.City.Loc
 // provisioned cloud VMs.
 type Registry struct {
 	Servers []Server
-}
-
-// ByKind returns servers of the given kind, preserving order.
-func (r *Registry) ByKind(k HostKind) []Server {
-	var out []Server
-	for _, s := range r.Servers {
-		if s.Kind == k {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// InState returns servers located in the given US state code.
-func (r *Registry) InState(state string) []Server {
-	var out []Server
-	for _, s := range r.Servers {
-		if s.City.State == state {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // Nearest returns the server of kind k closest to the UE, mirroring
@@ -352,20 +329,4 @@ var AzureRegions = []AzureRegion{
 	{"South Central", SanAntonio, 1779},
 	{"West2", City{"Quincy", "WA", Point{47.23, -119.85}}, 2044},
 	{"West", SanFrancisco, 2532},
-}
-
-// NewAzureRegistry returns the cloud-VM server pool of Fig. 8. Cloud VMs have
-// high but finite NIC capacity and a small extra RTT for the datacenter edge.
-func NewAzureRegistry() *Registry {
-	r := &Registry{}
-	for _, a := range AzureRegions {
-		r.Servers = append(r.Servers, Server{
-			Name:       "Azure " + a.Name,
-			City:       a.City,
-			Kind:       HostCloud,
-			CapMbps:    10000,
-			ExtraRTTMs: 1,
-		})
-	}
-	return r
 }

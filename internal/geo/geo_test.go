@@ -97,19 +97,20 @@ func TestMinnesotaRegistry(t *testing.T) {
 	if caps[0] != 1 {
 		t.Errorf("uncapped servers = %d, want 1 (carrier only)", caps[0])
 	}
-	third := r.ByKind(HostThirdParty)
-	if len(third) != 36 {
-		t.Errorf("third-party count = %d, want 36", len(third))
+	third := 0
+	for _, s := range r.Servers {
+		if s.Kind == HostThirdParty {
+			third++
+		}
 	}
-	if got := r.InState("MN"); len(got) != 37 {
-		t.Errorf("InState(MN) = %d, want 37", len(got))
+	if third != 36 {
+		t.Errorf("third-party count = %d, want 36", third)
 	}
 }
 
 func TestAzureRegistry(t *testing.T) {
-	r := NewAzureRegistry()
-	if len(r.Servers) != 8 {
-		t.Fatalf("Azure registry has %d servers, want 8", len(r.Servers))
+	if len(AzureRegions) != 8 {
+		t.Fatalf("%d Azure regions, want 8", len(AzureRegions))
 	}
 	// The paper reports network-path distances, which can only exceed (or
 	// roughly equal) the geodesic distance of the region's anchor city.

@@ -7,13 +7,12 @@ import (
 	"go/types"
 )
 
-// Module bundles every loaded package of one module with the two
-// whole-program artifacts the interprocedural checks share: a typed call
-// graph (sharedwrite reachability, maporder/fpfold callee summaries) and
-// the compiler's escape-analysis table (noalloc). Both are built lazily
-// and at most once per Run, so single-function checks pay nothing.
+// Module bundles every loaded package of one module with the
+// whole-program artifact the interprocedural checks share: a typed call
+// graph (sharedwrite reachability, maporder/fpfold callee summaries). It
+// is built lazily and at most once per Run, so single-function checks pay
+// nothing.
 type Module struct {
-	Root string
 	Pkgs []*Package
 
 	built bool
@@ -39,19 +38,11 @@ type Module struct {
 
 	sorts  paramSummary // SortsParam summaries
 	accums paramSummary // FloatAccumParam summaries
-
-	escDone bool
-	escErr  error
-	esc     map[string][]EscapeSite
 }
 
 // NewModule wraps the loaded packages; the call graph is built on first use.
 func NewModule(pkgs []*Package) *Module {
-	root := ""
-	if len(pkgs) > 0 {
-		root = pkgs[0].Root
-	}
-	return &Module{Root: root, Pkgs: pkgs}
+	return &Module{Pkgs: pkgs}
 }
 
 // CGNode is one function in the call graph: a declared function/method or a

@@ -1,14 +1,10 @@
 package lint
 
 import (
-	"bytes"
-	"fmt"
-	"os/exec"
+	"go/token"
 	"path/filepath"
 	"strconv"
 	"strings"
-
-	"go/token"
 )
 
 // EscapeSite is one compiler finding that heap-allocates: a value that
@@ -19,38 +15,13 @@ type EscapeSite struct {
 	Msg string
 }
 
-// Escapes parses the module's escape analysis out of one
-// `go build -gcflags=-m -m ./...` run (memoized; the result replays from
-// the build cache on unchanged trees, so repeated fgvet runs stay fast).
-// Only heap-allocation findings are kept: "escapes to heap" and "moved to
-// heap". Findings in dependencies (absolute paths) and compiler-generated
-// code (<autogenerated>) are dropped; the map is keyed by module-root-
-// relative slash path.
-func (m *Module) Escapes() (map[string][]EscapeSite, error) {
-	if m.escDone {
-		return m.esc, m.escErr
-	}
-	m.escDone = true
-	if m.Root == "" {
-		m.escErr = fmt.Errorf("lint: module root unknown; cannot run escape analysis")
-		return nil, m.escErr
-	}
-	cmd := exec.Command("go", "build", "-gcflags=-m -m", "./...")
-	cmd.Dir = m.Root
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		m.escErr = fmt.Errorf("lint: go build -gcflags='-m -m' failed: %v\n%s", err, stderr.String())
-		return nil, m.escErr
-	}
-	m.esc = parseEscapes(stderr.String())
-	return m.esc, nil
-}
-
 // parseEscapes extracts deduplicated heap-allocation sites from compiler
-// -m -m output. The verbose mode prints each finding twice (once with a
-// trailing colon introducing the flow explanation), so sites are keyed on
-// the colon-stripped message.
+// -m -m output, keyed by module-root-relative slash path. Only
+// heap-allocation findings are kept: "escapes to heap" and "moved to
+// heap". Findings in dependencies (absolute paths) and compiler-generated
+// code (<autogenerated>) are dropped. The verbose mode prints each finding
+// twice (once with a trailing colon introducing the flow explanation), so
+// sites are keyed on the colon-stripped message.
 func parseEscapes(out string) map[string][]EscapeSite {
 	sites := make(map[string][]EscapeSite)
 	seen := make(map[string]bool)

@@ -45,9 +45,8 @@ type Check struct {
 type Pass struct {
 	Pkg *Package
 	// Mod is the whole loaded module: the shared home of the typed call
-	// graph and the compiler escape-analysis table the interprocedural
-	// checks (sharedwrite, fpfold, noalloc, maporder's sort-in-callee)
-	// consult. Both are built lazily, once per Run.
+	// graph the interprocedural checks (sharedwrite, fpfold, maporder's
+	// sort-in-callee) consult. It is built lazily, once per Run.
 	Mod   *Module
 	check *Check
 	diags *[]Diagnostic

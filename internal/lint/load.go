@@ -22,9 +22,6 @@ type Package struct {
 	Path string
 	// Dir is the absolute directory.
 	Dir string
-	// Root is the absolute module root (the directory holding go.mod).
-	// Interprocedural checks use it to invoke the go tool for the module.
-	Root string
 	// Fset is shared by every package of one Load.
 	Fset *token.FileSet
 	// Files holds the parsed non-test sources, sorted by file name, with
@@ -33,6 +30,9 @@ type Package struct {
 	// Types and Info are the go/types results.
 	Types *types.Package
 	Info  *types.Info
+	// Escapes holds the compiler's heap-allocation findings in Files, file
+	// by file in Files order, for the noalloc check.
+	Escapes []EscapeSite
 }
 
 // listedPackage is the part of `go list -json` output the loader reads.
@@ -49,21 +49,25 @@ type listedPackage struct {
 // Load parses and typechecks every package of the module rooted at root
 // (the directory holding go.mod) and returns them sorted by import path.
 //
-// One `go list -e -export -deps -json ./...` run decides everything the go
-// tool owns: which directories are module packages (testdata, vendor and
-// nested modules are not), which files build on this host (//go:build
-// lines and _GOOS/_GOARCH file names alike), the module's go version, and
-// the export-data file of every import from outside the module. Module
-// packages are then typechecked from source, in the dependency order go
-// list prints them in, with file names relative to root so diagnostic
-// positions are stable. A package the go tool cannot list or build fails
-// the load with the go tool's message.
+// One `go list -e -export -deps -json -gcflags='-m -m' ./...` run decides
+// everything the go tool owns: which directories are module packages
+// (testdata, vendor and nested modules are not), which files build on this
+// host (//go:build lines and _GOOS/_GOARCH file names alike), the module's
+// go version, and the export-data file of every import from outside the
+// module. Building that export data compiles the module packages, and
+// -gcflags (which applies only to the packages the pattern names) makes
+// the compiler print its escape analysis on stderr, replayed from the
+// build cache when nothing changed; Load keeps it as Package.Escapes.
+// Module packages are then typechecked from source, in the dependency
+// order go list prints them in, with file names relative to root so
+// diagnostic positions are stable. A package the go tool cannot list or
+// build fails the load with the go tool's message.
 func Load(root string) ([]*Package, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
 	}
-	cmd := exec.Command("go", "list", "-e", "-export", "-deps", "-json", "./...")
+	cmd := exec.Command("go", "list", "-e", "-export", "-deps", "-json", "-gcflags=-m -m", "./...")
 	cmd.Dir = root
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -71,6 +75,7 @@ func Load(root string) ([]*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: go list failed: %v\n%s", err, stderr.String())
 	}
+	escapes := parseEscapes(stderr.String())
 
 	fset := token.NewFileSet()
 	exports := make(map[string]string)
@@ -104,6 +109,7 @@ func Load(root string) ([]*Package, error) {
 			continue
 		}
 		files := make([]*ast.File, 0, len(lp.GoFiles))
+		var esc []EscapeSite
 		for _, name := range lp.GoFiles {
 			path := filepath.Join(lp.Dir, name)
 			src, err := os.ReadFile(path)
@@ -114,12 +120,14 @@ func Load(root string) ([]*Package, error) {
 			if err != nil {
 				return nil, err
 			}
-			f, err := parser.ParseFile(fset, filepath.ToSlash(rel), src,
+			rel = filepath.ToSlash(rel)
+			f, err := parser.ParseFile(fset, rel, src,
 				parser.ParseComments|parser.SkipObjectResolution)
 			if err != nil {
 				return nil, fmt.Errorf("lint: parse %s: %w", rel, err)
 			}
 			files = append(files, f)
+			esc = append(esc, escapes[rel]...)
 		}
 		info := &types.Info{
 			Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -136,13 +144,13 @@ func Load(root string) ([]*Package, error) {
 		}
 		typed[lp.ImportPath] = tpkg
 		pkgs = append(pkgs, &Package{
-			Path:  lp.ImportPath,
-			Dir:   lp.Dir,
-			Root:  root,
-			Fset:  fset,
-			Files: files,
-			Types: tpkg,
-			Info:  info,
+			Path:    lp.ImportPath,
+			Dir:     lp.Dir,
+			Fset:    fset,
+			Files:   files,
+			Types:   tpkg,
+			Info:    info,
+			Escapes: esc,
 		})
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })

@@ -62,17 +62,3 @@ func TestLoaderBuildTags(t *testing.T) {
 		}
 	}
 }
-
-// TestPackageRoot pins the Root plumbing the interprocedural checks use to
-// invoke the go tool: every package reports the module root it came from.
-func TestPackageRoot(t *testing.T) {
-	abs, err := filepath.Abs(filepath.Join("testdata", "loader"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkg := range loaderFixture(t) {
-		if pkg.Root != abs {
-			t.Errorf("package %s has Root %q, want %q", pkg.Path, pkg.Root, abs)
-		}
-	}
-}

@@ -8,18 +8,19 @@ import (
 const noallocDirective = "//fgvet:noalloc"
 
 // NoAllocCheck verifies //fgvet:noalloc annotations against the compiler's
-// own escape analysis (`go build -gcflags='-m -m'`). The annotation, placed
-// in a function's doc comment, asserts the 0-allocs/op contract the hot-path
-// benchmarks pin (one fleet session, abr Simulate/MPC.Select, disabled obs
-// emit, colf encoder inner loops): any
-// value the compiler heap-allocates inside the function's lexical body —
-// including its closures — is a diagnostic at the allocation site. Cold
-// paths inside an annotated function (panic formatting, lazy growth) carry a
-// line-scoped `//fgvet:allow noalloc <reason>` like any other finding.
+// own escape analysis (Package.Escapes: the `-gcflags='-m -m'` output of
+// the loader's one go list run). The annotation, placed in a function's doc
+// comment, asserts the 0-allocs/op contract the hot-path benchmarks pin
+// (one fleet session, abr Simulate/MPC.Select, disabled obs emit, colf
+// encoder inner loops): any value the compiler heap-allocates inside the
+// function's lexical body — including its closures — is a diagnostic at
+// the allocation site. Cold paths inside an annotated function (panic
+// formatting, lazy growth) carry a line-scoped
+// `//fgvet:allow noalloc <reason>` like any other finding.
 //
 // Unlike the benchmarks, the gate is input-independent: it proves the
 // function body *cannot* allocate, not that one benchmark's inputs happened
-// not to. Modules with no annotations never invoke the compiler.
+// not to.
 func NoAllocCheck() *Check {
 	c := &Check{
 		Name: "noalloc",
@@ -47,17 +48,9 @@ func NoAllocCheck() *Check {
 				spans = append(spans, span{fd: fd, file: from.Filename, from: from.Line, to: to.Line})
 			}
 		}
-		if len(spans) == 0 {
-			return
-		}
-		esc, err := pass.Mod.Escapes()
-		if err != nil {
-			pass.Reportf(pass.Pkg.Files[0].Pos(), "noalloc: escape analysis unavailable: %v", err)
-			return
-		}
 		for _, s := range spans {
-			for _, site := range esc[s.file] {
-				if site.Pos.Line < s.from || site.Pos.Line > s.to {
+			for _, site := range pass.Pkg.Escapes {
+				if site.Pos.Filename != s.file || site.Pos.Line < s.from || site.Pos.Line > s.to {
 					continue
 				}
 				pass.ReportAt(site.Pos,

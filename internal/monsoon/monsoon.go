@@ -1,13 +1,15 @@
-// Package monsoon models the study's two power measurement channels:
+// Package monsoon models the study's software power measurement channel.
 //
-//   - the Monsoon hardware power monitor (§2), which powers the phone
-//     directly and samples at 5000 Hz with negligible error — the ground
-//     truth of every power experiment; and
-//   - the Android software "monitor" (§4.6), which polls the battery
-//     status sysfs (current_now/voltage_now) at 1 or 10 Hz. The software
-//     path systematically underestimates power by a level-dependent factor
-//     (Table 9: 81-92% of truth at 1 Hz, 90-95% at 10 Hz), and polling
-//     itself costs energy (Table 3: ~0.65 W at 1 Hz, ~1.1 W at 10 Hz).
+// The Monsoon hardware power monitor (§2) powers the phone directly and
+// samples at 5000 Hz with negligible error, so the experiments take the
+// power model's value as its reading: that value is the ground truth of
+// every power experiment, and nothing here simulates the hardware.
+//
+// What is simulated is the Android software "monitor" (§4.6), which polls
+// the battery status sysfs (current_now/voltage_now) at 1 or 10 Hz. The
+// software path systematically underestimates power by a level-dependent
+// factor (Table 9: 81-92% of truth at 1 Hz, 90-95% at 10 Hz), and polling
+// itself costs energy (Table 3: ~0.65 W at 1 Hz, ~1.1 W at 10 Hz).
 //
 // The calibration experiment of Fig. 16 — train a decision-tree regressor
 // from software readings to hardware truth — is supported via the Calibrate
@@ -21,62 +23,6 @@ import (
 
 	"fivegsim/internal/dtree"
 )
-
-// Source is an instantaneous device power signal in mW as a function of
-// time (seconds).
-type Source func(tS float64) float64
-
-// Constant returns a Source with a fixed power level.
-func Constant(mw float64) Source { return func(float64) float64 { return mw } }
-
-// Trace is a recorded power series at a fixed sampling rate.
-type Trace struct {
-	RateHz  float64
-	Samples []float64 // mW
-}
-
-// DurationS returns the trace length in seconds.
-func (t Trace) DurationS() float64 {
-	if t.RateHz <= 0 {
-		return 0
-	}
-	return float64(len(t.Samples)) / t.RateHz
-}
-
-// MeanMw returns the average power.
-func (t Trace) MeanMw() float64 {
-	if len(t.Samples) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range t.Samples {
-		s += v
-	}
-	return s / float64(len(t.Samples))
-}
-
-// EnergyJ integrates the trace into joules.
-func (t Trace) EnergyJ() float64 {
-	if t.RateHz <= 0 {
-		return 0
-	}
-	return t.MeanMw() / 1000 * t.DurationS()
-}
-
-// HWRateHz is the Monsoon monitor's sampling rate.
-const HWRateHz = 5000
-
-// RecordHW samples a source with the hardware monitor for the given
-// duration. Hardware readings are exact (the Monsoon's error is far below
-// every effect studied).
-func RecordHW(src Source, durationS float64) Trace {
-	n := int(durationS * HWRateHz)
-	t := Trace{RateHz: HWRateHz, Samples: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		t.Samples[i] = src(float64(i) / HWRateHz)
-	}
-	return t
-}
 
 // Software monitor overhead (Table 3): monitor on at 1 Hz raised idle power
 // from 2014.3 mW to 2668.5 mW; at 10 Hz to 3125.7 mW.
@@ -113,14 +59,6 @@ func (m *SWMonitor) OverheadMw() float64 {
 	return Overhead1HzMw + (r-1)/9*(Overhead10HzMw-Overhead1HzMw)
 }
 
-// Instrument wraps a source with the monitor's own power overhead: what the
-// battery (and a hardware monitor) actually sees while software monitoring
-// runs.
-func (m *SWMonitor) Instrument(src Source) Source {
-	oh := m.OverheadMw()
-	return func(t float64) float64 { return src(t) + oh }
-}
-
 // bias returns the multiplicative underestimation factor of the battery API
 // at a true power level. The battery fuel gauge low-passes and quantises
 // current, clipping load peaks, so the factor depends nonlinearly on the
@@ -149,19 +87,6 @@ func (m *SWMonitor) Read(trueMw float64) float64 {
 		r = 0
 	}
 	return r
-}
-
-// Record samples the (instrumented) source at the monitor's rate. The
-// returned trace holds what the software API reported; pair it with
-// RecordHW(m.Instrument(src), d) for the ground truth.
-func (m *SWMonitor) Record(src Source, durationS float64) Trace {
-	inst := m.Instrument(src)
-	n := int(durationS * m.RateHz)
-	t := Trace{RateHz: m.RateHz, Samples: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		t.Samples[i] = m.Read(inst(float64(i) / m.RateHz))
-	}
-	return t
 }
 
 // Calibrate trains a decision-tree regressor mapping software readings to

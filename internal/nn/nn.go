@@ -51,21 +51,11 @@ func NewMLP(seed int64, widths ...int) (*MLP, error) {
 // NumInputs returns the input width.
 func (m *MLP) NumInputs() int { return m.sizes[0][0] }
 
-// NumOutputs returns the output width.
-func (m *MLP) NumOutputs() int { return m.sizes[len(m.sizes)-1][1] }
-
-// forward runs the network, returning the activations of every layer
-// (activations[0] is the input, activations[last] the linear output).
-func (m *MLP) forward(x []float64) [][]float64 {
-	acts := make([][]float64, len(m.sizes)+1)
-	m.forwardInto(acts, x)
-	return acts
-}
-
-// forwardInto is forward with caller-owned activation storage: acts must
-// have length len(m.sizes)+1. acts[0] is set to alias x; the per-layer
-// buffers are reused across calls and only (re)allocated when a layer's
-// width changes, which makes repeated inference allocation-free.
+// forwardInto runs the network on x, writing the activations of every
+// layer into acts (acts[0] is the input, acts[last] the linear output);
+// acts must have length len(m.sizes)+1. acts[0] is set to alias x; the
+// per-layer buffers are reused across calls and only (re)allocated when a
+// layer's width changes, which makes repeated inference allocation-free.
 func (m *MLP) forwardInto(acts [][]float64, x []float64) {
 	acts[0] = x
 	cur := x
@@ -93,30 +83,9 @@ func (m *MLP) forwardInto(acts [][]float64, x []float64) {
 	}
 }
 
-// Forward evaluates the network on x and returns the linear outputs.
-// It panics if len(x) differs from the input width — always a caller bug.
-func (m *MLP) Forward(x []float64) []float64 {
-	if len(x) != m.NumInputs() {
-		panic(fmt.Sprintf("nn: input width %d, want %d", len(x), m.NumInputs()))
-	}
-	acts := m.forward(x)
-	out := acts[len(acts)-1]
-	cp := make([]float64, len(out))
-	copy(cp, out)
-	return cp
-}
-
-// Softmax converts logits into a probability distribution. It is
-// numerically stable under large logits.
-func Softmax(logits []float64) []float64 {
-	if len(logits) == 0 {
-		return nil
-	}
-	return softmaxInto(nil, logits)
-}
-
-// softmaxInto writes the distribution into dst, growing it only when the
-// capacity is short.
+// softmaxInto converts logits into a probability distribution, written
+// into dst, which grows only when its capacity is short. It is numerically
+// stable under large logits.
 func softmaxInto(dst, logits []float64) []float64 {
 	if cap(dst) < len(logits) {
 		dst = make([]float64, len(logits))
@@ -170,14 +139,6 @@ func (p *Policy) probsFor(state []float64) []float64 {
 	p.Net.forwardInto(p.acts, state)
 	p.probs = softmaxInto(p.probs, p.acts[len(p.acts)-1])
 	return p.probs
-}
-
-// Probs returns the action distribution at a state.
-func (p *Policy) Probs(state []float64) []float64 {
-	probs := p.probsFor(state)
-	cp := make([]float64, len(probs))
-	copy(cp, probs)
-	return cp
 }
 
 // Sample draws an action from the policy.

@@ -18,16 +18,19 @@ func TestNewMLPValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumInputs() != 3 || m.NumOutputs() != 2 {
-		t.Errorf("dims = %d/%d", m.NumInputs(), m.NumOutputs())
+	if out := m.sizes[len(m.sizes)-1][1]; m.NumInputs() != 3 || out != 2 {
+		t.Errorf("dims = %d/%d", m.NumInputs(), out)
 	}
 }
 
 func TestForwardDeterministicAndShaped(t *testing.T) {
 	m, _ := NewMLP(7, 4, 16, 3)
 	x := []float64{0.1, -0.5, 0.3, 1.0}
-	a := m.Forward(x)
-	b := m.Forward(x)
+	actsA := make([][]float64, len(m.sizes)+1)
+	actsB := make([][]float64, len(m.sizes)+1)
+	m.forwardInto(actsA, x)
+	m.forwardInto(actsB, x)
+	a, b := actsA[len(actsA)-1], actsB[len(actsB)-1]
 	if len(a) != 3 {
 		t.Fatalf("output width %d", len(a))
 	}
@@ -45,23 +48,20 @@ func TestForwardPanicsOnBadInput(t *testing.T) {
 			t.Error("no panic on wrong input width")
 		}
 	}()
-	m.Forward([]float64{1, 2})
+	NewPolicy(m, 1).Greedy([]float64{1, 2})
 }
 
 func TestSoftmax(t *testing.T) {
-	p := Softmax([]float64{1, 1, 1})
+	p := softmaxInto(nil, []float64{1, 1, 1})
 	for _, v := range p {
 		if math.Abs(v-1.0/3) > 1e-12 {
 			t.Errorf("uniform softmax = %v", p)
 		}
 	}
 	// Stability under huge logits.
-	p = Softmax([]float64{1000, 999})
-	if math.IsNaN(p[0]) || p[0] <= p[1] {
+	p = softmaxInto(p, []float64{1000, 999})
+	if len(p) != 2 || math.IsNaN(p[0]) || p[0] <= p[1] {
 		t.Errorf("big-logit softmax = %v", p)
-	}
-	if Softmax(nil) != nil {
-		t.Error("Softmax(nil) != nil")
 	}
 }
 
@@ -73,7 +73,7 @@ func TestSoftmaxSumsToOneProperty(t *testing.T) {
 			logits[i] = rng.NormFloat64() * 10
 		}
 		s := 0.0
-		for _, v := range Softmax(logits) {
+		for _, v := range softmaxInto(nil, logits) {
 			if v < 0 || v > 1 {
 				return false
 			}
@@ -90,7 +90,7 @@ func TestPolicySampleMatchesProbs(t *testing.T) {
 	m, _ := NewMLP(3, 2, 8, 3)
 	p := NewPolicy(m, 9)
 	state := []float64{0.5, -0.2}
-	probs := p.Probs(state)
+	probs := append([]float64(nil), p.probsFor(state)...)
 	counts := make([]int, 3)
 	n := 20000
 	for i := 0; i < n; i++ {
@@ -178,7 +178,7 @@ func TestEntropyBonusKeepsStochastic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	probs := p.Probs(st)
+	probs := p.probsFor(st)
 	for _, v := range probs {
 		if v < 0.15 {
 			t.Errorf("entropy-regularised policy collapsed: %v", probs)

@@ -9,9 +9,9 @@
 // at low rates and up to 5x more efficient at high rates (Fig. 12).
 //
 // Beyond the per-(device, band, direction) linear curves, the package
-// provides the composed device-level power (screen + SoC + radio), the
-// signal-strength-aware ground-truth process used to synthesise the walking
-// datasets (Fig. 13/14), and energy integration over throughput traces.
+// provides the screen and SoC power that sit under the radio in the
+// device-level total (Table 3), and the signal-strength-aware ground-truth
+// process used to synthesise the walking datasets (Fig. 13/14).
 package power
 
 import (
@@ -277,29 +277,4 @@ func (p DLPower) PowerMw(dlMbps, rsrpDbm float64) float64 {
 	base := p.BaseMw * (1 + baseSignalGain*poor*poor)
 	marg := p.SlopeMwPerMbps * math.Max(0, dlMbps) * (1 + slopeSignalGain*poor)
 	return base + marg
-}
-
-// DevicePowerMw is the full instantaneous device power: screen at max
-// brightness + SoC floor + radio. This is what the Monsoon monitor measures
-// before screen subtraction.
-func DevicePowerMw(m device.Model, a Activity) (float64, error) {
-	r, err := RadioPowerMw(m, a)
-	if err != nil {
-		return 0, err
-	}
-	return ScreenMaxMw + SoCBaseMw + r, nil
-}
-
-// EfficiencyUJPerBit computes energy-per-bit for an activity (both
-// directions summed), in microjoules per bit.
-func EfficiencyUJPerBit(m device.Model, a Activity) (float64, error) {
-	th := a.DLMbps + a.ULMbps
-	if th <= 0 {
-		return math.Inf(1), nil
-	}
-	p, err := RadioPowerMw(m, a)
-	if err != nil {
-		return 0, err
-	}
-	return p / 1000 / th, nil
 }

@@ -228,14 +228,10 @@ func TestUplinkDominantBase(t *testing.T) {
 
 func TestDevicePowerIdleCalibration(t *testing.T) {
 	// Table 3: idle with screen on ~2014 mW. Radio contribution in idle is
-	// handled by rrc; here DevicePower with zero activity is screen + SoC +
-	// zero-throughput connected radio, which must exceed the idle total.
-	p, err := DevicePowerMw(device.S20U, Activity{Class: radio.ClassLTE})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p < ScreenMaxMw+SoCBaseMw {
-		t.Errorf("device power %v below screen+SoC floor", p)
+	// handled by rrc; at zero throughput a connected radio still draws its
+	// base power on top of the screen + SoC floor.
+	if base := MustCurve(device.S20U, radio.ClassLTE, radio.Downlink).PowerMw(0); base <= 0 {
+		t.Errorf("zero-throughput connected radio power = %v, want > 0", base)
 	}
 	// Screen + SoC floor matches the Table 3 idle measurement within 2%.
 	idle := ScreenMaxMw + SoCBaseMw + 14 // + idle radio (Verizon 4G)
@@ -245,15 +241,13 @@ func TestDevicePowerIdleCalibration(t *testing.T) {
 }
 
 func TestEfficiencyUJPerBit(t *testing.T) {
-	e, err := EfficiencyUJPerBit(device.S20U, Activity{Class: radio.ClassLTE, DLMbps: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := MustCurve(device.S20U, radio.ClassLTE, radio.Downlink)
+	e := c.EfficiencyUJPerBit(100)
 	want := (800 + 14.55*100) / 1000 / 100
 	if math.Abs(e-want) > 1e-12 {
 		t.Errorf("efficiency = %v, want %v", e, want)
 	}
-	if e2, _ := EfficiencyUJPerBit(device.S20U, Activity{Class: radio.ClassLTE}); !math.IsInf(e2, 1) {
+	if e2 := c.EfficiencyUJPerBit(0); !math.IsInf(e2, 1) {
 		t.Error("zero-throughput efficiency should be +Inf")
 	}
 }
@@ -262,11 +256,12 @@ func TestEfficiencyDecreasesWithRSRP(t *testing.T) {
 	// Fig. 14: as RSRP increases, energy per bit decreases.
 	prev := math.Inf(1)
 	for _, rsrp := range []float64{-108, -98, -88, -78} {
-		e, err := EfficiencyUJPerBit(device.S10,
+		p, err := RadioPowerMw(device.S10,
 			Activity{Class: radio.ClassMmWave, DLMbps: 400, RSRPDbm: rsrp})
 		if err != nil {
 			t.Fatal(err)
 		}
+		e := p / 1000 / 400
 		if e > prev {
 			t.Errorf("efficiency not improving with RSRP at %v dBm", rsrp)
 		}

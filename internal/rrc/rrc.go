@@ -84,17 +84,6 @@ const (
 	Radio5G
 )
 
-func (r Radio) String() string {
-	switch r {
-	case Radio4G:
-		return "4G"
-	case Radio5G:
-		return "5G"
-	default:
-		return "none"
-	}
-}
-
 // Config holds the RRC parameters for one network deployment. Times are in
 // milliseconds, matching Table 7 of the paper.
 type Config struct {
@@ -200,12 +189,6 @@ func MustConfig(n radio.Network) Config {
 	return c
 }
 
-// Transition records one observed state change, for handoff/state logging.
-type Transition struct {
-	At       float64 // simulation time, seconds
-	From, To State
-}
-
 // Machine is the per-UE RRC state machine. Create with NewMachine; drive it
 // by calling DataActivity whenever a packet is sent or received, and move
 // its clock forward with RunUntil.
@@ -228,11 +211,10 @@ type Machine struct {
 
 	// Events counts the deadlines that have fired.
 	Events uint64
-	// Log accumulates transitions when LogTransitions is true.
-	LogTransitions bool
-	Log            []Transition
 	// Obs, when non-nil, receives a trace record per state transition and
 	// per-state dwell-time histograms (sim-time stamped; nil costs nothing).
+	// Each record is an "rrc"/"transition" span over the dwell in the state
+	// left, with "from" and "to" fields.
 	Obs *obs.Obs
 }
 
@@ -302,28 +284,24 @@ func (m *Machine) setState(s State) { m.setStateAt(m.now, s) }
 
 // setStateAt is the single transition point of the machine: every state
 // change — including the lazily backdated Connected -> TailNR edge from
-// refresh — funnels through here, so the Log and obs emissions happen
-// exactly once per transition and stateSince bookkeeping lives in one
-// place. t may be earlier than the clock (a backdated edge); it is never
-// earlier than the previous transition.
+// refresh — funnels through here, so the obs emissions happen exactly once
+// per transition and stateSince bookkeeping lives in one place. t may be
+// earlier than the clock (a backdated edge); it is never earlier than the
+// previous transition.
 func (m *Machine) setStateAt(t float64, s State) {
 	if s == m.state {
 		return
 	}
-	tr := Transition{At: t, From: m.state, To: s}
 	if m.Obs.Enabled() {
 		dwell := t - m.stateSince
 		m.Obs.Trace().Emit(obs.Span(m.stateSince, dwell, "rrc", "transition").
-			With(obs.S("from", tr.From.String())).
-			With(obs.S("to", tr.To.String())))
+			With(obs.S("from", m.state.String())).
+			With(obs.S("to", s.String())))
 		m.Obs.Meter().Inc("rrc.transitions")
-		m.Obs.Meter().Hist("rrc.dwell_s."+tr.From.String(), dwellBounds).Observe(dwell)
+		m.Obs.Meter().Hist("rrc.dwell_s."+m.state.String(), dwellBounds).Observe(dwell)
 	}
 	m.state = s
 	m.stateSince = t
-	if m.LogTransitions {
-		m.Log = append(m.Log, tr)
-	}
 }
 
 // cancelDemotions disarms both deadlines.

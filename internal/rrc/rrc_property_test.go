@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"fivegsim/internal/obs"
 	"fivegsim/internal/radio"
 )
 
@@ -40,7 +41,7 @@ func TestMachineInvariantsProperty(t *testing.T) {
 		n := radio.AllNetworks[int(netIdx)%len(radio.AllNetworks)]
 		cfg := MustConfig(n)
 		m := NewMachine(cfg)
-		m.LogTransitions = true
+		m.Obs = obs.New()
 		rng := rand.New(rand.NewSource(seed))
 		maxDelay := (cfg.IdleDRXMs + cfg.Promo4GMs + cfg.Promo5GMs + cfg.LongDRXMs) / 1000
 
@@ -67,7 +68,7 @@ func TestMachineInvariantsProperty(t *testing.T) {
 				return false
 			}
 		}
-		for _, tr := range m.Log {
+		for _, tr := range transitions(t, m) {
 			if !legal[[2]State{tr.From, tr.To}] {
 				t.Logf("%s: illegal transition %v -> %v", n, tr.From, tr.To)
 				return false
@@ -94,7 +95,7 @@ func TestTransitionLogMonotoneProperty(t *testing.T) {
 	f := func(seed int64, netIdx uint8) bool {
 		n := radio.AllNetworks[int(netIdx)%len(radio.AllNetworks)]
 		m := NewMachine(MustConfig(n))
-		m.LogTransitions = true
+		m.Obs = obs.New()
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 30; i++ {
 			m.RunUntil(m.Now() + rng.Float64()*20)
@@ -102,8 +103,9 @@ func TestTransitionLogMonotoneProperty(t *testing.T) {
 			m.RunUntil(m.Now() + d)
 		}
 		m.CurrentState()
-		for i := 1; i < len(m.Log); i++ {
-			if m.Log[i].At < m.Log[i-1].At-1e-9 {
+		log := transitions(t, m)
+		for i := 1; i < len(log); i++ {
+			if log[i].At < log[i-1].At-1e-9 {
 				return false
 			}
 		}

@@ -83,11 +83,10 @@ func TestPromotionTimerReuseSoak(t *testing.T) {
 
 // TestRefreshSingleEmissionPoint asserts the lazily backdated
 // Connected -> TailNR edge is emitted exactly once and through the same
-// path as every other transition: one Log entry and one obs record, both
-// stamped at lastData + tailThresholdS.
+// path as every other transition: one obs record, ending at
+// lastData + tailThresholdS.
 func TestRefreshSingleEmissionPoint(t *testing.T) {
 	m := NewMachine(MustConfig(radio.VerizonLTE))
-	m.LogTransitions = true
 	m.Obs = obs.New()
 
 	d := m.DataActivity()
@@ -99,21 +98,19 @@ func TestRefreshSingleEmissionPoint(t *testing.T) {
 	m.ActiveRadio()
 	m.RadioPowerMw()
 
-	var edges []Transition
-	for _, tr := range m.Log {
+	log := transitions(t, m)
+	var edges []transition
+	for _, tr := range log {
 		if tr.From == Connected && tr.To == TailNR {
 			edges = append(edges, tr)
 		}
 	}
 	if len(edges) != 1 {
-		t.Fatalf("Connected->TailNR logged %d times, want exactly once (log: %v)", len(edges), m.Log)
+		t.Fatalf("Connected->TailNR emitted %d times, want exactly once (log: %v)", len(edges), log)
 	}
 	wantAt := lastData + tailThresholdS
 	if math.Abs(edges[0].At-wantAt) > 1e-9 {
 		t.Errorf("edge backdated to %v, want %v", edges[0].At, wantAt)
-	}
-	if got := m.Obs.Trace().Len(); got != len(m.Log) {
-		t.Errorf("obs recorded %d transitions but Log has %d; emission points diverged", got, len(m.Log))
 	}
 }
 

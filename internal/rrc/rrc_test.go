@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"fivegsim/internal/obs"
 	"fivegsim/internal/radio"
 )
 
@@ -14,6 +15,53 @@ func newM(t *testing.T, n radio.Network) *Machine {
 		t.Fatal(err)
 	}
 	return NewMachine(cfg)
+}
+
+// transition is one state change, read back from the machine's trace.
+type transition struct {
+	At       float64
+	From, To State
+}
+
+// transitions returns the state changes m has emitted to its Obs. Each
+// "rrc"/"transition" span covers the dwell in the state it leaves and the
+// next span begins where it ends, so change i happens at span i+1's At;
+// the last change happens at its span's end.
+func transitions(t testing.TB, m *Machine) []transition {
+	t.Helper()
+	var out []transition
+	m.Obs.Trace().Walk(func(r *obs.Record) error {
+		if r.Sub != "rrc" || r.Name != "transition" {
+			t.Fatalf("unexpected record %+v", r)
+		}
+		tr := transition{At: r.At + r.Dur}
+		for _, f := range r.Fields() {
+			switch f.Key {
+			case "from":
+				tr.From = stateNamed(t, f.Str)
+			case "to":
+				tr.To = stateNamed(t, f.Str)
+			}
+		}
+		if n := len(out); n > 0 {
+			out[n-1].At = r.At
+		}
+		out = append(out, tr)
+		return nil
+	})
+	return out
+}
+
+// stateNamed returns the State whose String is name.
+func stateNamed(t testing.TB, name string) State {
+	t.Helper()
+	for s := Idle; s <= Inactive; s++ {
+		if s.String() == name {
+			return s
+		}
+	}
+	t.Fatalf("unknown state %q", name)
+	return Idle
 }
 
 func TestConfigForAllNetworks(t *testing.T) {
@@ -113,7 +161,6 @@ func TestConnectedZeroDelay(t *testing.T) {
 
 func TestTailDemotionLTE(t *testing.T) {
 	m := newM(t, radio.TMobileLTE) // tail 5 s
-	m.LogTransitions = true
 	d := m.DataActivity()
 	m.RunUntil(d + 0.2)
 	if m.CurrentState() != TailNR {
@@ -259,23 +306,24 @@ func TestRadioPowerByState(t *testing.T) {
 
 func TestTransitionLog(t *testing.T) {
 	m := newM(t, radio.TMobileLTE)
-	m.LogTransitions = true
+	m.Obs = obs.New()
 	d := m.DataActivity()
 	m.RunUntil(d + 6)
 	m.CurrentState() // force refresh
 	// Expect Idle->Promoting->Connected->TailNR->Idle.
 	want := []State{Promoting, Connected, TailNR, Idle}
-	if len(m.Log) != len(want) {
-		t.Fatalf("log = %v", m.Log)
+	log := transitions(t, m)
+	if len(log) != len(want) {
+		t.Fatalf("log = %v", log)
 	}
-	for i, tr := range m.Log {
+	for i, tr := range log {
 		if tr.To != want[i] {
 			t.Errorf("transition %d = %v, want to %v", i, tr, want[i])
 		}
 	}
 	// Transitions are time-ordered.
-	for i := 1; i < len(m.Log); i++ {
-		if m.Log[i].At < m.Log[i-1].At {
+	for i := 1; i < len(log); i++ {
+		if log[i].At < log[i-1].At {
 			t.Error("transition log not time-ordered")
 		}
 	}
@@ -285,9 +333,6 @@ func TestStateStrings(t *testing.T) {
 	if Idle.String() != "RRC_IDLE" || Connected.String() != "RRC_CONNECTED" ||
 		Inactive.String() != "RRC_INACTIVE" {
 		t.Error("state strings wrong")
-	}
-	if Radio4G.String() != "4G" || Radio5G.String() != "5G" || RadioNone.String() != "none" {
-		t.Error("radio strings wrong")
 	}
 	if State(42).String() == "" {
 		t.Error("unknown state should format")
@@ -332,17 +377,18 @@ func TestRoundTripPerNetwork(t *testing.T) {
 	}
 	for _, c := range cases {
 		m := newM(t, c.n)
-		m.LogTransitions = true
+		m.Obs = obs.New()
 		d := m.DataActivity()
 		m.RunUntil(d + 30)
 		if m.Events != c.events {
 			t.Errorf("%s: %d deadlines fired, want %d", c.n, m.Events, c.events)
 		}
-		if len(m.Log) != len(c.edges) {
-			t.Errorf("%s: log = %v, want %d transitions", c.n, m.Log, len(c.edges))
+		log := transitions(t, m)
+		if len(log) != len(c.edges) {
+			t.Errorf("%s: log = %v, want %d transitions", c.n, log, len(c.edges))
 			continue
 		}
-		for i, tr := range m.Log {
+		for i, tr := range log {
 			if w := c.edges[i]; tr.To != w.to || math.Abs(tr.At-w.at) > 1e-9 {
 				t.Errorf("%s: transition %d = %v at %v, want %v at %v", c.n, i, tr.To, tr.At, w.to, w.at)
 			}
@@ -377,7 +423,7 @@ func TestRunUntilNeverRewinds(t *testing.T) {
 // step: it never fires and is not counted.
 func TestPacketCancelsIdleStep(t *testing.T) {
 	m := newM(t, radio.TMobileSALowBand) // tail 10.4 s + 5 s inactive
-	m.LogTransitions = true
+	m.Obs = obs.New()
 	d := m.DataActivity()
 	m.RunUntil(d + 11) // the Idle step is due at d + 15.4
 	if m.CurrentState() != Inactive || m.Events != 2 {
@@ -395,7 +441,7 @@ func TestPacketCancelsIdleStep(t *testing.T) {
 	// A TailLTE packet on a DRX wake reconnects at once and sets no new
 	// step, so only the cancel keeps the Idle step (due at 12.33) away.
 	m2 := newM(t, radio.TMobileNSALowBand)
-	m2.LogTransitions = true
+	m2.Obs = obs.New()
 	m2.DataActivity()
 	m2.RunUntil(m2.tailAt) // TailLTE begins: a DRX wake
 	if got := m2.DataActivity(); got != 0 || m2.CurrentState() != Connected {
@@ -405,7 +451,7 @@ func TestPacketCancelsIdleStep(t *testing.T) {
 	if m2.Events != 2 {
 		t.Errorf("%d events, want 2: promotion and tail only", m2.Events)
 	}
-	for _, tr := range append(m.Log, m2.Log...) {
+	for _, tr := range append(transitions(t, m), transitions(t, m2)...) {
 		if tr.To == Idle {
 			t.Errorf("cancelled Idle step fired: %v", tr)
 		}
@@ -419,13 +465,14 @@ func TestTieFiresStepFirst(t *testing.T) {
 	cfg := MustConfig(radio.TMobileLTE)
 	cfg.TailMs = 0
 	m := NewMachine(cfg)
-	m.LogTransitions = true
+	m.Obs = obs.New()
 	m.RunUntil(m.DataActivity())
 	want := []State{Promoting, Connected, Idle}
-	if m.Events != 2 || len(m.Log) != len(want) {
-		t.Fatalf("%d events, log %v; want 2 events, %v", m.Events, m.Log, want)
+	log := transitions(t, m)
+	if m.Events != 2 || len(log) != len(want) {
+		t.Fatalf("%d events, log %v; want 2 events, %v", m.Events, log, want)
 	}
-	for i, tr := range m.Log {
+	for i, tr := range log {
 		if tr.To != want[i] {
 			t.Errorf("transition %d to %v, want %v", i, tr.To, want[i])
 		}
@@ -438,10 +485,11 @@ func TestNegativeDelayCountsAsZero(t *testing.T) {
 	cfg := MustConfig(radio.TMobileSALowBand)
 	cfg.InactiveDwellMs = -1000
 	m := NewMachine(cfg)
-	m.LogTransitions = true
+	m.Obs = obs.New()
 	d := m.DataActivity()
 	m.RunUntil(d + 11)
-	last := m.Log[len(m.Log)-1]
+	log := transitions(t, m)
+	last := log[len(log)-1]
 	if last.To != Idle || math.Abs(last.At-10.741) > 1e-9 || m.Events != 3 {
 		t.Errorf("last transition %v at %v after %d events; want RRC_IDLE at the tail expiry 10.741 after 3",
 			last.To, last.At, m.Events)

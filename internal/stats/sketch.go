@@ -59,12 +59,6 @@ func NewSketch(k int, seed uint64) *Sketch {
 	return &Sketch{k: k, seed: seed}
 }
 
-// K returns the sketch's capacity.
-func (s *Sketch) K() int { return s.k }
-
-// Len returns the number of kept observations (<= K).
-func (s *Sketch) Len() int { return len(s.vals) }
-
 // Observe folds in one (key, value) observation.
 func (s *Sketch) Observe(key uint64, v float64) {
 	s.insert(sketchPri(s.seed, key), key, v)
@@ -142,16 +136,10 @@ func (s *Sketch) Merge(o *Sketch) error {
 }
 
 // Values returns the kept observation values, sorted ascending.
+// PercentileSorted over them estimates the observed population's
+// percentiles (0 for an empty sketch).
 func (s *Sketch) Values() []float64 {
 	c := append([]float64(nil), s.vals...)
 	sort.Float64s(c)
 	return c
-}
-
-// Quantile estimates the p-th percentile (0..100) of the observed
-// population from the kept sample. It returns 0 for an empty sketch.
-// Callers extracting several percentiles should use Values once with
-// PercentileSorted.
-func (s *Sketch) Quantile(p float64) float64 {
-	return PercentileSorted(s.Values(), p)
 }

@@ -73,9 +73,9 @@ func TestSketchQuantileAccuracy(t *testing.T) {
 		s.Observe(keys[i], vals[i])
 	}
 	for _, p := range []float64{5, 25, 50, 75, 95} {
-		got := s.Quantile(p)
+		got := PercentileSorted(s.Values(), p)
 		if math.Abs(got-p/100) > 0.04 {
-			t.Errorf("Quantile(%g) = %g, want ~%g", p, got, p/100)
+			t.Errorf("percentile %g = %g, want ~%g", p, got, p/100)
 		}
 	}
 }
@@ -87,11 +87,11 @@ func TestSketchBounded(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		s.Observe(uint64(i), float64(i))
 	}
-	if s.Len() != 16 {
-		t.Fatalf("Len() = %d, want 16", s.Len())
+	if len(s.vals) != 16 {
+		t.Fatalf("kept %d observations, want 16", len(s.vals))
 	}
-	if got := NewSketch(-3, 1).K(); got != 1 {
-		t.Fatalf("K() after NewSketch(-3) = %d, want 1", got)
+	if got := NewSketch(-3, 1).k; got != 1 {
+		t.Fatalf("k after NewSketch(-3) = %d, want 1", got)
 	}
 }
 
@@ -109,7 +109,7 @@ func TestSketchMergeMismatch(t *testing.T) {
 // TestSketchEmpty: quantiles of an empty sketch are 0, matching the
 // Percentile convention for empty slices.
 func TestSketchEmpty(t *testing.T) {
-	if got := NewSketch(8, 1).Quantile(50); got != 0 {
-		t.Fatalf("Quantile on empty sketch = %g, want 0", got)
+	if got := PercentileSorted(NewSketch(8, 1).Values(), 50); got != 0 {
+		t.Fatalf("median of an empty sketch = %g, want 0", got)
 	}
 }

@@ -5,7 +5,8 @@
 // The paper reports 95th-percentile throughput for Speedtest runs, MAPE for
 // power-model evaluation, linear fits (slopes) for throughput–power curves,
 // harmonic means for ABR throughput prediction, and CDFs for page-load
-// metrics; each of those primitives lives here.
+// metrics (drawn as percentiles of one sorted sample: SortN, then
+// PercentileSorted); each of those primitives lives here.
 package stats
 
 import (
@@ -38,15 +39,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // Variance returns the population variance of xs, or 0 when len(xs) < 2.
@@ -225,43 +217,6 @@ func FitLine(x, y []float64) (LinearFit, error) {
 	return fit, nil
 }
 
-// Eval returns the fitted value at x.
-func (f LinearFit) Eval(x float64) float64 { return f.Slope*x + f.Intercept }
-
-// CDFPoint is a single point of an empirical CDF.
-type CDFPoint struct {
-	X float64 // value
-	P float64 // cumulative probability in (0,1]
-}
-
-// CDF returns the empirical CDF of xs as sorted (value, probability) points.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	out := make([]CDFPoint, len(c))
-	for i, v := range c {
-		out[i] = CDFPoint{X: v, P: float64(i+1) / float64(len(c))}
-	}
-	return out
-}
-
-// CDFAt evaluates the empirical CDF of xs at value v.
-func CDFAt(xs []float64, v float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range xs {
-		if x <= v {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}
-
 // Bucket is one bin of a histogram over a scalar feature.
 type Bucket struct {
 	Lo, Hi float64   // [Lo, Hi)
@@ -295,17 +250,6 @@ func Bin(keys, ys []float64, lo, hi, w float64) ([]Bucket, error) {
 		}
 	}
 	return out, nil
-}
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // RelError returns pred/truth expressed as a percentage (the paper's

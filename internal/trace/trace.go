@@ -13,11 +13,7 @@
 package trace
 
 import (
-	"bufio"
-	"fmt"
-	"io"
 	"math/rand"
-	"strconv"
 
 	"fivegsim/internal/cell"
 	"fivegsim/internal/radio"
@@ -136,41 +132,6 @@ func GenSet4G(n, durS int, seed int64) [][]float64 {
 		out[i] = Gen4G(seed+int64(i)*SeedStride4G, durS)
 	}
 	return out
-}
-
-// WriteCSV writes a trace as one value per line (the Lumos5G interchange
-// format used by the artifact).
-func WriteCSV(w io.Writer, tr []float64) error {
-	bw := bufio.NewWriter(w)
-	for _, v := range tr {
-		if _, err := fmt.Fprintf(bw, "%.3f\n", v); err != nil {
-			return fmt.Errorf("trace: write: %w", err)
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadCSV reads a one-value-per-line trace.
-func ReadCSV(r io.Reader) ([]float64, error) {
-	var out []float64
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		txt := sc.Text()
-		if txt == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(txt, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		out = append(out, v)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: read: %w", err)
-	}
-	return out, nil
 }
 
 // WalkSample is one second of a walking measurement trace: the §4.4

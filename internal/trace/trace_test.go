@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -124,36 +122,6 @@ func TestGenSets(t *testing.T) {
 	// Traces differ from each other.
 	if set5[0][0] == set5[1][0] && set5[0][1] == set5[1][1] && set5[0][2] == set5[1][2] {
 		t.Error("5G traces look identical")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	tr := Gen4G(5, 50)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(tr) {
-		t.Fatalf("round trip length %d vs %d", len(back), len(tr))
-	}
-	for i := range tr {
-		if math.Abs(back[i]-tr[i]) > 0.001 {
-			t.Fatalf("round trip value %d: %v vs %v", i, back[i], tr[i])
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("1.5\nnot-a-number\n")); err == nil {
-		t.Error("bad CSV did not error")
-	}
-	got, err := ReadCSV(strings.NewReader("\n\n2.5\n"))
-	if err != nil || len(got) != 1 || got[0] != 2.5 {
-		t.Errorf("blank-line CSV = %v, %v", got, err)
 	}
 }
 

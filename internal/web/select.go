@@ -127,11 +127,6 @@ func TrainSelection(ms []Measurement, w UtilityWeights, seed int64) (*SelectionM
 	return sm, nil
 }
 
-// Choose returns the model's radio choice for a website.
-func (m *SelectionModel) Choose(w Website) int {
-	return m.Tree.Predict(w.Features())
-}
-
 // TopFactors returns the names of the features used by the tree's
 // shallowest splits — the interpretable structure of Fig. 22.
 func (m *SelectionModel) TopFactors(n int) []string {

@@ -111,7 +111,7 @@ func TestChooseConsistentWithCounts(t *testing.T) {
 	}
 	c4, c5 := 0, 0
 	for _, mm := range ms {
-		switch m.Choose(mm.Site) {
+		switch m.Tree.Predict(mm.Site.Features()) {
 		case Use4G:
 			c4++
 		case Use5G:

@@ -16,6 +16,10 @@ fi
 echo "== go vet =="
 go vet ./...
 
+# Every binary and artifact the gates below build or write goes here.
+tmpdir="$(mktemp -d)"
+trap 'rm -rf "$tmpdir"' EXIT
+
 echo "== fgvet (determinism invariants, all eight checks) =="
 # The custom analyzer suite (internal/lint): simulated-clock time only,
 # seed-threaded RNGs, sorted map iteration, no silently dropped internal
@@ -25,9 +29,9 @@ echo "== fgvet (determinism invariants, all eight checks) =="
 # contracts (noalloc), and no stale //fgvet:allow suppressions
 # (allowaudit). Any diagnostic — stale allows included — fails CI. FGVET.json is the machine-readable artifact,
 # archived next to the BENCH_*.json files.
-go build -o /tmp/fgvet-ci ./cmd/fgvet
+go build -o "$tmpdir/fgvet" ./cmd/fgvet
 fgvet_start=$(date +%s%N)
-if ! /tmp/fgvet-ci -json \
+if ! "$tmpdir/fgvet" -json \
     -checks walltime,seededrand,maporder,errdrop,sharedwrite,fpfold,noalloc,allowaudit \
     ./... > FGVET.json; then
     echo "fgvet diagnostics (also in FGVET.json):" >&2
@@ -66,10 +70,11 @@ go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -count=1
 echo "== battery golden and kernel pins with amd64's other Exp path (FMA off) =="
 # amd64's math.Exp assembly picks one of two code paths by whether the CPU
 # has AVX and FMA; GODEBUG=cpu.fma=off takes the other one, which gives
-# different bits on some inputs. The battery bytes, the transport kernel
-# digest and the TCP loss-draw bracket must not notice. (On a CPU without
-# FMA both runs take the same path.)
+# different bits on some inputs. The battery bytes, the dataset gendata
+# writes, the transport kernel digest and the TCP loss-draw bracket must
+# not notice. (On a CPU without FMA both runs take the same path.)
 GODEBUG=cpu.fma=off go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -count=1
+GODEBUG=cpu.fma=off go test ./cmd/gendata -run 'TestSmallDatasetDigest' -count=1
 GODEBUG=cpu.fma=off go test ./internal/transport -run 'TestKernelDigest|TestLossBracketOracle' -count=1
 
 echo "== golden artifacts under GOARCH=386 (pure-Go math, 32-bit int) =="
@@ -82,9 +87,10 @@ echo "== golden artifacts under GOARCH=386 (pure-Go math, 32-bit int) =="
 # tests (the merge oracle, the tracer footprint pin, colf's round trip and
 # fuzz seed corpora): the tracer's compact store packs each record's field
 # count and kind mask into bytes, and must hold with 4-byte ints and 8-byte
-# strings too.
+# strings too. The gendata dataset digest runs here as well.
 GOARCH=386 go test ./internal/fleet -run 'TestGoldenArtifacts|TestSpillMatchesCentral' -count=1
 GOARCH=386 go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -count=1
+GOARCH=386 go test ./cmd/gendata -run 'TestSmallDatasetDigest' -count=1
 GOARCH=386 go test ./internal/obs/... -count=1
 GOARCH=386 go test ./internal/transport -run 'TestKernelDigest|TestLossBracketOracle' -count=1
 GOARCH=386 go test ./internal/abr -run 'TestMPCMatchesBruteForce|TestNewMPCMatchesOldDFS' -count=1
@@ -92,8 +98,6 @@ GOARCH=386 go test ./internal/abr -run 'TestMPCMatchesBruteForce|TestNewMPCMatch
 echo "== battery determinism (serial vs parallel) =="
 # The whole-campaign contract: rendered tables are byte-identical for any
 # -parallel value. Run the quick battery both ways and diff the output.
-tmpdir="$(mktemp -d)"
-trap 'rm -rf "$tmpdir"' EXIT
 go build -o "$tmpdir/fgrepro" ./cmd/fgrepro
 "$tmpdir/fgrepro" -quick -seed 1 -parallel 1 all > "$tmpdir/serial.txt"
 "$tmpdir/fgrepro" -quick -seed 1 -parallel 4 all > "$tmpdir/parallel.txt"
