@@ -81,7 +81,7 @@ func ExtensionBBR(cfg Config) []*Table {
 	repeats := cfg.pick(3, 10)
 	for _, region := range geo.AzureRegions {
 		p := netpath.Path{UE: ue, Network: radio.VerizonNSAmmWave,
-			DistanceKm: region.DistanceKm, ServerCapMbps: 10000, ExtraRTTMs: 1}
+			DistanceKm: region.DistanceKm, ServerCapMbps: geo.AzureCapMbps, ExtraRTTMs: geo.AzureExtraRTTMs}
 		params := p.Params(radio.Downlink)
 		opts := transport.TCPOptions{Flows: 1, WmemBytes: 64 << 20}
 		var bbr, cubic float64

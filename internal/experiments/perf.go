@@ -175,7 +175,7 @@ func Fig8(cfg Config) []*Table {
 	var udps, tuneds []float64
 	for _, region := range geo.AzureRegions {
 		p := netpath.Path{UE: ue, Network: radio.VerizonNSAmmWave,
-			DistanceKm: region.DistanceKm, ServerCapMbps: 10000, ExtraRTTMs: 1}
+			DistanceKm: region.DistanceKm, ServerCapMbps: geo.AzureCapMbps, ExtraRTTMs: geo.AzureExtraRTTMs}
 		params := p.Params(radio.Downlink)
 		// Transport records for this region fold back under a region tag.
 		sub := obs.Sub(cfg.Obs)

@@ -318,6 +318,15 @@ type AzureRegion struct {
 	DistanceKm float64 // as reported in Fig. 8
 }
 
+// AzureCapMbps and AzureExtraRTTMs describe the path to an Azure region's
+// VM, one of the paper's Standard DS4_v2 instances: a NIC cap far above
+// what mmWave delivers, and a small extra RTT for the datacenter edge.
+// Fig. 8 and the BBR extension use them for every region.
+const (
+	AzureCapMbps    = 10000
+	AzureExtraRTTMs = 1
+)
+
 // AzureRegions lists the eight conterminous-US Azure regions used for the
 // controlled single-connection experiments, ordered by distance.
 var AzureRegions = []AzureRegion{

@@ -51,6 +51,14 @@ func NewMLP(seed int64, widths ...int) (*MLP, error) {
 // NumInputs returns the input width.
 func (m *MLP) NumInputs() int { return m.sizes[0][0] }
 
+// checkInput reports an input whose width is not NumInputs.
+func (m *MLP) checkInput(x []float64) error {
+	if len(x) != m.NumInputs() {
+		return fmt.Errorf("nn: input width %d, want %d", len(x), m.NumInputs())
+	}
+	return nil
+}
+
 // forwardInto runs the network on x, writing the activations of every
 // layer into acts (acts[0] is the input, acts[last] the linear output);
 // acts must have length len(m.sizes)+1. acts[0] is set to alias x; the
@@ -130,8 +138,8 @@ func NewPolicy(net *MLP, seed int64) *Policy {
 // probsFor computes the action distribution into the policy's scratch; the
 // returned slice is valid until the next call.
 func (p *Policy) probsFor(state []float64) []float64 {
-	if len(state) != p.Net.NumInputs() {
-		panic(fmt.Sprintf("nn: input width %d, want %d", len(state), p.Net.NumInputs()))
+	if err := p.Net.checkInput(state); err != nil {
+		panic(err.Error())
 	}
 	if len(p.acts) != len(p.Net.sizes)+1 {
 		p.acts = make([][]float64, len(p.Net.sizes)+1)
@@ -169,14 +177,23 @@ func (p *Policy) Greedy(state []float64) int {
 
 // Step applies one REINFORCE gradient step: for each (state, action,
 // advantage) triple it ascends advantage * grad log pi(action|state), plus
-// an entropy bonus that keeps the policy exploratory. It returns an error
-// on length mismatches.
+// an entropy bonus that keeps the policy exploratory. It returns an error,
+// and leaves the weights as they were, on length mismatches, an empty
+// batch, a state whose width is not NumInputs and an action out of range.
 func (p *Policy) Step(states [][]float64, actions []int, advantages []float64, lr, entropy float64) error {
 	if len(states) != len(actions) || len(states) != len(advantages) {
 		return fmt.Errorf("nn: step arity mismatch %d/%d/%d",
 			len(states), len(actions), len(advantages))
 	}
+	if len(states) == 0 {
+		return fmt.Errorf("nn: step on an empty batch")
+	}
 	m := p.Net
+	for _, st := range states {
+		if err := m.checkInput(st); err != nil {
+			return err
+		}
+	}
 	// Accumulate gradients over the batch, into buffers reused across
 	// steps (zeroed here): minibatch training makes tens of thousands of
 	// Step calls and the per-call gradient/activation allocations dominated

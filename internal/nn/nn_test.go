@@ -111,14 +111,41 @@ func TestPolicySampleMatchesProbs(t *testing.T) {
 	}
 }
 
+// TestStepValidation: an arity mismatch, an action out of range, an empty
+// batch, and a state narrower or wider than the network's input fail with
+// an error and leave every weight and bias as it was.
 func TestStepValidation(t *testing.T) {
 	m, _ := NewMLP(3, 2, 4, 2)
 	p := NewPolicy(m, 1)
-	if err := p.Step([][]float64{{1, 2}}, []int{0, 1}, []float64{1}, 0.1, 0); err == nil {
-		t.Error("arity mismatch did not error")
+	snapshot := func() []float64 {
+		var all []float64
+		for l := range m.w {
+			all = append(append(all, m.w[l]...), m.b[l]...)
+		}
+		return all
 	}
-	if err := p.Step([][]float64{{1, 2}}, []int{5}, []float64{1}, 0.1, 0); err == nil {
-		t.Error("out-of-range action did not error")
+	before := snapshot()
+	for _, c := range []struct {
+		name    string
+		states  [][]float64
+		actions []int
+		want    string
+	}{
+		{"arity mismatch", [][]float64{{1, 2}}, []int{0, 1}, "nn: step arity mismatch 1/2/1"},
+		{"action out of range", [][]float64{{1, 2}}, []int{5}, "nn: action 5 out of range"},
+		{"empty batch", nil, nil, "nn: step on an empty batch"},
+		{"narrow state", [][]float64{{1, 2}, {1}}, []int{0, 0}, "nn: input width 1, want 2"},
+		{"wide state", [][]float64{{1, 2}, {1, 2, 3}}, []int{0, 0}, "nn: input width 3, want 2"},
+	} {
+		err := p.Step(c.states, c.actions, make([]float64, len(c.states)), 0.05, 0.1)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+		for i, v := range snapshot() {
+			if math.Float64bits(v) != math.Float64bits(before[i]) {
+				t.Fatalf("%s: parameter %d changed from %v to %v", c.name, i, before[i], v)
+			}
+		}
 	}
 }
 

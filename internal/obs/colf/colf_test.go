@@ -304,3 +304,83 @@ func TestCorruptInputFails(t *testing.T) {
 		t.Fatalf("decoding a %d-byte stream allocated %d bytes, want under 1 MB", len(huge), d)
 	}
 }
+
+// TestCorruptRecordFailsInPlace: a bad scope id in a block's third record
+// fails the third Next, after the block's first two records, and every
+// later Next returns the same error.
+func TestCorruptRecordFailsInPlace(t *testing.T) {
+	recs := []obs.Record{obs.Ev(0, "s", "e"), obs.Ev(1, "s", "e"), obs.Ev(2, "s", "e")}
+	enc := encode(t, []string{"x", "x", "x"}, recs, len(recs))
+	// The exp section, one scope id per record, follows the frame length,
+	// the record count, the dictionary and the section's own length.
+	c := &blockCursor{buf: enc, off: len(magic)}
+	c.uvarint()
+	c.uvarint()
+	nDict, _ := c.uvarint()
+	for i := uint64(0); i < nDict; i++ {
+		sz, _ := c.uvarint()
+		c.bytes(sz)
+	}
+	if sz, err := c.uvarint(); err != nil || sz != uint64(len(recs)) {
+		t.Fatalf("exp section of %d bytes (%v), want %d", sz, err, len(recs))
+	}
+	enc[c.off+2] = 0x7f // past the end of the dictionary
+
+	r := NewReader(bytes.NewReader(enc))
+	for i := 0; i < 2; i++ {
+		if _, rec, err := r.Next(); err != nil || rec.At != recs[i].At {
+			t.Fatalf("record %d: At %v, err %v; want At %v", i, rec.At, err, recs[i].At)
+		}
+	}
+	_, _, err := r.Next()
+	if err == nil || !strings.Contains(err.Error(), "dictionary id 127") {
+		t.Fatalf("third record: err = %v, want a dictionary-id error", err)
+	}
+	if _, _, again := r.Next(); again != err {
+		t.Fatalf("Next after a failure: err = %v, want %v", again, err)
+	}
+}
+
+// TestDecodeAllocBoundedByInput: the reader decodes one record per Next,
+// so what it allocates follows the bytes it reads, not the record count.
+// The stream is one block of 2^20 zero-field records, 6 bytes of input
+// each; decoding a whole block before returning its first record cost 440
+// B per record, about 400 times the input.
+func TestDecodeAllocBoundedByInput(t *testing.T) {
+	const n = 1 << 20
+	var enc bytes.Buffer
+	w := NewWriterSize(&enc, n)
+	rec := obs.Ev(0, "s", "e")
+	for i := 0; i < n; i++ {
+		if err := w.Add("x", &rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var lines countingWriter
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := DecodeToJSON(bytes.NewReader(enc.Bytes()), &lines)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines.n != n {
+		t.Fatalf("decoded %d records, want %d", lines.n, n)
+	}
+	alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*enc.Len()+1<<20)
+	t.Logf("decoding %d B of input allocated %d B", enc.Len(), alloc)
+	if alloc > limit {
+		t.Fatalf("decoding %d B of input allocated %d B, want at most %d", enc.Len(), alloc, limit)
+	}
+}
+
+// countingWriter counts the newlines written to it.
+type countingWriter struct{ n int }
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.n += bytes.Count(p, []byte{'\n'})
+	return len(p), nil
+}

@@ -2,7 +2,6 @@ package colf
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -11,17 +10,29 @@ import (
 	"fivegsim/internal/obs"
 )
 
-// Reader decodes a colf stream block by block. Memory is O(block): one
-// frame is buffered and decoded at a time, however large the artifact.
+// Reader decodes a colf stream one record per Next. It buffers one block's
+// frame at a time, with the block's dictionary, and decodes a record only
+// when Next asks for it, so memory is O(frame) however large the artifact
+// and however many records a block holds.
+//
+// A corrupt frame, dictionary or section table fails the Next call that
+// reads it, before any record of its block. A corrupt record fails the
+// Next call that reaches it, after the records before it in the same block
+// were returned; so does a block whose sections hold bytes past its last
+// record. Once Next has failed it returns the same error on every later
+// call.
 type Reader struct {
 	br *bufio.Reader
 
-	scopes  []string
-	recs    []obs.Record
-	pos     int
 	payload []byte
+	dict    []string
+	secs    [nSections]blockCursor
+	left    uint64 // records of the current block not yet decoded
+	lastAt  uint64
+	lastDur uint64
 	lastNum map[uint64]uint64
 	shapes  map[uint64][]uint64 // shape dict id -> parsed field words
+	err     error
 
 	readMagic bool
 }
@@ -39,17 +50,27 @@ func NewReader(r io.Reader) *Reader {
 // returns io.EOF at the clean end of the stream and a descriptive error on
 // a corrupt one.
 func (r *Reader) Next() (string, obs.Record, error) {
-	for r.pos >= len(r.recs) {
-		if err := r.readBlock(); err != nil {
-			return "", obs.Record{}, err
-		}
+	for r.err == nil && r.left == 0 {
+		r.err = r.readBlock()
 	}
-	i := r.pos
-	r.pos++
-	return r.scopes[i], r.recs[i], nil
+	if r.err != nil {
+		return "", obs.Record{}, r.err
+	}
+	r.left--
+	var rec obs.Record
+	scope, err := r.decodeRecord(&rec)
+	if err == nil && r.left == 0 {
+		err = r.drained()
+	}
+	if err != nil {
+		r.err = err
+		return "", obs.Record{}, err
+	}
+	return scope, rec, nil
 }
 
-// readBlock reads and decodes the next frame into r.scopes/r.recs.
+// readBlock reads the next frame and decodes its header: the record
+// count, the dictionary and the section table.
 func (r *Reader) readBlock() error {
 	if !r.readMagic {
 		var m [len(magic)]byte
@@ -77,17 +98,26 @@ func (r *Reader) readBlock() error {
 	}
 	// Grow the payload buffer with the bytes actually read, never up front
 	// from the frame length: a corrupt length must not cost an allocation
-	// of its own size before the stream runs out.
-	buf := bytes.NewBuffer(r.payload[:0])
-	got, err := io.CopyN(buf, r.br, int64(n))
-	r.payload = buf.Bytes()
-	if err != nil {
-		if err == io.EOF && got > 0 {
-			err = io.ErrUnexpectedEOF // what io.ReadFull reports for a short read
+	// of its own size before the stream runs out. Each read doubles what
+	// was read before, up to the frame length, so the buffers a frame
+	// costs add up to at most twice its length.
+	p := r.payload[:0]
+	for len(p) < int(n) {
+		want := min(max(2*len(p), 4096), int(n))
+		if cap(p) < want {
+			p = append(make([]byte, 0, want), p...)
 		}
-		return fmt.Errorf("colf: truncated block (want %d bytes): %w", n, err)
+		got, err := io.ReadFull(r.br, p[len(p):want])
+		p = p[:len(p)+got]
+		if err != nil {
+			if err == io.EOF && len(p) > 0 {
+				err = io.ErrUnexpectedEOF // what io.ReadFull reports for a short read
+			}
+			return fmt.Errorf("colf: truncated block (want %d bytes): %w", n, err)
+		}
 	}
-	return r.decodeBlock(r.payload)
+	r.payload = p
+	return r.startBlock(p)
 }
 
 // blockCursor walks one length-delimited byte region with checked reads.
@@ -123,9 +153,10 @@ func (c *blockCursor) raw8() (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
-// decodeBlock rebuilds the block's records. Delta chains and the
-// dictionary are block-local, mirroring the encoder exactly.
-func (r *Reader) decodeBlock(payload []byte) error {
+// startBlock decodes a block's header and leaves the reader positioned at
+// its first record. Delta chains and the dictionary are block-local,
+// mirroring the encoder exactly.
+func (r *Reader) startBlock(payload []byte) error {
 	c := &blockCursor{buf: payload}
 	nRecs, err := c.uvarint()
 	if err != nil {
@@ -141,8 +172,11 @@ func (r *Reader) decodeBlock(payload []byte) error {
 	if nDict > uint64(len(payload)) {
 		return fmt.Errorf("colf: dictionary count %d exceeds payload", nDict)
 	}
-	dict := make([]string, nDict)
-	for i := range dict {
+	if uint64(cap(r.dict)) < nDict {
+		r.dict = make([]string, nDict)
+	}
+	r.dict = r.dict[:nDict]
+	for i := range r.dict {
 		sz, err := c.uvarint()
 		if err != nil {
 			return err
@@ -151,17 +185,9 @@ func (r *Reader) decodeBlock(payload []byte) error {
 		if err != nil {
 			return err
 		}
-		dict[i] = string(b)
+		r.dict[i] = string(b)
 	}
-	lookup := func(id uint64) (string, error) {
-		if id >= uint64(len(dict)) {
-			return "", fmt.Errorf("colf: dictionary id %d out of range (%d entries)", id, len(dict))
-		}
-		return dict[id], nil
-	}
-
-	var secs [nSections]*blockCursor
-	for i := range secs {
+	for i := range r.secs {
 		sz, err := c.uvarint()
 		if err != nil {
 			return err
@@ -170,139 +196,157 @@ func (r *Reader) decodeBlock(payload []byte) error {
 		if err != nil {
 			return fmt.Errorf("colf: section %d: %w", i, err)
 		}
-		secs[i] = &blockCursor{buf: b}
+		r.secs[i] = blockCursor{buf: b}
 	}
 	if c.off != len(payload) {
 		return fmt.Errorf("colf: %d trailing bytes after sections", len(payload)-c.off)
 	}
 
-	r.scopes = r.scopes[:0]
-	r.recs = r.recs[:0]
-	r.pos = 0
+	r.left = nRecs
+	r.lastAt, r.lastDur = 0, 0
 	clear(r.lastNum)
 	clear(r.shapes)
-	var lastAt, lastDur uint64
-	for i := uint64(0); i < nRecs; i++ {
-		expID, err := secs[secExp].uvarint()
-		if err != nil {
-			return err
-		}
-		scope, err := lookup(expID)
-		if err != nil {
-			return err
-		}
-
-		w, err := secs[secAt].uvarint()
-		if err != nil {
-			return err
-		}
-		switch {
-		case w == xwRepeat:
-			// lastAt unchanged
-		case w == xwAtRaw:
-			if lastAt, err = secs[secAt].raw8(); err != nil {
-				return err
-			}
-		case w < xwMin:
-			return fmt.Errorf("colf: invalid at-stream code %d", w)
-		default:
-			lastAt ^= unXorShift(w)
-		}
-		d, err := secs[secDur].uvarint()
-		if err != nil {
-			return err
-		}
-		lastDur += uint64(unzigzag(d))
-
-		subID, err := secs[secSub].uvarint()
-		if err != nil {
-			return err
-		}
-		sub, err := lookup(subID)
-		if err != nil {
-			return err
-		}
-		nameID, err := secs[secName].uvarint()
-		if err != nil {
-			return err
-		}
-		name, err := lookup(nameID)
-		if err != nil {
-			return err
-		}
-
-		rec := obs.Span(math.Float64frombits(lastAt), math.Float64frombits(lastDur), sub, name)
-		shapeID, err := secs[secShape].uvarint()
-		if err != nil {
-			return err
-		}
-		kws, ok := r.shapes[shapeID]
-		if !ok {
-			shape, err := lookup(shapeID)
-			if err != nil {
-				return err
-			}
-			sc := &blockCursor{buf: []byte(shape)}
-			for sc.off < len(sc.buf) {
-				kw, err := sc.uvarint()
-				if err != nil {
-					return fmt.Errorf("colf: malformed field shape %d: %w", shapeID, err)
-				}
-				kws = append(kws, kw)
-			}
-			r.shapes[shapeID] = kws
-		}
-		for _, kw := range kws {
-			keyID := kw >> 1
-			key, err := lookup(keyID)
-			if err != nil {
-				return err
-			}
-			if kw&1 == fkStr {
-				valID, err := secs[secFVal].uvarint()
-				if err != nil {
-					return err
-				}
-				val, err := lookup(valID)
-				if err != nil {
-					return err
-				}
-				rec = rec.With(obs.S(key, val))
-				continue
-			}
-			w, err := secs[secFVal].uvarint()
-			if err != nil {
-				return err
-			}
-			bits := r.lastNum[keyID]
-			switch {
-			case w == xwRepeat:
-				// previous same-key value, unchanged
-			case w == xwNumDur:
-				bits = lastDur
-			case w == xwNumAt:
-				bits = lastAt
-			case w == xwNumRaw:
-				if bits, err = secs[secFVal].raw8(); err != nil {
-					return err
-				}
-			case w < xwMin:
-				return fmt.Errorf("colf: invalid fval-stream code %d", w)
-			default:
-				bits ^= unXorShift(w)
-			}
-			r.lastNum[keyID] = bits
-			rec = rec.With(obs.F(key, math.Float64frombits(bits)))
-		}
-		r.scopes = append(r.scopes, scope)
-		r.recs = append(r.recs, rec)
+	if nRecs == 0 {
+		return r.drained()
 	}
-	for i, s := range secs {
+	return nil
+}
+
+// drained checks, after a block's last record, that its sections hold
+// nothing more.
+func (r *Reader) drained() error {
+	for i, s := range r.secs {
 		if s.off != len(s.buf) {
 			return fmt.Errorf("colf: section %d has %d undecoded bytes", i, len(s.buf)-s.off)
 		}
 	}
 	return nil
+}
+
+// lookup returns dictionary entry id of the current block.
+func (r *Reader) lookup(id uint64) (string, error) {
+	if id >= uint64(len(r.dict)) {
+		return "", fmt.Errorf("colf: dictionary id %d out of range (%d entries)", id, len(r.dict))
+	}
+	return r.dict[id], nil
+}
+
+// decodeRecord decodes the current block's next record from its sections
+// into rec and returns its scope.
+func (r *Reader) decodeRecord(rec *obs.Record) (string, error) {
+	secs := &r.secs
+	expID, err := secs[secExp].uvarint()
+	if err != nil {
+		return "", err
+	}
+	scope, err := r.lookup(expID)
+	if err != nil {
+		return "", err
+	}
+
+	w, err := secs[secAt].uvarint()
+	if err != nil {
+		return "", err
+	}
+	switch {
+	case w == xwRepeat:
+		// lastAt unchanged
+	case w == xwAtRaw:
+		if r.lastAt, err = secs[secAt].raw8(); err != nil {
+			return "", err
+		}
+	case w < xwMin:
+		return "", fmt.Errorf("colf: invalid at-stream code %d", w)
+	default:
+		r.lastAt ^= unXorShift(w)
+	}
+	d, err := secs[secDur].uvarint()
+	if err != nil {
+		return "", err
+	}
+	r.lastDur += uint64(unzigzag(d))
+
+	subID, err := secs[secSub].uvarint()
+	if err != nil {
+		return "", err
+	}
+	sub, err := r.lookup(subID)
+	if err != nil {
+		return "", err
+	}
+	nameID, err := secs[secName].uvarint()
+	if err != nil {
+		return "", err
+	}
+	name, err := r.lookup(nameID)
+	if err != nil {
+		return "", err
+	}
+
+	*rec = obs.Span(math.Float64frombits(r.lastAt), math.Float64frombits(r.lastDur), sub, name)
+	shapeID, err := secs[secShape].uvarint()
+	if err != nil {
+		return "", err
+	}
+	kws, ok := r.shapes[shapeID]
+	if !ok {
+		shape, err := r.lookup(shapeID)
+		if err != nil {
+			return "", err
+		}
+		sc := &blockCursor{buf: []byte(shape)}
+		for sc.off < len(sc.buf) {
+			kw, err := sc.uvarint()
+			if err != nil {
+				return "", fmt.Errorf("colf: malformed field shape %d: %w", shapeID, err)
+			}
+			kws = append(kws, kw)
+		}
+		r.shapes[shapeID] = kws
+	}
+	for _, kw := range kws {
+		keyID := kw >> 1
+		key, err := r.lookup(keyID)
+		if err != nil {
+			return "", err
+		}
+		if kw&1 == fkStr {
+			valID, err := secs[secFVal].uvarint()
+			if err != nil {
+				return "", err
+			}
+			val, err := r.lookup(valID)
+			if err != nil {
+				return "", err
+			}
+			*rec = rec.With(obs.S(key, val))
+			continue
+		}
+		w, err := secs[secFVal].uvarint()
+		if err != nil {
+			return "", err
+		}
+		bits := r.lastNum[keyID]
+		switch {
+		case w == xwRepeat:
+			// previous same-key value, unchanged
+		case w == xwNumDur:
+			bits = r.lastDur
+		case w == xwNumAt:
+			bits = r.lastAt
+		case w == xwNumRaw:
+			if bits, err = secs[secFVal].raw8(); err != nil {
+				return "", err
+			}
+		case w < xwMin:
+			return "", fmt.Errorf("colf: invalid fval-stream code %d", w)
+		default:
+			bits ^= unXorShift(w)
+		}
+		r.lastNum[keyID] = bits
+		*rec = rec.With(obs.F(key, math.Float64frombits(bits)))
+	}
+	return scope, nil
 }
 
 // DecodeToJSON streams a colf artifact back out as JSON Lines, one object

@@ -43,16 +43,19 @@ var (
 )
 
 // emit appends 0-3 records, point events and spans, carrying 0-maxFields
-// fields of mixed kinds to both tracers.
+// fields of mixed kinds to both tracers. Sub takes one of two values and
+// each field slot's key one of two spellings, so two records can agree in
+// name, field count and kind mask and still differ in Sub or in a key.
 func (s *mergeScript) emit(got *Tracer, want *copyTracer) {
 	for n := s.rng.Intn(4); n > 0; n-- {
-		r := Ev(s.next, "s", "e")
+		sub := []string{"s", "t"}[s.rng.Intn(2)]
+		r := Ev(s.next, sub, "e")
 		if s.rng.Intn(2) == 0 {
-			r = Span(s.next, float64(1+s.rng.Intn(4))/4, "s", "span")
+			r = Span(s.next, float64(1+s.rng.Intn(4))/4, sub, "span")
 		}
 		s.next++
 		for f := s.rng.Intn(maxFields + 1); f > 0; f-- {
-			key := fmt.Sprintf("f%d", f)
+			key := fmt.Sprintf("%c%d", "fg"[s.rng.Intn(2)], f)
 			if s.rng.Intn(2) == 0 {
 				r = r.With(S(key, scriptStrs[s.rng.Intn(len(scriptStrs))]))
 			} else {
@@ -255,14 +258,15 @@ func TestMergeCostIndependentOfChildSize(t *testing.T) {
 }
 
 // TestTracerFootprint: a fig17 leaf tracer, 75 chunk spans of four numeric
-// fields reserved with Grow, retains at most 200 B per record (a Record
-// alone is 440 B), and Emit allocates nothing inside the reservation.
+// fields reserved with Grow, retains at most 80 B per record, its shape
+// table included (a Record alone is 440 B), and Emit allocates nothing once
+// the record's shape is in the table.
 func TestTracerFootprint(t *testing.T) {
 	const chunks = 75
 	tr := NewTracer()
 	tr.Grow(chunks, 4)
 	i := 0
-	allocs := testing.AllocsPerRun(chunks-1, func() { // plus one warm-up call
+	allocs := testing.AllocsPerRun(chunks-1, func() { // plus one warm-up call, which adds the shape
 		tr.Emit(Span(float64(i), 1, "abr", "chunk").
 			With(F("idx", float64(i))).With(F("quality", 2)).
 			With(F("buffer_s", 3)).With(F("download_s", 1)))
@@ -275,12 +279,13 @@ func TestTracerFootprint(t *testing.T) {
 		t.Errorf("Emit after Grow: %v allocs/op, want 0", allocs)
 	}
 	retained := cap(tr.heads)*int(unsafe.Sizeof(recHead{})) +
-		cap(tr.nums)*int(unsafe.Sizeof(numField{})) +
-		cap(tr.strs)*int(unsafe.Sizeof(strField{}))
+		cap(tr.nums)*int(unsafe.Sizeof(float64(0))) +
+		cap(tr.strs)*int(unsafe.Sizeof("")) +
+		cap(tr.shapes)*int(unsafe.Sizeof(recShape{}))
 	perRecord := float64(retained) / chunks
-	t.Logf("%d headers, %d numeric and %d string field slots: %.1f B per record",
-		cap(tr.heads), cap(tr.nums), cap(tr.strs), perRecord)
-	if perRecord > 200 {
-		t.Errorf("retained %.1f B per record, want at most 200", perRecord)
+	t.Logf("%d headers, %d numeric and %d string value slots, %d shapes: %.1f B per record",
+		cap(tr.heads), cap(tr.nums), cap(tr.strs), cap(tr.shapes), perRecord)
+	if perRecord > 80 {
+		t.Errorf("retained %.1f B per record, want at most 80", perRecord)
 	}
 }

@@ -16,8 +16,9 @@
 // marshalling and no allocations (asserted by the ReportAllocs benchmarks
 // here and in internal/abr and internal/transport). An enabled tracer
 // keeps only what each record renders (see Tracer for the layout), and
-// after Grow, Emit of numeric records allocates nothing until the reserved
-// room is used up (TestTracerFootprint).
+// after Grow, Emit of numeric records of a shape the tracer already holds
+// allocates nothing until the reserved room is used up
+// (TestTracerFootprint).
 package obs
 
 import "slices"
@@ -120,57 +121,60 @@ func (r *Record) Fields() []Field { return r.fields[:r.n] }
 // the disabled tracer: Emit is an allocation-free no-op and Enabled reports
 // false, so hot paths can skip even building the Record.
 //
-// A tracer stores its own records compactly, not as Records: one header
-// per record (At, Dur, Sub, Name, the field count and a mask of which
-// fields are strings) and the fields in two per-kind slabs, in emission
-// order. A numeric field keeps its key and number, a string field its key
-// and string; neither keeps the value its kind never renders. On a 64-bit
-// host a header is 56 B, a numeric field 24 B and a string field 32 B, so
-// a chunk span with four numeric fields costs 152 B where a Record takes
-// 440 B. Walk rebuilds each record into a scratch Record.
+// A tracer stores its own records compactly, not as Records. What repeats
+// from record to record — Sub, Name, the field count, which fields are
+// strings and the field keys — is a record's shape, kept once in a
+// per-tracer table of shapes. A record keeps a header (At, Dur and its
+// shape's index) and its values, in emission order, in two per-kind slabs:
+// a numeric field keeps its number, a string field its string, and
+// neither keeps the value its kind never renders. On a 64-bit host a
+// header is 24 B, a numeric value 8 B and a string value 16 B, so a chunk
+// span with four numeric fields costs 56 B where a Record takes 440 B.
+// The header and numeric slabs hold no pointers, so the garbage collector
+// never scans them. Walk rebuilds each record into a scratch Record from
+// its header, its shape and its values.
 //
 // A tracer holds its trace as a tree. Emit appends to the tracer's own
 // records; AppendTagged (and so Obs.MergeTagged) takes over a child
-// tracer's whole trace by reference and splices it in at the point of the
-// merge. No record is copied after it is emitted: merge tags attach when
-// the trace is walked (Walk, WriteTraceJSON), so record memory is paid
-// once however many fold levels the trace passes through.
+// tracer's whole trace, shape table included, by reference and splices it
+// in at the point of the merge. No record is copied after it is emitted:
+// merge tags attach when the trace is walked (Walk, WriteTraceJSON), so
+// record memory is paid once however many fold levels the trace passes
+// through.
 type Tracer struct {
 	recordSeq
 }
 
 // recordSeq is a trace in emission order: a tracer's own records, with the
-// traces merged into it spliced in between them. Record i's fields are the
-// next heads[i].n entries of nums and strs, taken by its kind mask, after
-// the fields of every earlier record of heads.
+// traces merged into it spliced in between them. Record i has the shape
+// shapes[heads[i].shape]; its values are the next entries of nums and
+// strs, taken by the shape's kind mask, after the values of every earlier
+// record of heads.
 type recordSeq struct {
 	heads  []recHead
-	nums   []numField
-	strs   []strField
+	nums   []float64
+	strs   []string
+	shapes []recShape
 	merged []mergedSeq
 }
 
-// recHead is a stored record without its fields.
+// recHead is a stored record without its shape and values.
 type recHead struct {
-	at, dur   float64
+	at, dur float64
+	shape   uint32 // index into the sequence's shapes
+}
+
+// recShape is what the records of one emitting site share: everything but
+// At, Dur and the field values.
+type recShape struct {
 	sub, name string
-	n         uint8 // field count, at most maxFields
-	strMask   uint8 // bit i set: field i is a string field
+	n         uint8             // field count, at most maxFields
+	strMask   uint8             // bit i set: field i is a string field
+	keys      [maxFields]string // keys[n:] stay empty, so == compares shapes
 }
 
 // strMask has one bit per field slot.
 const _ uint8 = 1<<maxFields - 1
-
-// numField is a stored KindNum field.
-type numField struct {
-	key string
-	num float64
-}
-
-// strField is a stored KindStr field.
-type strField struct {
-	key, str string
-}
 
 // mergedSeq is a trace taken over by a merge. It sits before heads[at] of
 // the sequence it was merged into (after every earlier merge at the same
@@ -191,9 +195,9 @@ func (t *Tracer) Enabled() bool { return t != nil }
 // Grow reserves room for n more records of the tracer's own, each carrying
 // up to nums numeric fields, so a caller that knows what a tracer will
 // receive pays for one allocation per store instead of a doubling series,
-// and Emit of numeric records allocates nothing until the room is used up.
-// String fields are not reserved: they grow by append. No-op on a nil
-// tracer.
+// and Emit of numeric records of a known shape allocates nothing until the
+// room is used up. String values and shapes are not reserved: they grow by
+// append. No-op on a nil tracer.
 func (t *Tracer) Grow(n, nums int) {
 	if t == nil || n <= 0 {
 		return
@@ -209,17 +213,29 @@ func (t *Tracer) Emit(r Record) {
 	if t == nil {
 		return
 	}
-	h := recHead{at: r.At, dur: r.Dur, sub: r.Sub, name: r.Name, n: uint8(r.n)}
+	s := recShape{sub: r.Sub, name: r.Name, n: uint8(r.n)}
 	for i := 0; i < r.n; i++ {
 		f := &r.fields[i]
+		s.keys[i] = f.Key
 		if f.Kind == KindStr {
-			h.strMask |= 1 << i
-			t.strs = append(t.strs, strField{key: f.Key, str: f.Str})
+			s.strMask |= 1 << i
+			t.strs = append(t.strs, f.Str)
 		} else {
-			t.nums = append(t.nums, numField{key: f.Key, num: f.Num})
+			t.nums = append(t.nums, f.Num)
 		}
 	}
-	t.heads = append(t.heads, h)
+	// A tracer's records come from one emitting site, or a few, so the
+	// scan from the newest shape back ends at its first probe, and a new
+	// shape is appended once.
+	shape := len(t.shapes) - 1
+	for shape >= 0 && t.shapes[shape] != s {
+		shape--
+	}
+	if shape < 0 {
+		t.shapes = append(t.shapes, s)
+		shape = len(t.shapes) - 1
+	}
+	t.heads = append(t.heads, recHead{at: r.At, dur: r.Dur, shape: uint32(shape)})
 }
 
 // Len returns the number of records the tracer holds, merged ones included
@@ -287,7 +303,7 @@ type walker struct {
 }
 
 // seqCursor is a position in one sequence's own records: the next header
-// and the next field of each kind. It runs through the sequence across its
+// and the next value of each kind. It runs through the sequence across its
 // merge points.
 type seqCursor struct {
 	seq            *recordSeq
@@ -317,15 +333,14 @@ func (w *walker) visit(c *seqCursor, to int) error {
 	r := &w.r
 	for ; c.head < to; c.head++ {
 		h := &c.seq.heads[c.head]
-		r.At, r.Dur, r.Sub, r.Name, r.n = h.at, h.dur, h.sub, h.name, int(h.n)
+		s := &c.seq.shapes[h.shape]
+		r.At, r.Dur, r.Sub, r.Name, r.n = h.at, h.dur, s.sub, s.name, int(s.n)
 		for i := 0; i < r.n; i++ {
-			if h.strMask&(1<<i) != 0 {
-				f := &c.seq.strs[c.str]
-				r.fields[i] = Field{Key: f.key, Kind: KindStr, Str: f.str}
+			if s.strMask&(1<<i) != 0 {
+				r.fields[i] = Field{Key: s.keys[i], Kind: KindStr, Str: c.seq.strs[c.str]}
 				c.str++
 			} else {
-				f := &c.seq.nums[c.num]
-				r.fields[i] = Field{Key: f.key, Num: f.num}
+				r.fields[i] = Field{Key: s.keys[i], Num: c.seq.nums[c.num]}
 				c.num++
 			}
 		}

@@ -85,9 +85,11 @@ echo "== golden artifacts under GOARCH=386 (pure-Go math, 32-bit int) =="
 # bracket oracle and the MPC brute-force oracle run here too, so the pins
 # on the two battery kernels hold under the pure-Go Exp. So do all of obs's
 # tests (the merge oracle, the tracer footprint pin, colf's round trip and
-# fuzz seed corpora): the tracer's compact store packs each record's field
-# count and kind mask into bytes, and must hold with 4-byte ints and 8-byte
-# strings too. The gendata dataset digest runs here as well.
+# fuzz seed corpora): the tracer's compact store keeps each record's
+# shape (Sub, Name, field count, kind mask and keys) in a per-tracer table,
+# with the field count and kind mask packed into bytes, and must hold with
+# 4-byte ints and 8-byte strings too. The gendata dataset digest runs here
+# as well.
 GOARCH=386 go test ./internal/fleet -run 'TestGoldenArtifacts|TestSpillMatchesCentral' -count=1
 GOARCH=386 go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -count=1
 GOARCH=386 go test ./cmd/gendata -run 'TestSmallDatasetDigest' -count=1
