@@ -37,7 +37,7 @@ func Example() {
 	}
 
 	// A learned throughput predictor closes much of the gap to the oracle.
-	gbdt, err := abr.TrainGBDTPredictor(trace.GenSet5G(30, 400, 99), 8, 4, 7)
+	gbdt, err := abr.TrainGBDTPredictor(trace.GenSet5G(30, 400, 99), 8, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,14 +53,14 @@ func Example() {
 		for i := int64(0); i < n; i++ {
 			tr5 := trace.Gen5GmmWave(i*7919+1, 400)
 			tr4 := trace.Gen4G(i*104729+1, 400)
-			r := abr.SimulateIface(video, &abr.MPC{}, tr5, tr4, scheme)
+			r := abr.SimulateIface(video, &abr.MPC{}, tr5, tr4, scheme, abr.BufferHighS)
 			stall += r.StallS
-			for _, s := range r.Samples {
+			for s, mb := range r.UsageMbps {
 				class := radio.ClassMmWave
-				if !s.On5G {
+				if !r.On5G[s] {
 					class = radio.ClassLTE
 				}
-				p, err := power.RadioPowerMw(device.S20U, power.Activity{Class: class, DLMbps: s.Mb * 8})
+				p, err := power.RadioPowerMw(device.S20U, power.Activity{Class: class, DLMbps: mb * 8})
 				if err != nil {
 					log.Fatal(err)
 				}

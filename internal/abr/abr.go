@@ -108,6 +108,9 @@ type Options struct {
 	// session counters. nil (the default) keeps the playback loop
 	// allocation-free.
 	Obs *obs.Obs
+
+	// iface, set only by SimulateIface, picks each chunk's interface.
+	iface *ifaceState
 }
 
 // defaultMaxBufferS is the player's default buffer cap, and the cap BOLA
@@ -165,30 +168,41 @@ func bwAt(tr []float64, s int) float64 {
 	return tr[s%len(tr)]
 }
 
-// download walks the trace from time t, transferring sizeMb; it returns the
-// completion time and records per-second usage.
-func download(tr []float64, t, sizeMb float64, usage *[]float64) float64 {
-	remaining := sizeMb
+// transfer walks the trace from time t, moving data until sizeMb has
+// arrived or the deadline passes, whichever comes first (math.Inf(1) for a
+// bound the caller does not use). It records per-second usage and returns
+// the end time and the megabits moved.
+func transfer(tr []float64, t, sizeMb, deadline float64, usage *[]float64) (float64, float64) {
+	remaining, moved := sizeMb, 0.0
+	stop := deadline - 1e-12
 	const epsRate = 0.01 // a dead link still trickles (retransmissions)
-	for remaining > 1e-12 {
+	for remaining > 1e-12 && t < stop {
 		s := int(t)
 		rate := bwAt(tr, s)
 		if rate < epsRate {
 			rate = epsRate
 		}
-		dt := float64(s+1) - t
-		can := rate * dt
+		// math.Min(float64(s+1), deadline). This compare differs from
+		// math.Min only on a NaN or a pair of zeros, and the deadline is
+		// never NaN while s+1 >= 1.
+		next := float64(s + 1)
+		if deadline < next {
+			next = deadline
+		}
+		can := rate * (next - t)
 		if can >= remaining {
 			t += remaining / rate
 			addUsage(usage, s, remaining)
+			moved += remaining
 			remaining = 0
 		} else {
 			addUsage(usage, s, can)
+			moved += can
 			remaining -= can
-			t = float64(s + 1)
+			t = next
 		}
 	}
-	return t
+	return t, moved
 }
 
 func addUsage(usage *[]float64, sec int, mb float64) {
@@ -199,26 +213,6 @@ func addUsage(usage *[]float64, sec int, mb float64) {
 		*usage = append(*usage, 0)
 	}
 	(*usage)[sec] += mb
-}
-
-// downloadUntil transfers from time t until the deadline, recording usage,
-// and returns the megabits moved (for the wasted bytes of an abandoned
-// chunk).
-func downloadUntil(tr []float64, t, deadline float64, usage *[]float64) float64 {
-	moved := 0.0
-	for t < deadline-1e-12 {
-		s := int(t)
-		rate := bwAt(tr, s)
-		if rate < 0.01 {
-			rate = 0.01
-		}
-		next := math.Min(float64(s+1), deadline)
-		mb := rate * (next - t)
-		addUsage(usage, s, mb)
-		moved += mb
-		t = next
-	}
-	return moved
 }
 
 // Scratch holds the reusable buffers for a run of Simulate calls: the
@@ -241,14 +235,13 @@ type Scratch struct {
 	oracleFn func(horizonS float64) float64
 }
 
-// start resets the scratch for a new playback over tr and returns the
-// context to drive it with.
-func (sc *Scratch) start(v Video, tr []float64) *Context {
+// start resets the scratch for a new playback and returns the context to
+// drive it with.
+func (sc *Scratch) start(v Video) *Context {
 	sc.qualities = sc.qualities[:0]
 	sc.download = sc.download[:0]
 	sc.bufferAt = sc.bufferAt[:0]
 	sc.usage = sc.usage[:0]
-	sc.oracleTr = tr
 	if sc.oracleFn == nil {
 		sc.oracleFn = func(h float64) float64 {
 			tt := sc.oracleT
@@ -293,17 +286,24 @@ func SimulateScratch(v Video, algo Algorithm, tr []float64, opt Options, sc *Scr
 	opt = opt.withDefaults()
 	algo.Reset()
 	res := Result{Algorithm: algo.Name()}
-	ctx := sc.start(v, tr)
+	ctx := sc.start(v)
 	obsOn := opt.Obs.Enabled()
 	t := 0.0
 	buffer := 0.0
 	last := 0
 	for i := 0; i < v.NumChunks; i++ {
+		// The trace this chunk downloads over: tr, unless interface
+		// selection moves the chunk to 4G (after any switch delay).
+		link := tr
+		if opt.iface != nil {
+			t, buffer = opt.iface.choose(t, buffer, &res)
+			link = opt.iface.link(tr)
+		}
 		ctx.ChunkIndex = i
 		ctx.BufferS = buffer
 		ctx.LastQuality = last
 		sc.bufferAt = append(sc.bufferAt, buffer)
-		sc.oracleT = t
+		sc.oracleTr, sc.oracleT = link, t
 		selT := t // request time, for the chunk's span record
 		q := algo.Select(ctx)
 		if q < 0 {
@@ -312,15 +312,19 @@ func SimulateScratch(v Video, algo Algorithm, tr []float64, opt Options, sc *Scr
 		if q >= v.Tracks() {
 			q = v.Tracks() - 1
 		}
+		if opt.iface != nil {
+			q = opt.iface.capTrack(q)
+		}
 		size := v.ChunkMb(q)
 		// Chunk abandonment: if this download will outlive the buffer and
 		// a cheaper track exists, abort when the buffer runs dry and
 		// refetch at the lowest track (the §5.3 rollback).
 		if opt.Abandon && i > 0 && q > 0 {
-			tentative := download(tr, t, size, nil)
+			tentative, _ := transfer(link, t, size, math.Inf(1), nil)
 			if tentative-t > buffer+0.25 {
 				deadline := t + buffer*0.9 // the player aborts just before starvation
-				res.WastedMb += downloadUntil(tr, t, deadline, &sc.usage)
+				_, wasted := transfer(link, t, math.Inf(1), deadline, &sc.usage)
+				res.WastedMb += wasted
 				res.Abandons++
 				if obsOn {
 					opt.Obs.Meter().Inc("abr.abandons")
@@ -334,8 +338,11 @@ func SimulateScratch(v Video, algo Algorithm, tr []float64, opt Options, sc *Scr
 				t = deadline
 			}
 		}
-		done := download(tr, t, size, &sc.usage)
+		done, _ := transfer(link, t, size, math.Inf(1), &sc.usage)
 		dl := done - t
+		if opt.iface != nil {
+			opt.iface.record(int(t), len(sc.usage), size/dl, dl)
+		}
 		if i == 0 {
 			res.StartupS = dl
 			buffer = v.ChunkS

@@ -143,7 +143,7 @@ func TestIfaceAccountingProperty(t *testing.T) {
 		scheme := []Scheme{Always5G, FiveGAware, FiveGAwareNoOverhead}[int(schemeSel)%3]
 		tr5 := trace.Gen5GmmWave(seed, 300)
 		tr4 := trace.Gen4G(seed+1, 300)
-		r := SimulateIface(v, &MPC{}, tr5, tr4, scheme)
+		r := SimulateIface(v, &MPC{}, tr5, tr4, scheme, BufferHighS)
 		if r.StallS < 0 || r.Time4GS < 0 || r.Switches4G < 0 {
 			return false
 		}
@@ -151,11 +151,11 @@ func TestIfaceAccountingProperty(t *testing.T) {
 			return false
 		}
 		var usage, size float64
-		for _, s := range r.Samples {
-			if s.Mb < 0 {
+		for _, mb := range r.UsageMbps {
+			if mb < 0 {
 				return false
 			}
-			usage += s.Mb
+			usage += mb
 		}
 		for _, q := range r.Qualities {
 			size += v.ChunkMb(q)

@@ -245,7 +245,7 @@ func TestMPCOracleBeatsHarmonic(t *testing.T) {
 func TestGBDTPredictorBetweenHmAndTruth(t *testing.T) {
 	v := video5G(t)
 	eval := trace.GenSet5G(25, 320, 11)
-	gbdt, err := TrainGBDTPredictor(trace.GenSet5G(30, 320, 555), 8, 4, 3)
+	gbdt, err := TrainGBDTPredictor(trace.GenSet5G(30, 320, 555), 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

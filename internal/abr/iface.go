@@ -42,187 +42,121 @@ const SwitchDelayS = 1.5
 // ("empirically set to 10s", §5.4).
 const BufferHighS = 10
 
-// IfaceSample records one second of interface usage for energy accounting.
-type IfaceSample struct {
-	// Mb downloaded during this second.
-	Mb float64
-	// On5G reports which interface was active.
-	On5G bool
-}
-
 // IfaceResult extends the playback metrics with the interface trace.
 type IfaceResult struct {
 	Result
-	Samples    []IfaceSample
-	Switches4G int // number of 5G->4G switches
-	Time4GS    float64
+	// On5G reports, for each second of UsageMbps, which interface was
+	// active (the one that last downloaded during that second).
+	On5G       []bool
+	Switches4G int     // number of 5G->4G switches
+	Time4GS    float64 // download time spent on 4G
 }
 
 // SimulateIface plays the video with per-chunk interface selection. tr5 and
 // tr4 are the 5G and 4G bandwidth traces; algo is the base ABR (fastMPC in
-// the paper). The buffer threshold is the paper's empirical 10 s, and the
-// player runs at its default buffer cap and QoE weights.
-func SimulateIface(v Video, algo Algorithm, tr5, tr4 []float64, scheme Scheme) IfaceResult {
-	return SimulateIfaceThreshold(v, algo, tr5, tr4, scheme, BufferHighS)
-}
-
-// SimulateIfaceThreshold is SimulateIface with an explicit buffer
-// threshold, for ablating the §5.4 design choice.
-func SimulateIfaceThreshold(v Video, algo Algorithm, tr5, tr4 []float64, scheme Scheme, bufferHighS float64) IfaceResult {
-	algo.Reset()
-	res := IfaceResult{Result: Result{Algorithm: algo.Name() + "/" + scheme.String()}}
+// the paper). bufferHighS is the buffer level at which a 4G detour returns
+// to 5G (the paper's empirical BufferHighS, or a swept value when ablating
+// the §5.4 design choice). The player runs at its default buffer cap and
+// QoE weights.
+func SimulateIface(v Video, algo Algorithm, tr5, tr4 []float64, scheme Scheme, bufferHighS float64) IfaceResult {
 	avg4G := stats.Mean(tr4)
-	ctx := &Context{Video: v}
-	t := 0.0
-	buffer := 0.0
-	last := 0
-	on5G := true
-	var past5G []float64 // chunk throughputs observed while on 5G
-
-	markUsage := func(sec int, mb float64, on5g bool) {
-		for len(res.Samples) <= sec {
-			res.Samples = append(res.Samples, IfaceSample{On5G: on5g})
-		}
-		res.Samples[sec].Mb += mb
-		res.Samples[sec].On5G = on5g
-	}
-
-	// One oracle closure for the whole session: the loop below retargets
-	// oracleTr/oracleT per chunk instead of allocating a fresh closure.
-	var oracleTr []float64
-	var oracleT float64
-	ctx.Oracle = func(h float64) float64 {
-		if h <= 0 {
-			return bwAt(oracleTr, int(oracleT))
-		}
-		s := 0.0
-		for k := 0.0; k < h; k++ {
-			s += bwAt(oracleTr, int(oracleT+k))
-		}
-		return s / h
-	}
-	var usage []float64 // per-chunk usage buffer, reused across chunks
-
-	for i := 0; i < v.NumChunks; i++ {
-		// Interface decision at the chunk boundary.
-		if on5G && scheme != Always5G {
-			// Predict near-term 5G throughput from the most recent 5G
-			// chunks; reacting within a chunk or two is what makes the
-			// scheme effective against mmWave dips.
-			pred := stats.HarmonicMean(lastN(past5G, 3))
-			if last := lastN(past5G, 1); len(last) == 1 && last[0] < pred {
-				pred = last[0]
-			}
-			// Switch only when the dip actually threatens playback (the
-			// buffer is below the high-water mark); with a full buffer the
-			// player can ride out a short dip without paying two switch
-			// delays.
-			if len(past5G) >= 1 && pred < avg4G && buffer < bufferHighS {
-				on5G = false
-				res.Switches4G++
-				if scheme == FiveGAware {
-					t += SwitchDelayS
-					if SwitchDelayS > buffer {
-						res.StallS += SwitchDelayS - buffer
-						buffer = 0
-					} else {
-						buffer -= SwitchDelayS
-					}
-				}
-			}
-		} else if !on5G && buffer >= bufferHighS {
-			on5G = true
-			if scheme == FiveGAware {
-				t += SwitchDelayS
-				if SwitchDelayS > buffer {
-					res.StallS += SwitchDelayS - buffer
-					buffer = 0
-				} else {
-					buffer -= SwitchDelayS
-				}
-			}
-		}
-
-		tr := tr5
-		if !on5G {
-			tr = tr4
-		}
-		ctx.ChunkIndex = i
-		ctx.BufferS = buffer
-		ctx.LastQuality = last
-		oracleTr, oracleT = tr, t
-		q := algo.Select(ctx)
-		if q < 0 {
-			q = 0
-		}
-		if q >= v.Tracks() {
-			q = v.Tracks() - 1
-		}
+	st := &ifaceState{
+		tr4: tr4, scheme: scheme, bufferHighS: bufferHighS, avg4G: avg4G,
 		// During a 4G fallback the scheme caps the track at what 4G
 		// sustainably carries: the point of the detour is to rebuild the
 		// buffer, not to chase quality the interface cannot deliver.
-		if !on5G {
-			if cap4g := highestBelow(v, avg4G*0.8); q > cap4g {
-				q = cap4g
-			}
-		}
-		size := v.ChunkMb(q)
-
-		usage = usage[:0]
-		done := download(tr, t, size, &usage)
-		dl := done - t
-		for s, mb := range usage {
-			if mb > 0 {
-				markUsage(s, mb, on5G)
-			}
-		}
-		if !on5G {
-			res.Time4GS += dl
-		}
-		if i == 0 {
-			res.StartupS = dl
-			buffer = v.ChunkS
-		} else {
-			if dl > buffer {
-				res.StallS += dl - buffer
-				buffer = 0
-			} else {
-				buffer -= dl
-			}
-			buffer += v.ChunkS
-		}
-		t = done
-		if buffer > defaultMaxBufferS {
-			wait := buffer - defaultMaxBufferS
-			t += wait
-			buffer = defaultMaxBufferS
-		}
-
-		thr := size / dl
-		ctx.PastChunkMbps = append(ctx.PastChunkMbps, thr)
-		ctx.PastChunkTimeS = append(ctx.PastChunkTimeS, dl)
-		if on5G {
-			past5G = append(past5G, thr)
-		}
-		res.Qualities = append(res.Qualities, q)
-		res.AvgBitrateMbps += v.BitratesMbps[q]
-		res.QoE += v.BitratesMbps[q]
-		if i > 0 {
-			diff := absf(v.BitratesMbps[q] - v.BitratesMbps[last])
-			res.QoE -= diff
-			if q != last {
-				res.Switches++
-			}
-		}
-		last = q
+		cap4G: highestBelow(v, avg4G*0.8),
+		on5G:  true,
 	}
-	res.QoE -= v.Top() * res.StallS
-	res.AvgBitrateMbps /= float64(len(res.Qualities))
-	res.NormBitrate = res.AvgBitrateMbps / v.Top()
-	res.DurationS = t + buffer
-	wall := float64(v.NumChunks)*v.ChunkS + res.StallS
-	res.StallPct = res.StallS / wall * 100
-	return res
+	r := Simulate(v, algo, tr5, Options{iface: st})
+	r.Algorithm += "/" + scheme.String()
+	return IfaceResult{Result: r, On5G: st.secOn5G, Switches4G: st.switches4G, Time4GS: st.time4GS}
+}
+
+// ifaceState is the interface-selection state SimulateScratch consults at
+// each chunk boundary: which trace the chunk downloads over, whether a
+// switch delay is charged, and whether the track is capped at 4G's rate.
+type ifaceState struct {
+	tr4         []float64
+	scheme      Scheme
+	bufferHighS float64
+	avg4G       float64
+	cap4G       int
+
+	on5G   bool
+	past5G []float64 // chunk throughputs observed while on 5G
+
+	switches4G int
+	time4GS    float64
+	secOn5G    []bool // per second of usage: the interface that last downloaded
+}
+
+// choose makes the interface decision at a chunk boundary, charging a
+// switch's delay (and any stall it causes) to the session, and returns
+// the new time and buffer level.
+func (st *ifaceState) choose(t, buffer float64, res *Result) (float64, float64) {
+	switched := false
+	if st.on5G && st.scheme != Always5G {
+		// Predict near-term 5G throughput from the most recent 5G chunks;
+		// reacting within a chunk or two is what makes the scheme effective
+		// against mmWave dips.
+		pred := stats.HarmonicMean(lastN(st.past5G, 3))
+		if last := lastN(st.past5G, 1); len(last) == 1 && last[0] < pred {
+			pred = last[0]
+		}
+		// Switch only when the dip actually threatens playback (the buffer
+		// is below the high-water mark); with a full buffer the player can
+		// ride out a short dip without paying two switch delays.
+		if len(st.past5G) >= 1 && pred < st.avg4G && buffer < st.bufferHighS {
+			st.on5G = false
+			st.switches4G++
+			switched = true
+		}
+	} else if !st.on5G && buffer >= st.bufferHighS {
+		st.on5G = true
+		switched = true
+	}
+	if switched && st.scheme == FiveGAware {
+		t += SwitchDelayS
+		if SwitchDelayS > buffer {
+			res.StallS += SwitchDelayS - buffer
+			buffer = 0
+		} else {
+			buffer -= SwitchDelayS
+		}
+	}
+	return t, buffer
+}
+
+// link returns the trace the next chunk downloads over.
+func (st *ifaceState) link(tr5 []float64) []float64 {
+	if st.on5G {
+		return tr5
+	}
+	return st.tr4
+}
+
+// capTrack caps track q at what 4G sustains while on 4G.
+func (st *ifaceState) capTrack(q int) int {
+	if !st.on5G && q > st.cap4G {
+		return st.cap4G
+	}
+	return q
+}
+
+// record books a finished chunk download that started in second first
+// and left n seconds of usage: its throughput thr and duration dl, and the
+// current interface for every second from first on.
+func (st *ifaceState) record(first, n int, thr, dl float64) {
+	if st.on5G {
+		st.past5G = append(st.past5G, thr)
+	} else {
+		st.time4GS += dl
+	}
+	st.secOn5G = st.secOn5G[:min(first, len(st.secOn5G))]
+	for len(st.secOn5G) < n {
+		st.secOn5G = append(st.secOn5G, st.on5G)
+	}
 }
 
 func lastN(xs []float64, n int) []float64 {

@@ -12,7 +12,7 @@ func ifaceEval(t *testing.T, scheme Scheme, n int) (stallPct, bitrate, time4G, s
 	for i := 0; i < n; i++ {
 		tr5 := trace.Gen5GmmWave(int64(i)*7919+1, 400)
 		tr4 := trace.Gen4G(int64(i)*104729+1, 400)
-		r := SimulateIface(v, &MPC{}, tr5, tr4, scheme)
+		r := SimulateIface(v, &MPC{}, tr5, tr4, scheme, BufferHighS)
 		stallPct += r.StallPct
 		bitrate += r.NormBitrate
 		time4G += r.Time4GS
@@ -81,18 +81,18 @@ func TestIfaceSamplesCoverSession(t *testing.T) {
 	v := video5G(t)
 	tr5 := trace.Gen5GmmWave(8, 400)
 	tr4 := trace.Gen4G(9, 400)
-	r := SimulateIface(v, &MPC{}, tr5, tr4, FiveGAware)
-	if len(r.Samples) == 0 {
-		t.Fatal("no interface samples")
+	r := SimulateIface(v, &MPC{}, tr5, tr4, FiveGAware, BufferHighS)
+	if len(r.UsageMbps) == 0 || len(r.On5G) != len(r.UsageMbps) {
+		t.Fatalf("%d interface flags for %d seconds of usage", len(r.On5G), len(r.UsageMbps))
 	}
 	var total float64
 	saw4G := false
-	for _, s := range r.Samples {
-		if s.Mb < 0 {
+	for s, mb := range r.UsageMbps {
+		if mb < 0 {
 			t.Fatal("negative usage")
 		}
-		total += s.Mb
-		if !s.On5G && s.Mb > 0 {
+		total += mb
+		if !r.On5G[s] && mb > 0 {
 			saw4G = true
 		}
 	}
@@ -122,12 +122,12 @@ func TestIfaceQualityCappedOn4G(t *testing.T) {
 		}
 	}
 	tr4 := flat(27, 400)
-	r := SimulateIface(v, &MPC{}, tr5, tr4, FiveGAware)
+	r := SimulateIface(v, &MPC{}, tr5, tr4, FiveGAware, BufferHighS)
 	if r.Time4GS <= 0 {
 		t.Fatal("long 5G outage did not trigger a 4G detour")
 	}
 	// Stall far less than if the player had stayed on the dead 5G link.
-	only := SimulateIface(v, &MPC{}, tr5, tr4, Always5G)
+	only := SimulateIface(v, &MPC{}, tr5, tr4, Always5G, BufferHighS)
 	if r.StallS >= only.StallS {
 		t.Errorf("detour stalls %v >= 5G-only %v under a dead 5G link", r.StallS, only.StallS)
 	}
@@ -137,8 +137,8 @@ func TestIfaceDeterministic(t *testing.T) {
 	v := video5G(t)
 	tr5 := trace.Gen5GmmWave(3, 400)
 	tr4 := trace.Gen4G(4, 400)
-	a := SimulateIface(v, &MPC{}, tr5, tr4, FiveGAware)
-	b := SimulateIface(v, &MPC{}, tr5, tr4, FiveGAware)
+	a := SimulateIface(v, &MPC{}, tr5, tr4, FiveGAware, BufferHighS)
+	b := SimulateIface(v, &MPC{}, tr5, tr4, FiveGAware, BufferHighS)
 	if a.QoE != b.QoE || a.Time4GS != b.Time4GS {
 		t.Error("interface simulation not deterministic")
 	}

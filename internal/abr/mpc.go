@@ -136,7 +136,7 @@ func (g *GBDTPredictor) Predict(ctx *Context) float64 {
 // observation granularity of the ABR client (aggS seconds, the chunk
 // length): every position of every aggregated trace becomes a
 // (lagged window -> next interval) sample.
-func TrainGBDTPredictor(traces [][]float64, lags, aggS int, seed int64) (*GBDTPredictor, error) {
+func TrainGBDTPredictor(traces [][]float64, lags, aggS int) (*GBDTPredictor, error) {
 	if lags <= 0 {
 		lags = 8
 	}
@@ -146,9 +146,9 @@ func TrainGBDTPredictor(traces [][]float64, lags, aggS int, seed int64) (*GBDTPr
 	var X [][]float64
 	var y []float64
 	for _, tr := range traces {
-		agg := aggregate(tr, aggS)
-		low := aggregateMin(tr, aggS)
-		for t := lags; t < len(agg) && t < len(low); t++ {
+		agg := aggregate(tr, aggS, stats.Mean)
+		low := aggregate(tr, aggS, stats.Min)
+		for t := lags; t < len(agg); t++ {
 			X = append(X, append([]float64(nil), agg[t-lags:t]...))
 			// Predict the *floor* of the next interval, not its mean:
 			// stalls are caused by throughput minima, and a predictor
@@ -166,36 +166,15 @@ func TrainGBDTPredictor(traces [][]float64, lags, aggS int, seed int64) (*GBDTPr
 	return &GBDTPredictor{model: m, Lags: lags}, nil
 }
 
-// aggregate reduces a per-second trace to means over w-second windows.
-func aggregate(tr []float64, w int) []float64 {
+// aggregate reduces a per-second trace to f (stats.Mean or stats.Min) of
+// each whole w-second window.
+func aggregate(tr []float64, w int, f func([]float64) float64) []float64 {
 	if w <= 1 {
 		return tr
 	}
 	out := make([]float64, 0, len(tr)/w)
 	for i := 0; i+w <= len(tr); i += w {
-		s := 0.0
-		for _, v := range tr[i : i+w] {
-			s += v
-		}
-		out = append(out, s/float64(w))
-	}
-	return out
-}
-
-// aggregateMin reduces a per-second trace to minima over w-second windows.
-func aggregateMin(tr []float64, w int) []float64 {
-	if w <= 1 {
-		return tr
-	}
-	out := make([]float64, 0, len(tr)/w)
-	for i := 0; i+w <= len(tr); i += w {
-		m := tr[i]
-		for _, v := range tr[i+1 : i+w] {
-			if v < m {
-				m = v
-			}
-		}
-		out = append(out, m)
+		out = append(out, f(tr[i:i+w]))
 	}
 	return out
 }

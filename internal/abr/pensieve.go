@@ -192,7 +192,7 @@ func TrainPensieve(v Video, traces [][]float64, seed int64) (*Pensieve, error) {
 // linear QoE decomposed chunk by chunk (bitrate term minus smoothness
 // minus the exact stall this chunk's download caused).
 func rollout(v Video, agent *Pensieve, tr []float64) (states [][]float64, actions []int, rewards []float64) {
-	rec := &recordingAlgo{inner: agent}
+	rec := &captureAlgo{inner: agent} // agent.Stochastic: each Select samples
 	r := Simulate(v, rec, tr, Options{})
 	states, actions = rec.states, rec.actions
 	top := v.Top()
@@ -200,7 +200,7 @@ func rollout(v Video, agent *Pensieve, tr []float64) (states [][]float64, action
 	for i, q := range r.Qualities {
 		rw := v.BitratesMbps[q] / top
 		if i > 0 {
-			rw -= absf(v.BitratesMbps[q]-v.BitratesMbps[prevQ]) / top
+			rw -= math.Abs(v.BitratesMbps[q]-v.BitratesMbps[prevQ]) / top
 			// Exact stall caused by this chunk's download (the first
 			// chunk's download is startup, not a stall).
 			if stall := r.DownloadS[i] - r.BufferAtSelectS[i]; stall > 0 {
@@ -213,15 +213,9 @@ func rollout(v Video, agent *Pensieve, tr []float64) (states [][]float64, action
 	return states, actions, rewards
 }
 
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// captureAlgo records the states seen and actions chosen by an arbitrary
-// teacher algorithm (for imitation).
+// captureAlgo records the states seen and actions chosen by an algorithm:
+// the oracle-informed teacher (for imitation) or the stochastic policy
+// itself (for REINFORCE rollouts).
 type captureAlgo struct {
 	inner   Algorithm
 	states  [][]float64
@@ -234,22 +228,5 @@ func (c *captureAlgo) Select(ctx *Context) int {
 	a := c.inner.Select(ctx)
 	c.states = append(c.states, pensieveState(ctx))
 	c.actions = append(c.actions, a)
-	return a
-}
-
-// recordingAlgo wraps an Algorithm, recording states/actions for training.
-type recordingAlgo struct {
-	inner   *Pensieve
-	states  [][]float64
-	actions []int
-}
-
-func (r *recordingAlgo) Name() string { return r.inner.Name() }
-func (r *recordingAlgo) Reset()       { r.inner.Reset() }
-func (r *recordingAlgo) Select(ctx *Context) int {
-	st := pensieveState(ctx)
-	a := r.inner.policy.Sample(st)
-	r.states = append(r.states, st)
-	r.actions = append(r.actions, a)
 	return a
 }

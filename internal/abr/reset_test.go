@@ -11,7 +11,7 @@ import (
 // with the trained ones (GBDT-MPC, Pensieve) fitted on a tiny training set.
 func sevenAlgorithms(t *testing.T, v Video, train [][]float64) []Algorithm {
 	t.Helper()
-	gbdt, err := TrainGBDTPredictor(train, 4, int(v.ChunkS), 5)
+	gbdt, err := TrainGBDTPredictor(train, 4, int(v.ChunkS))
 	if err != nil {
 		t.Fatal(err)
 	}

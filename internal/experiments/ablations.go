@@ -129,7 +129,7 @@ func AblationSwitchThreshold(cfg Config) []*Table {
 	for _, thresh := range []float64{4, 10, 16} {
 		var stall, br, t4 float64
 		for i := 0; i < n; i++ {
-			r := abr.SimulateIfaceThreshold(v, &abr.MPC{}, tr5s[i], tr4s[i], abr.FiveGAware, thresh)
+			r := abr.SimulateIface(v, &abr.MPC{}, tr5s[i], tr4s[i], abr.FiveGAware, thresh)
 			stall += r.StallS
 			br += r.NormBitrate
 			t4 += r.Time4GS

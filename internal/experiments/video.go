@@ -103,7 +103,7 @@ func Fig18a(cfg Config) []*Table {
 	n := cfg.pick(20, trace.NumTraces5G)
 	tr5 := trace.CachedSet5G(n, traceLenS, cfg.Seed)
 	v := video5G()
-	gbdt, err := abr.TrainGBDTPredictor(trace.CachedSet5G(trainCount, traceLenS, trainSeed+1), 8, chunkS, cfg.Seed)
+	gbdt, err := abr.TrainGBDTPredictor(trace.CachedSet5G(trainCount, traceLenS, trainSeed+1), 8, chunkS)
 	if err != nil {
 		panic(err)
 	}
@@ -166,12 +166,12 @@ func ifaceRun(cfg Config, scheme abr.Scheme, n int) (agg abr.Aggregate, energyJ 
 	tr5s := trace.CachedSet5G(n, traceLenS, cfg.Seed+1)
 	tr4s := trace.CachedSet4G(n, traceLenS, cfg.Seed+1)
 	for i := 0; i < n; i++ {
-		r := abr.SimulateIface(v, &abr.MPC{}, tr5s[i], tr4s[i], scheme)
+		r := abr.SimulateIface(v, &abr.MPC{}, tr5s[i], tr4s[i], scheme, abr.BufferHighS)
 		agg.NormBitrate += r.NormBitrate
 		agg.StallPct += r.StallPct
 		agg.MeanStallS += r.StallS
 		agg.MeanQoE += r.QoE
-		energyJ += ifaceEnergyJ(r.Samples)
+		energyJ += ifaceEnergyJ(r)
 		time4G += r.Time4GS
 	}
 	f := float64(n)
@@ -184,15 +184,15 @@ func ifaceRun(cfg Config, scheme abr.Scheme, n int) (agg abr.Aggregate, energyJ 
 
 // ifaceEnergyJ feeds the per-second interface usage into the §4 power model
 // (S20U curves), the Table 4 methodology.
-func ifaceEnergyJ(samples []abr.IfaceSample) float64 {
+func ifaceEnergyJ(r abr.IfaceResult) float64 {
 	var j float64
-	for _, s := range samples {
+	for s, mb := range r.UsageMbps {
 		class := radio.ClassMmWave
-		if !s.On5G {
+		if !r.On5G[s] {
 			class = radio.ClassLTE
 		}
 		p, err := power.RadioPowerMw(device.S20U, power.Activity{
-			Class: class, DLMbps: s.Mb * 8})
+			Class: class, DLMbps: mb * 8})
 		if err != nil {
 			panic(err)
 		}

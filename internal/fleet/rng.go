@@ -1,8 +1,12 @@
 package fleet
 
-import "math"
+import (
+	"math"
 
-// Per-UE randomness is a splitmix64 stream whose state is one uint64 of
+	"fivegsim/internal/stats"
+)
+
+// Per-UE randomness is a SplitMix64 stream whose state is one uint64 of
 // the session's state. The fleet determinism rule: every stream is derived
 // from (campaignSeed, ueID) only — never from the shard index, the order
 // in which a shard runs its sessions, or a process-global source — so a
@@ -13,23 +17,15 @@ import "math"
 // *rand.Rand per session would add a 2.5 KiB state table to seed and
 // advance for every UE).
 
-// splitmix64 is the finalizer of Steele et al.'s SplitMix64: a bijective
-// mix with full 64-bit avalanche, used both to advance streams and to
-// derive independent stream states from (campaignSeed, ueID).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // mixSeed folds (campaignSeed, ueID, salt) into one well-mixed stream
-// state. Each application of splitmix64 avalanches the previous fold, so
-// adjacent UE ids (and adjacent campaign seeds) land in unrelated streams.
+// state. Each application of the SplitMix64 finalizer avalanches the
+// previous fold, so adjacent UE ids (and adjacent campaign seeds) land in
+// unrelated streams.
 func mixSeed(campaignSeed int64, ue uint64, salt uint64) uint64 {
-	h := splitmix64(uint64(campaignSeed))
-	h = splitmix64(h ^ ue)
-	return splitmix64(h ^ salt)
+	h := uint64(campaignSeed)
+	h = stats.SplitMix64(&h) ^ ue
+	h = stats.SplitMix64(&h) ^ salt
+	return stats.SplitMix64(&h)
 }
 
 // UESeed derives the session RNG state for one UE. This is the only
@@ -47,13 +43,7 @@ func arrivalSeed(campaignSeed int64, ue uint64) uint64 {
 }
 
 // rngNext advances a stream one step and returns 64 uniform bits.
-func rngNext(s *uint64) uint64 {
-	*s += 0x9e3779b97f4a7c15
-	x := *s
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+func rngNext(s *uint64) uint64 { return stats.SplitMix64(s) }
 
 // rngU01 draws a uniform float64 in [0, 1) with 53 random bits.
 func rngU01(s *uint64) float64 {

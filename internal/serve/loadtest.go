@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"fivegsim/internal/stats"
 )
 
 // The load-test harness hammers a running fgservd with concurrent scenario
@@ -109,15 +111,6 @@ func loadScenarios() []Scenario {
 	return pool
 }
 
-// splitmixNext advances a splitmix64 stream (the fleet rng.go finalizer).
-func splitmixNext(s *uint64) uint64 {
-	*s += 0x9e3779b97f4a7c15
-	x := *s
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // LoadTest runs the harness against a live daemon and verifies every
 // response. The request schedule is deterministic given the options; the
 // response interleaving is not (that is the point), but verification holds
@@ -160,11 +153,11 @@ func LoadTest(o LoadOptions) (*LoadReport, error) {
 	arrivals := make([]arrival, o.Requests)
 	for i := range arrivals {
 		s := uint64(o.Seed)*0x9e3779b97f4a7c15 + uint64(i)
-		s = splitmixNext(&s)
-		u := float64(splitmixNext(&s)>>11) / (1 << 53)
+		s = stats.SplitMix64(&s)
+		u := float64(stats.SplitMix64(&s)>>11) / (1 << 53)
 		arrivals[i] = arrival{
 			atS: u * o.WindowS,
-			sc:  int(splitmixNext(&s) % uint64(len(scenarios))),
+			sc:  int(stats.SplitMix64(&s) % uint64(len(scenarios))),
 		}
 	}
 	sort.Slice(arrivals, func(a, b int) bool { return arrivals[a].atS < arrivals[b].atS })

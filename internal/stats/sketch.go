@@ -34,17 +34,21 @@ type Sketch struct {
 }
 
 // sketchPri hashes (seed, key) into a uniform priority. The double
-// splitmix64 fold mirrors the fleet layer's seed-derivation rule: the
+// SplitMix64 fold mirrors the fleet layer's seed-derivation rule: the
 // seed is avalanched before the key is folded in, so adjacent keys (and
 // adjacent seeds) land in unrelated priorities.
 func sketchPri(seed, key uint64) uint64 {
-	return splitmix64(splitmix64(seed) ^ key)
+	h := SplitMix64(&seed) ^ key
+	return SplitMix64(&h)
 }
 
-// splitmix64 is the finalizer of Steele et al.'s SplitMix64 (a local copy
-// of the fleet layer's; stats sits below fleet in the import graph).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
+// SplitMix64 advances a stream of Steele et al.'s SplitMix64 one step and
+// returns 64 uniform bits. Applied to a copy of a value it is the
+// generator's finalizer: a bijective mix with full 64-bit avalanche, which
+// derives independent stream states from seeds.
+func SplitMix64(s *uint64) uint64 {
+	*s += 0x9e3779b97f4a7c15
+	x := *s
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)

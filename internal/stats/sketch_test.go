@@ -12,7 +12,8 @@ func sketchPopulation(n int) ([]uint64, []float64) {
 	vals := make([]float64, n)
 	for i := range keys {
 		keys[i] = uint64(i)
-		vals[i] = float64(splitmix64(uint64(i)^0xabcd)>>11) / (1 << 53)
+		x := uint64(i) ^ 0xabcd
+		vals[i] = float64(SplitMix64(&x)>>11) / (1 << 53)
 	}
 	return keys, vals
 }

@@ -114,18 +114,6 @@ func SimulateBBR(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 		}
 		now += rtt
 	}
-	total := 0.0
-	for _, v := range res.PerSecondMbps {
-		total += v
-	}
-	res.MeanMbps = total / o.DurationS
-	half := res.PerSecondMbps[nSec/2:]
-	s := 0.0
-	for _, v := range half {
-		s += v
-	}
-	if len(half) > 0 {
-		res.SteadyMbps = s / float64(len(half))
-	}
+	res.finish(o.DurationS)
 	return res
 }

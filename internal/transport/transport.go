@@ -288,20 +288,26 @@ func SimulateTCP(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 		}
 		now += rtt
 	}
+	res.finish(o.DurationS)
+	return res
+}
+
+// finish sets MeanMbps over the run's durationS and SteadyMbps over the
+// second half of the PerSecondMbps series.
+func (r *Result) finish(durationS float64) {
 	total := 0.0
-	for _, v := range res.PerSecondMbps {
+	for _, v := range r.PerSecondMbps {
 		total += v
 	}
-	res.MeanMbps = total / o.DurationS
-	half := res.PerSecondMbps[nSec/2:]
+	r.MeanMbps = total / durationS
+	half := r.PerSecondMbps[len(r.PerSecondMbps)/2:]
 	s := 0.0
 	for _, v := range half {
 		s += v
 	}
 	if len(half) > 0 {
-		res.SteadyMbps = s / float64(len(half))
+		r.SteadyMbps = s / float64(len(half))
 	}
-	return res
 }
 
 // lossSlack is the absolute margin lossBracket keeps around 1 - Exp(x).

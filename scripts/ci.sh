@@ -71,19 +71,22 @@ echo "== battery golden and kernel pins with amd64's other Exp path (FMA off) ==
 # amd64's math.Exp assembly picks one of two code paths by whether the CPU
 # has AVX and FMA; GODEBUG=cpu.fma=off takes the other one, which gives
 # different bits on some inputs. The battery bytes, the dataset gendata
-# writes, the transport kernel digest and the TCP loss-draw bracket must
-# not notice. (On a CPU without FMA both runs take the same path.)
+# writes, the transport kernel digest, the TCP loss-draw bracket and the
+# video player digest must not notice. (On a CPU without FMA both runs
+# take the same path.)
 GODEBUG=cpu.fma=off go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -count=1
 GODEBUG=cpu.fma=off go test ./cmd/gendata -run 'TestSmallDatasetDigest' -count=1
 GODEBUG=cpu.fma=off go test ./internal/transport -run 'TestKernelDigest|TestLossBracketOracle' -count=1
+GODEBUG=cpu.fma=off go test ./internal/abr -run 'TestPlayerDigest' -count=1
 
 echo "== golden artifacts under GOARCH=386 (pure-Go math, 32-bit int) =="
 # The same goldens built for 386, which amd64 hosts run natively. The 386
 # math package has no Exp or Log assembly, so this checks amd64's assembly
 # against the pure-Go math on every pinned workload; it also runs the
 # trace path with a 32-bit int. The transport kernel digest, the loss-draw
-# bracket oracle and the MPC brute-force oracle run here too, so the pins
-# on the two battery kernels hold under the pure-Go Exp. So do all of obs's
+# bracket oracle, the MPC brute-force oracle and the video player digest
+# run here too, so the pins on the two battery kernels hold under the
+# pure-Go Exp. So do all of obs's
 # tests (the merge oracle, the tracer footprint pin, colf's round trip and
 # fuzz seed corpora): the tracer's compact store keeps each record's
 # shape (Sub, Name, field count, kind mask and keys) in a per-tracer table,
@@ -95,7 +98,7 @@ GOARCH=386 go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -cou
 GOARCH=386 go test ./cmd/gendata -run 'TestSmallDatasetDigest' -count=1
 GOARCH=386 go test ./internal/obs/... -count=1
 GOARCH=386 go test ./internal/transport -run 'TestKernelDigest|TestLossBracketOracle' -count=1
-GOARCH=386 go test ./internal/abr -run 'TestMPCMatchesBruteForce|TestNewMPCMatchesOldDFS' -count=1
+GOARCH=386 go test ./internal/abr -run 'TestMPCMatchesBruteForce|TestNewMPCMatchesOldDFS|TestPlayerDigest' -count=1
 
 echo "== battery determinism (serial vs parallel) =="
 # The whole-campaign contract: rendered tables are byte-identical for any
