@@ -76,20 +76,36 @@ func RunFleet(ctx context.Context, base fleet.Config, mixes []fleet.Mix, o *obs.
 	return rs, walls, nil
 }
 
+// fleetColumns are FleetTable's exact-mode metrics, in row order: the
+// metric label and the per-UE value its CDF row summarizes.
+var fleetColumns = [...]struct {
+	metric string
+	of     func(*fleet.UEResult) float64
+}{
+	{"tput Mbps", func(u *fleet.UEResult) float64 { return u.MeanMbps }},
+	{"QoE/chunk", func(u *fleet.UEResult) float64 { return u.QoE }},
+	{"energy J", func(u *fleet.UEResult) float64 { return u.EnergyJ }},
+	{"stall s", func(u *fleet.UEResult) float64 { return u.StallS }},
+}
+
 // FleetTable renders campaign results as population CDF rows (one row per
 // mix and metric). Shared by the battery experiment, the scenario runner
 // behind fgfleet and fgservd, and the byte-identity tests, so "the table"
-// means the same bytes everywhere. A stream-mode result renders from its
-// merged ShardStats — integer-accumulated means, sketch-estimated
-// percentiles — instead of per-UE extracts. When the population fits the
-// sketch (UEs <= Config.SketchK) the bottom-k sample is the whole
-// population and its rows match the exact-mode rows byte for byte.
+// means the same bytes everywhere. An exact-mode result fills one reused
+// column buffer per metric from its per-UE results and radix-sorts it with
+// reused key buffers. A stream-mode result renders from its merged
+// ShardStats — integer-accumulated means, sketch-estimated percentiles —
+// instead. When the population fits the sketch (UEs <= Config.SketchK)
+// the bottom-k sample is the whole population and its rows match the
+// exact-mode rows byte for byte.
 func FleetTable(rs []*fleet.Result) *Table {
 	t := &Table{
 		ID:     "fleet",
 		Title:  "City-scale population campaign: QoE/power/throughput CDFs by band mix",
 		Header: []string{"mix", "metric", "p5", "p25", "p50", "p75", "p95", "mean"},
 	}
+	var col []float64
+	var sorter stats.RadixSorter
 	for _, r := range rs {
 		mix := r.Cfg.Mix.String()
 		var ues int64
@@ -101,10 +117,16 @@ func FleetTable(rs []*fleet.Result) *Table {
 			}
 			ues, nr = r.Stream.UEs(), r.Stream.NRShare()
 		} else {
-			addCDFRow(t, mix, "tput Mbps", r.ThroughputsMbps())
-			addCDFRow(t, mix, "QoE/chunk", r.QoEs())
-			addCDFRow(t, mix, "energy J", r.EnergiesJ())
-			addCDFRow(t, mix, "stall s", r.StallsS())
+			if cap(col) < len(r.UEs) {
+				col = make([]float64, len(r.UEs))
+			}
+			col = col[:len(r.UEs)]
+			for _, c := range fleetColumns {
+				for i := range r.UEs {
+					col[i] = c.of(&r.UEs[i])
+				}
+				addCDFRow(t, mix, c.metric, col, &sorter)
+			}
 			ues, nr = int64(len(r.UEs)), r.NRShare()
 		}
 		t.Notes = append(t.Notes, fmt.Sprintf("%s: %d UEs, %s of chunks on NR",
@@ -129,8 +151,10 @@ func streamMetricLabel(name string) string {
 	return name
 }
 
-func addCDFRow(t *Table, mix, metric string, xs []float64) {
-	sorted := stats.SortN(mustFinite("fleet "+mix+" "+metric, xs))
+// addCDFRow sorts xs in place and adds its percentile row.
+func addCDFRow(t *Table, mix, metric string, xs []float64, sorter *stats.RadixSorter) {
+	sorted := mustFinite("fleet "+mix+" "+metric, xs)
+	sorter.Sort(sorted)
 	t.AddRow(mix, metric,
 		f1(stats.PercentileSorted(sorted, 5)),
 		f1(stats.PercentileSorted(sorted, 25)),

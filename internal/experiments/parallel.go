@@ -110,60 +110,63 @@ func RunManyCtx(ctx context.Context, cfg Config, ids []string, workers int) ([]R
 	return results, nil
 }
 
-// expectedWallMs is the static longest-processing-time weight table seeded
-// from a recorded full-battery run (scripts/bench.sh). The values only need
-// to rank the experiments, not predict them: dispatching the long poles
-// first keeps the last worker from starting a 700 ms experiment when every
-// other worker has already drained its queue.
+// expectedWallMs is the static longest-processing-time weight table: each
+// experiment's median wall time, in ms, over three serial full-mode runs
+// of `fgrepro -parallel 1 -stats all` (seed 1, 2-vCPU x86-64 host),
+// rounded to three significant digits (two below 10 ms). Regenerate it
+// the same way when an experiment's cost moves. The values only need to
+// rank the experiments, not predict them: dispatching the long poles first
+// keeps the last worker from starting a 650 ms experiment when every other
+// worker has already drained its queue.
 var expectedWallMs = map[string]float64{
-	"fleet":                     1400,
-	"fig18a":                    763,
-	"fig24":                     698,
-	"fig17":                     421,
-	"fig6":                      113,
-	"fig7":                      111,
-	"ablation-chunk-buffer":     109,
-	"fig3":                      102,
-	"fig23":                     100,
-	"fig4":                      99,
-	"fig18b":                    72,
-	"fig18c":                    40,
-	"table4":                    38,
-	"ablation-switch-threshold": 28,
-	"fig16":                     27,
-	"fig15":                     26,
-	"fig1":                      22,
-	"fig8":                      21,
-	"longitudinal":              21,
-	"extension-abandon":         20,
-	"fig9":                      5.3,
-	"validation":                4.3,
-	"fig25":                     3.3,
-	"extension-bbr":             3.1,
-	"table7":                    2.4,
-	"ablation-wmem":             2.2,
-	"fig22":                     2.1,
-	"table6":                    2,
-	"fig10":                     1.6,
-	"fig13":                     1.1,
-	"fig14":                     0.75,
-	"fig20":                     0.66,
-	"table9":                    0.33,
-	"table5":                    0.32,
-	"fig19":                     0.27,
-	"fig21":                     0.2,
-	"table1":                    0.09,
-	"fig11":                     0.07,
-	"fig2":                      0.06,
-	"table8":                    0.06,
-	"ablation-tail":             0.05,
-	"fig27":                     0.04,
-	"table3":                    0.04,
-	"fig26":                     0.04,
-	"table2":                    0.03,
-	"fig5":                      0.03,
-	"extension-midband":         0.03,
-	"fig12":                     0.025,
+	"fig17":                     655,
+	"fig24":                     241,
+	"fleet":                     148,
+	"fig18a":                    147,
+	"fig18b":                    107,
+	"ablation-chunk-buffer":     106,
+	"fig7":                      94.7,
+	"fig6":                      75.7,
+	"fig23":                     63.1,
+	"fig4":                      52.9,
+	"fig15":                     50.9,
+	"fig3":                      48.7,
+	"fig16":                     48.3,
+	"fig18c":                    43.6,
+	"table4":                    43.4,
+	"extension-abandon":         42.9,
+	"fig9":                      38.5,
+	"ablation-switch-threshold": 24.9,
+	"table6":                    19,
+	"fig22":                     15.8,
+	"fig1":                      13.9,
+	"fig8":                      11.5,
+	"validation":                7,
+	"extension-bbr":             6.4,
+	"fig13":                     5.5,
+	"fig14":                     5.3,
+	"fig25":                     5,
+	"table7":                    4.6,
+	"fig20":                     4.6,
+	"longitudinal":              3.1,
+	"fig10":                     3,
+	"fig21":                     2.9,
+	"fig19":                     2.9,
+	"ablation-wmem":             2,
+	"table5":                    1,
+	"table9":                    0.36,
+	"table1":                    0.06,
+	"fig11":                     0.04,
+	"table8":                    0.04,
+	"ablation-tail":             0.03,
+	"table3":                    0.03,
+	"extension-midband":         0.02,
+	"fig12":                     0.02,
+	"fig26":                     0.02,
+	"fig27":                     0.02,
+	"table2":                    0.02,
+	"fig2":                      0.01,
+	"fig5":                      0.01,
 }
 
 // defaultWallMs is assumed for experiments missing from the table, placing

@@ -17,7 +17,7 @@ func TestScheduleOrderLongestFirst(t *testing.T) {
 	}
 	// The recorded long poles lead; an unmeasured id gets the mid-queue
 	// default and the fastest known experiment goes last.
-	want := []string{"fig18a", "fig24", "fig17", "brand-new-experiment", "fig10"}
+	want := []string{"fig17", "fig24", "fig18a", "brand-new-experiment", "fig10"}
 	for k, i := range order {
 		if ids[i] != want[k] {
 			t.Fatalf("dispatch order %v, want %v", idsOf(ids, order), want)
@@ -43,7 +43,7 @@ func TestScheduleWeightsCoverRegistry(t *testing.T) {
 			// Not in the recorded battery run (composite/alias entries).
 			case "all":
 			default:
-				t.Errorf("experiment %q has no expectedWallMs entry (add one from scripts/bench.sh output)", id)
+				t.Errorf("experiment %q has no expectedWallMs entry (add one from serial fgrepro -stats runs)", id)
 			}
 		}
 	}

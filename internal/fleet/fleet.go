@@ -136,31 +136,6 @@ type Result struct {
 	Events uint64
 }
 
-// Extraction helpers for the population CDFs. Each returns a fresh slice in
-// UE id order.
-func (r *Result) ThroughputsMbps() []float64 {
-	return r.extract(func(u UEResult) float64 { return u.MeanMbps })
-}
-
-// QoEs returns the per-chunk QoE of every UE.
-func (r *Result) QoEs() []float64 { return r.extract(func(u UEResult) float64 { return u.QoE }) }
-
-// EnergiesJ returns the per-session radio energy of every UE.
-func (r *Result) EnergiesJ() []float64 {
-	return r.extract(func(u UEResult) float64 { return u.EnergyJ })
-}
-
-// StallsS returns the total rebuffering time of every UE.
-func (r *Result) StallsS() []float64 { return r.extract(func(u UEResult) float64 { return u.StallS }) }
-
-func (r *Result) extract(f func(UEResult) float64) []float64 {
-	out := make([]float64, len(r.UEs))
-	for i, u := range r.UEs {
-		out[i] = f(u)
-	}
-	return out
-}
-
 // NRShare returns the fraction of chunks served over an NR layer.
 func (r *Result) NRShare() float64 {
 	var nr, total int64
@@ -324,15 +299,22 @@ func reduce(cfg Config, res *Result) {
 	qoeH := m.Hist("fleet.qoe", qoeBounds)
 	energyH := m.Hist("fleet.energy_j", energyBounds)
 	stallH := m.Hist("fleet.stall_s", stallBounds)
+	// The chunk counters are integers, summed exactly as int64 and added
+	// once (a float sum of integers below 2^53 is exact too, so the value
+	// is the same). The stall total is a float sum whose order is part of
+	// the bytes, so it stays one add per UE in id order.
+	var chunks, nrChunks int64
 	for _, u := range res.UEs {
 		tputH.Observe(u.MeanMbps)
 		qoeH.Observe(u.QoE)
 		energyH.Observe(u.EnergyJ)
 		stallH.Observe(u.StallS)
-		m.Add("fleet.chunks", float64(u.Chunks))
-		m.Add("fleet.nr_chunks", float64(u.NRChunks))
+		chunks += int64(u.Chunks)
+		nrChunks += int64(u.NRChunks)
 		m.Add("fleet.stall_s_total", u.StallS)
 	}
+	m.Add("fleet.chunks", float64(chunks))
+	m.Add("fleet.nr_chunks", float64(nrChunks))
 	// Note: res.Events is deliberately NOT folded into obs: it is run
 	// accounting for -stats, not a campaign result, and folding it in
 	// would change every metrics artifact.

@@ -170,8 +170,11 @@ func TestMixesReproducePaperOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := r.ThroughputsMbps()
-		es := r.EnergiesJ()
+		ts := make([]float64, len(r.UEs))
+		es := make([]float64, len(r.UEs))
+		for i, u := range r.UEs {
+			ts[i], es[i] = u.MeanMbps, u.EnergyJ
+		}
 		return median(ts), median(es)
 	}
 	lowT, lowE := med(MixLowBand)

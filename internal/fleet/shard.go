@@ -350,12 +350,18 @@ const (
 )
 
 // download moves sizeMb through the UE's CUBIC-lite flow and returns the
-// transfer time. It walks RTT-sized windows (slow-start doubling, then
-// cubic growth against the loss epoch) exactly like transport.SimulateTCP,
-// but per chunk rather than per measurement run, with cwnd persisting in
-// the session across chunks. Radio loss episodes arrive as at most one
-// multiplicative decrease per chunk, with probability from the layer's
-// episode rate over the transfer window.
+// transfer time. It walks RTT-sized windows with transport.SimulateTCP's
+// CUBIC rules: the initial window, slow-start doubling, cubic growth
+// against the loss epoch bounded at 1.5x per RTT, the send-buffer window
+// limit, and the multiplicative decrease that records wmax, k and the
+// epoch. It drops the rest of SimulateTCP's flow. cwnd is capped at
+// bdpHeadroom times the path BDP, where SimulateTCP caps it at 1.05x the
+// send-buffer window, and floored at 2. There is no Reno-friendly window.
+// Loss is not drawn per RTT from per-packet and overflow terms: radio loss
+// episodes arrive as at most one multiplicative decrease per chunk, with
+// probability from the layer's episode rate over the transfer window. The
+// ladder runs per chunk rather than per measurement run, with cwnd
+// persisting in the session across chunks.
 //
 //fgvet:noalloc
 func (sh *shard) download(s *session, la *layer, capMbps, sizeMb, start float64) float64 {
@@ -385,15 +391,20 @@ func (sh *shard) download(s *session, la *layer, capMbps, sizeMb, start float64)
 			rate = capMbps
 			perRTT = capPerRTT
 		}
-		// Once the flow leaves slow start and cwnd sits exactly at the BDP
-		// cap, every further window update reproduces the same state: a
-		// cubic target above cwnd clamps back to bdpCap, a target below
-		// leaves cwnd as is, and cwnd == bdpCap after both clamps implies
-		// bdpCap >= 2, so both clamps are no-ops too. The window, per-RTT
-		// volume, and rate are then loop-invariant and the rest of the
-		// transfer drains in a tight subtract/add loop — bit-identical to
-		// walking the full update, because every skipped update is a no-op.
-		if !slow && cwnd == bdpCap {
+		// Once cwnd sits exactly at the BDP cap, every further window
+		// update reproduces the same state, in either of the two branches
+		// that leave slow and ssth alone. In slow start below ssth, the
+		// doubled cwnd exceeds bdpCap and clamps back to it. Out of slow
+		// start, a cubic target above cwnd clamps back to bdpCap and a
+		// target below leaves cwnd as is. cwnd >= 2 on every entry and
+		// after every update, so cwnd == bdpCap implies bdpCap >= 2 and
+		// the floor clamp is a no-op too. (The third case, slow start at
+		// or above ssth, leaves slow start: not invariant.) The window,
+		// per-RTT volume, and rate are then loop-invariant and the rest of
+		// the transfer drains in a tight subtract/add loop — bit-identical
+		// to walking the full update, because every skipped update is a
+		// no-op.
+		if cwnd == bdpCap && (!slow || cwnd < ssth) {
 			for ; iter < maxRTTIters && remaining > perRTT; iter++ {
 				remaining -= perRTT
 				t += rtt
@@ -453,7 +464,7 @@ func (sh *shard) download(s *session, la *layer, capMbps, sizeMb, start float64)
 	if util > 1 {
 		util = 1
 	}
-	if rngU01(&s.rng) < 1-math.Exp(-la.lossEv*util*t) {
+	if lossDrawn(rngU01(&s.rng), float64(-la.lossEv*util*t)) {
 		s.wmax = cwnd
 		s.k = math.Cbrt(s.wmax * (1 - cubicBeta) / cubicC)
 		cwnd = math.Max(2, cwnd*cubicBeta)
@@ -464,4 +475,14 @@ func (sh *shard) download(s *session, la *layer, capMbps, sizeMb, start float64)
 	s.slow = slow
 	s.cwnd = cwnd
 	return t
+}
+
+// lossDrawn reports u < 1-Exp(x), the chunk's loss draw, decided by
+// transport's proven bracket (ev = cg = 0), so Exp runs only for the draws
+// that land inside it and the decision does not depend on the host's Exp.
+// download rounds x explicitly, so no compiler fuses its product into the
+// bracket's sums.
+func lossDrawn(u, x float64) bool {
+	lo, hi := transport.LossBracket(x, 0, 0)
+	return u < lo || u < hi && u < transport.LossExact(x, 0, 0)
 }

@@ -128,11 +128,12 @@ func TestStreamQuantilesExactForSmallPopulations(t *testing.T) {
 	exact := mustRun(t, cfg)
 	cfg.Stream = true
 	streamed := mustRun(t, cfg)
-	pops := map[string][]float64{
-		"tput_mbps": exact.ThroughputsMbps(),
-		"qoe":       exact.QoEs(),
-		"energy_j":  exact.EnergiesJ(),
-		"stall_s":   exact.StallsS(),
+	pops := map[string][]float64{}
+	for _, u := range exact.UEs {
+		pops["tput_mbps"] = append(pops["tput_mbps"], u.MeanMbps)
+		pops["qoe"] = append(pops["qoe"], u.QoE)
+		pops["energy_j"] = append(pops["energy_j"], u.EnergyJ)
+		pops["stall_s"] = append(pops["stall_s"], u.StallS)
 	}
 	for _, s := range streamed.Stream.Summaries() {
 		sorted := stats.SortN(pops[s.Name])

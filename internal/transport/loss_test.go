@@ -7,24 +7,24 @@ import (
 )
 
 // drawLost is SimulateTCP's loss decision for one draw u — the loop's own
-// expression, with a flag set where it calls lossExact — and whether it
-// evaluated lossExact to reach it. TestKernelDigest pins the loop itself.
+// expression, with a flag set where it calls LossExact — and whether it
+// evaluated LossExact to reach it. TestKernelDigest pins the loop itself.
 func drawLost(u, x, ev, cg float64) (lost, exact bool) {
-	lo, hi := lossBracket(x, ev, cg)
+	lo, hi := LossBracket(x, ev, cg)
 	lost = u < lo || u < hi && func() bool {
 		exact = true
-		return u < lossExact(x, ev, cg)
+		return u < LossExact(x, ev, cg)
 	}()
 	return lost, exact
 }
 
 // TestLossBracketOracle holds the bracketed loss draw to the exact
-// comparison u < lossExact. Seeded (y, ev, cg, congested) cover
+// comparison u < LossExact. Seeded (y, ev, cg, congested) cover
 // production's y below 3e-3, the whole bracketed range [0, 1], tiny y,
 // y above 1 and negative y (both always exact). For each, u is the exact
 // probability itself, its float64 neighbours on both sides, and uniform
 // draws. The decision must equal the exact comparison every time, and
-// lossExact may run only for lo <= u < hi.
+// LossExact may run only for lo <= u < hi.
 func TestLossBracketOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const trials = 200000
@@ -52,11 +52,11 @@ func TestLossBracketOracle(t *testing.T) {
 			cg = rng.Float64()
 		}
 		x := -y
-		lo, hi := lossBracket(x, ev, cg)
-		p := lossExact(x, ev, cg)
+		lo, hi := LossBracket(x, ev, cg)
+		p := LossExact(x, ev, cg)
 		if y >= 0 && y <= 1 {
 			if !(lo <= p && p <= hi) {
-				t.Fatalf("y=%v ev=%v cg=%v: bracket [%v, %v] misses lossExact %v", y, ev, cg, lo, hi, p)
+				t.Fatalf("y=%v ev=%v cg=%v: bracket [%v, %v] misses LossExact %v", y, ev, cg, lo, hi, p)
 			}
 			// The bracket must stay narrow, or every draw would pay for Exp.
 			if w := hi - lo; w > float64(y*y/2)+2e-12+1e-14 {
@@ -82,5 +82,5 @@ func TestLossBracketOracle(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d draws, %d evaluated lossExact", draws, exactRuns)
+	t.Logf("%d draws, %d evaluated LossExact", draws, exactRuns)
 }

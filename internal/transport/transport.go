@@ -135,9 +135,9 @@ type cubicFlow struct {
 // the one-second goodput buckets it overlaps (once, for all flows), then
 // gives every flow its share of the link and one uniform draw, in flow
 // order. The draw costs the flow a window when it falls below the flow's
-// loss probability (lossExact): random per-packet loss over the packets it
+// loss probability (LossExact): random per-packet loss over the packets it
 // sent, plus the radio-event rate, plus the drop-tail overflow share. A
-// proven bracket (lossBracket) settles that comparison without math.Exp
+// proven bracket (LossBracket) settles that comparison without math.Exp
 // unless the draw lands inside it, which production inputs almost never
 // do, so the result does not depend on the host's Exp.
 func SimulateTCP(p PathParams, o TCPOptions, rng *rand.Rand) Result {
@@ -165,7 +165,7 @@ func SimulateTCP(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 	nSec := int(math.Ceil(o.DurationS))
 	res.PerSecondMbps = make([]float64, nSec)
 	// log(1-LossRate), hoisted so the per-flow survival probability is at
-	// most one Exp instead of a Pow every RTT (and behind lossBracket,
+	// most one Exp instead of a Pow every RTT (and behind LossBracket,
 	// almost never that).
 	randomLoss := p.LossRate > 0
 	logKeep := 0.0
@@ -232,8 +232,8 @@ func SimulateTCP(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 			if randomLoss {
 				// Settled by the bracket unless u falls inside it.
 				x := float64(logKeep * sent)
-				lo, hi := lossBracket(x, ev, cg)
-				lost = u < lo || u < hi && u < lossExact(x, ev, cg)
+				lo, hi := LossBracket(x, ev, cg)
+				lost = u < lo || u < hi && u < LossExact(x, ev, cg)
 			} else {
 				lost = u < ev+cg
 			}
@@ -310,45 +310,51 @@ func (r *Result) finish(durationS float64) {
 	}
 }
 
-// lossSlack is the absolute margin lossBracket keeps around 1 - Exp(x).
+// lossSlack is the absolute margin LossBracket keeps around 1 - Exp(x).
 // It dwarfs the few-ulp error of any Exp (below 1e-15 here), and widens
 // the bracket by only 2e-12, the extra chance per draw of needing Exp.
 const lossSlack = 1e-12
 
-// lossExact is a flow's loss probability for one RTT: the chance that at
-// least one of its packets is lost at random, 1 - Exp(x) with
+// LossExact is the loss probability 1 - Exp(x) + ev + cg, rounded in that
+// order. In SimulateTCP it is a flow's loss probability for one RTT: the
+// chance that at least one of its packets is lost at random, with
 // x = sent*log(1-LossRate) <= 0, plus the radio-event term ev, plus the
-// overflow term cg, rounded in that order.
-func lossExact(x, ev, cg float64) float64 {
+// overflow term cg. The fleet's per-chunk loss draw passes
+// x = -(episode rate × utilization × transfer time) with ev = cg = 0;
+// 1 - Exp(x) is never -0, so adding +0 twice leaves its bits as they are.
+func LossExact(x, ev, cg float64) float64 {
 	return 1 - math.Exp(x) + ev + cg
 }
 
-// lossBracket returns lo and hi with lo <= lossExact(x, ev, cg) <= hi, for
-// every host's Exp, without calling Exp. SimulateTCP's loss draw u is then
-// settled by u < lo (lost) or u >= hi (not lost), and evaluates lossExact
-// only for lo <= u < hi, with the same result as u < lossExact bit for bit.
+// LossBracket returns lo and hi with lo <= LossExact(x, ev, cg) <= hi, for
+// every host's Exp, without calling Exp. A loss draw u is then settled by
+// u < lo (lost) or u >= hi (not lost), and evaluates LossExact only for
+// lo <= u < hi, with the same result as u < LossExact bit for bit.
+// SimulateTCP and the fleet's chunk kernel both decide their draws so.
 //
 // The proof, for y = -x in [0, 1]:
 //
 //   - For every real y >= 0, y - y²/2 <= 1 - e^(-y) <= y.
-//   - lossExact's 1 - Exp(x) is within 1e-15 of the real 1 - e^(-y) for any
+//   - LossExact's 1 - Exp(x) is within 1e-15 of the real 1 - e^(-y) for any
 //     Exp accurate to a few ulps: amd64's assembly with FMA on or off, the
 //     pure-Go exp that 386 runs, or a portable kernel. Its argument is x
 //     itself, and negating x is exact, so the bound holds for the very
-//     value lossExact computes. (SimulateTCP rounds x = logKeep*sent
-//     explicitly, so no compiler fuses the product into either side.)
+//     value LossExact computes. (SimulateTCP and the fleet round their
+//     product x explicitly, so no compiler fuses it into either side.)
 //   - lo = y - y²/2 - lossSlack and hi = y + lossSlack are rounded at most
 //     three times each on values below 2, so each is within 1e-15 of its
 //     real value: lo < 1 - Exp(x) < hi with about 1e-12 to spare.
 //   - Rounded addition is monotone: a <= b implies fl(a+c) <= fl(b+c). So
-//     adding ev and then cg to lo, to hi and to 1 - Exp(x), in lossExact's
-//     order, keeps lo <= lossExact <= hi.
+//     adding ev and then cg to lo, to hi and to 1 - Exp(x), in LossExact's
+//     order, keeps lo <= LossExact <= hi.
 //
 // A draw lands inside the bracket with probability about y²/2 + 2e-12.
-// Production's y stays below 3e-3 (LossRate 1e-6, at most about 2,900
-// packets per flow per RTT). Outside [0, 1], NaN included, lossBracket
-// returns (-Inf, +Inf), which sends every draw to lossExact.
-func lossBracket(x, ev, cg float64) (lo, hi float64) {
+// SimulateTCP's y stays below 3e-3 (LossRate 1e-6, at most about 2,900
+// packets per flow per RTT). The fleet's y, the expected number of loss
+// episodes over one chunk's transfer, is larger: 0.09-3.9% of its draws
+// need Exp, by deployment. Outside [0, 1], NaN included, LossBracket
+// returns (-Inf, +Inf), which sends every draw to LossExact.
+func LossBracket(x, ev, cg float64) (lo, hi float64) {
 	if y := -x; y >= 0 && y <= 1 {
 		return y - float64(y*y/2) - lossSlack + ev + cg, y + lossSlack + ev + cg
 	}

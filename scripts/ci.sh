@@ -67,13 +67,15 @@ echo "== golden artifacts (chunk-kernel and battery bit-identity) =="
 go test ./internal/fleet -run 'TestGoldenArtifacts|TestSpillMatchesCentral' -count=1
 go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -count=1
 
-echo "== battery golden and kernel pins with amd64's other Exp path (FMA off) =="
+echo "== goldens and kernel pins with amd64's other Exp path (FMA off) =="
 # amd64's math.Exp assembly picks one of two code paths by whether the CPU
 # has AVX and FMA; GODEBUG=cpu.fma=off takes the other one, which gives
-# different bits on some inputs. The battery bytes, the dataset gendata
-# writes, the transport kernel digest, the TCP loss-draw bracket and the
-# video player digest must not notice. (On a CPU without FMA both runs
-# take the same path.)
+# different bits on some inputs. The fleet and battery bytes, the fleet
+# kernel digest (whose chunk loss draw calls Exp inside its bracket), the
+# dataset gendata writes, the transport kernel digest, the TCP loss-draw
+# bracket and the video player digest must not notice. (On a CPU without
+# FMA both runs take the same path.)
+GODEBUG=cpu.fma=off go test ./internal/fleet -run 'TestGoldenArtifacts|TestSpillMatchesCentral|TestFleetKernelDigest' -count=1
 GODEBUG=cpu.fma=off go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -count=1
 GODEBUG=cpu.fma=off go test ./cmd/gendata -run 'TestSmallDatasetDigest' -count=1
 GODEBUG=cpu.fma=off go test ./internal/transport -run 'TestKernelDigest|TestLossBracketOracle' -count=1
@@ -83,17 +85,17 @@ echo "== golden artifacts under GOARCH=386 (pure-Go math, 32-bit int) =="
 # The same goldens built for 386, which amd64 hosts run natively. The 386
 # math package has no Exp or Log assembly, so this checks amd64's assembly
 # against the pure-Go math on every pinned workload; it also runs the
-# trace path with a 32-bit int. The transport kernel digest, the loss-draw
-# bracket oracle, the MPC brute-force oracle and the video player digest
-# run here too, so the pins on the two battery kernels hold under the
-# pure-Go Exp. So do all of obs's
+# trace path with a 32-bit int. The fleet kernel digest, the transport
+# kernel digest, the loss-draw bracket oracle, the MPC brute-force oracle
+# and the video player digest run here too, so the pins on the fleet and
+# the two battery kernels hold under the pure-Go Exp. So do all of obs's
 # tests (the merge oracle, the tracer footprint pin, colf's round trip and
 # fuzz seed corpora): the tracer's compact store keeps each record's
 # shape (Sub, Name, field count, kind mask and keys) in a per-tracer table,
 # with the field count and kind mask packed into bytes, and must hold with
 # 4-byte ints and 8-byte strings too. The gendata dataset digest runs here
 # as well.
-GOARCH=386 go test ./internal/fleet -run 'TestGoldenArtifacts|TestSpillMatchesCentral' -count=1
+GOARCH=386 go test ./internal/fleet -run 'TestGoldenArtifacts|TestSpillMatchesCentral|TestFleetKernelDigest' -count=1
 GOARCH=386 go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -count=1
 GOARCH=386 go test ./cmd/gendata -run 'TestSmallDatasetDigest' -count=1
 GOARCH=386 go test ./internal/obs/... -count=1

@@ -11,7 +11,7 @@
 # Environment:
 #   BENCH       benchmark regexp to profile (default BenchmarkFleetCampaign$)
 #   BENCHTIME   go test -benchtime value (default 3s: enough samples for a
-#               stable line-level profile on the ~40ms/op campaign)
+#               stable line-level profile on the ~30ms/op campaign)
 #
 # Inspect interactively with:
 #   go tool pprof profiles/fleet.test profiles/cpu.pprof
