@@ -24,14 +24,24 @@ func goldenConfig(mix fleet.Mix) fleet.Config {
 	return fleet.Config{Seed: 7, UEs: 403, Shards: 3, Mix: mix, WindowS: 60}
 }
 
+// streamGoldenConfig is the stream-mode campaign ci.sh diffs across shard
+// counts (seed 3, 5000 UEs, the default window). 5000 UEs is above
+// DefaultSketchK, so the bottom-k sketches subsample and the table's
+// percentiles are estimates; 3 shards is an uneven partition (5000 =
+// 3*1666 + 2). The shard-count gates compare stream mode only with itself,
+// so this golden is what catches a drift that is the same at every count.
+func streamGoldenConfig(mix fleet.Mix) fleet.Config {
+	return fleet.Config{Seed: 3, UEs: 5000, Shards: 3, Mix: mix, Stream: true}
+}
+
 // goldenArtifacts renders everything one campaign emits — the population
 // table verbatim, plus FNV-1a hashes of the JSONL trace, the colf trace,
 // and the metrics CSV — as one comparable string. Hashes keep the pinned
 // files small while still failing on any single byte of drift.
-func goldenArtifacts(t *testing.T, mix fleet.Mix) string {
+func goldenArtifacts(t *testing.T, cfg fleet.Config) string {
 	t.Helper()
 	root := obs.New()
-	cfg := goldenConfig(mix)
+	mix := cfg.Mix
 	cfg.Obs = obs.Sub(root)
 	res := mustRun(t, cfg)
 	root.MergeTagged(cfg.Obs, obs.S("mix", mix.String()))
@@ -45,7 +55,10 @@ func goldenArtifacts(t *testing.T, mix fleet.Mix) string {
 
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "# golden fleet artifacts: seed=%d ues=%d window=%v mix=%s\n",
-		cfg.Seed, cfg.UEs, cfg.WindowS, mix)
+		cfg.Seed, cfg.UEs, res.Cfg.WindowS, mix)
+	if cfg.Stream {
+		fmt.Fprintf(&b, "# stream mode: sketch_k=%d\n", res.Cfg.SketchK)
+	}
 	b.WriteString(experiments.FleetTable([]*fleet.Result{res}).String())
 	fmt.Fprintf(&b, "trace_jsonl fnv64a=%016x bytes=%d\n", fnv64a(trace), len(trace))
 	fmt.Fprintf(&b, "trace_colf fnv64a=%016x bytes=%d\n", fnv64a(ctrace), len(ctrace))
@@ -76,11 +89,24 @@ func fnv64a(b []byte) uint64 {
 // a trace-hash mismatch. Regenerate with `go test -run Golden -update`
 // only for a deliberate, explained model change.
 func TestGoldenArtifacts(t *testing.T) {
+	checkGoldens(t, "golden_", goldenConfig)
+}
+
+// TestStreamGoldenArtifacts pins stream mode's bytes the same way: the
+// sketch-estimated table and the fixed-point histogram and stall sums of
+// the metrics CSV.
+func TestStreamGoldenArtifacts(t *testing.T) {
+	checkGoldens(t, "golden_stream_", streamGoldenConfig)
+}
+
+// checkGoldens compares each mix's campaign artifacts with
+// testdata/<prefix><mix>.txt, or rewrites the file under -update.
+func checkGoldens(t *testing.T, prefix string, config func(fleet.Mix) fleet.Config) {
 	for _, mix := range fleet.AllMixes {
 		mix := mix
 		t.Run(mix.String(), func(t *testing.T) {
-			got := goldenArtifacts(t, mix)
-			path := filepath.Join("testdata", "golden_"+mix.String()+".txt")
+			got := goldenArtifacts(t, config(mix))
+			path := filepath.Join("testdata", prefix+mix.String()+".txt")
 			if *updateGolden {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)

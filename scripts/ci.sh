@@ -63,8 +63,10 @@ echo "== golden artifacts (chunk-kernel and battery bit-identity) =="
 # makes that step explicit. The spill test holds the streaming trace
 # encoder (fleet.Spill) to the bytes of the central reduce rendered in
 # memory, in both formats, at shard counts {1,2,4,7}, with a colf block
-# boundary inside a campaign.
-go test ./internal/fleet -run 'TestGoldenArtifacts|TestSpillMatchesCentral' -count=1
+# boundary inside a campaign. The stream golden pins stream mode's own
+# bytes (sketch percentiles, fixed-point sums) at 5000 UEs, which the
+# shard-count diffs below compare only with themselves.
+go test ./internal/fleet -run 'TestGoldenArtifacts|TestStreamGoldenArtifacts|TestSpillMatchesCentral' -count=1
 go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -count=1
 
 echo "== goldens and kernel pins with amd64's other Exp path (FMA off) =="
@@ -75,7 +77,7 @@ echo "== goldens and kernel pins with amd64's other Exp path (FMA off) =="
 # dataset gendata writes, the transport kernel digest, the TCP loss-draw
 # bracket and the video player digest must not notice. (On a CPU without
 # FMA both runs take the same path.)
-GODEBUG=cpu.fma=off go test ./internal/fleet -run 'TestGoldenArtifacts|TestSpillMatchesCentral|TestFleetKernelDigest' -count=1
+GODEBUG=cpu.fma=off go test ./internal/fleet -run 'TestGoldenArtifacts|TestStreamGoldenArtifacts|TestSpillMatchesCentral|TestFleetKernelDigest' -count=1
 GODEBUG=cpu.fma=off go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -count=1
 GODEBUG=cpu.fma=off go test ./cmd/gendata -run 'TestSmallDatasetDigest' -count=1
 GODEBUG=cpu.fma=off go test ./internal/transport -run 'TestKernelDigest|TestLossBracketOracle' -count=1
@@ -95,7 +97,7 @@ echo "== golden artifacts under GOARCH=386 (pure-Go math, 32-bit int) =="
 # with the field count and kind mask packed into bytes, and must hold with
 # 4-byte ints and 8-byte strings too. The gendata dataset digest runs here
 # as well.
-GOARCH=386 go test ./internal/fleet -run 'TestGoldenArtifacts|TestSpillMatchesCentral|TestFleetKernelDigest' -count=1
+GOARCH=386 go test ./internal/fleet -run 'TestGoldenArtifacts|TestStreamGoldenArtifacts|TestSpillMatchesCentral|TestFleetKernelDigest' -count=1
 GOARCH=386 go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -count=1
 GOARCH=386 go test ./cmd/gendata -run 'TestSmallDatasetDigest' -count=1
 GOARCH=386 go test ./internal/obs/... -count=1
