@@ -76,28 +76,12 @@ func RunFleet(ctx context.Context, base fleet.Config, mixes []fleet.Mix, o *obs.
 	return rs, walls, nil
 }
 
-// fleetColumns are FleetTable's exact-mode metrics, in row order: the
-// metric label and the per-UE value its CDF row summarizes.
-var fleetColumns = [...]struct {
-	metric string
-	of     func(*fleet.UEResult) float64
-}{
-	{"tput Mbps", func(u *fleet.UEResult) float64 { return u.MeanMbps }},
-	{"QoE/chunk", func(u *fleet.UEResult) float64 { return u.QoE }},
-	{"energy J", func(u *fleet.UEResult) float64 { return u.EnergyJ }},
-	{"stall s", func(u *fleet.UEResult) float64 { return u.StallS }},
-}
-
 // FleetTable renders campaign results as population CDF rows (one row per
 // mix and metric). Shared by the battery experiment, the scenario runner
 // behind fgfleet and fgservd, and the byte-identity tests, so "the table"
-// means the same bytes everywhere. An exact-mode result fills one reused
-// column buffer per metric from its per-UE results and radix-sorts it with
-// reused key buffers. A stream-mode result renders from its merged
-// ShardStats — integer-accumulated means, sketch-estimated percentiles —
-// instead. When the population fits the sketch (UEs <= Config.SketchK)
-// the bottom-k sample is the whole population and its rows match the
-// exact-mode rows byte for byte.
+// means the same bytes everywhere. Each row reads its sorted values and
+// mean from Result.Column, through one reused column buffer and one radix
+// sorter; which mode the campaign ran in stays inside the fleet package.
 func FleetTable(rs []*fleet.Result) *Table {
 	t := &Table{
 		ID:     "fleet",
@@ -108,58 +92,21 @@ func FleetTable(rs []*fleet.Result) *Table {
 	var sorter stats.RadixSorter
 	for _, r := range rs {
 		mix := r.Cfg.Mix.String()
-		var ues int64
-		var nr float64
-		if r.Stream != nil {
-			for _, s := range r.Stream.Summaries() {
-				t.AddRow(mix, streamMetricLabel(s.Name),
-					f1(s.P5), f1(s.P25), f1(s.P50), f1(s.P75), f1(s.P95), f1(s.Mean))
-			}
-			ues, nr = r.Stream.UEs(), r.Stream.NRShare()
-		} else {
-			if cap(col) < len(r.UEs) {
-				col = make([]float64, len(r.UEs))
-			}
-			col = col[:len(r.UEs)]
-			for _, c := range fleetColumns {
-				for i := range r.UEs {
-					col[i] = c.of(&r.UEs[i])
-				}
-				addCDFRow(t, mix, c.metric, col, &sorter)
-			}
-			ues, nr = int64(len(r.UEs)), r.NRShare()
+		for i := 0; i < fleet.NumMetrics; i++ {
+			metric := fleet.MetricLabel(i)
+			var mean float64
+			col, mean = r.Column(i, col, &sorter)
+			mustFinite("fleet "+mix+" "+metric, col)
+			t.AddRow(mix, metric,
+				f1(stats.PercentileSorted(col, 5)),
+				f1(stats.PercentileSorted(col, 25)),
+				f1(stats.PercentileSorted(col, 50)),
+				f1(stats.PercentileSorted(col, 75)),
+				f1(stats.PercentileSorted(col, 95)),
+				f1(mean))
 		}
 		t.Notes = append(t.Notes, fmt.Sprintf("%s: %d UEs, %s of chunks on NR",
-			mix, ues, pct(100*nr)))
+			mix, r.Cfg.UEs, pct(100*r.NRShare())))
 	}
 	return t
-}
-
-// streamMetricLabel maps ShardStats summary names onto FleetTable's metric
-// column so stream rows line up with exact rows.
-func streamMetricLabel(name string) string {
-	switch name {
-	case "tput_mbps":
-		return "tput Mbps"
-	case "qoe":
-		return "QoE/chunk"
-	case "energy_j":
-		return "energy J"
-	case "stall_s":
-		return "stall s"
-	}
-	return name
-}
-
-// addCDFRow sorts xs in place and adds its percentile row.
-func addCDFRow(t *Table, mix, metric string, xs []float64, sorter *stats.RadixSorter) {
-	sorted := mustFinite("fleet "+mix+" "+metric, xs)
-	sorter.Sort(sorted)
-	t.AddRow(mix, metric,
-		f1(stats.PercentileSorted(sorted, 5)),
-		f1(stats.PercentileSorted(sorted, 25)),
-		f1(stats.PercentileSorted(sorted, 50)),
-		f1(stats.PercentileSorted(sorted, 75)),
-		f1(stats.PercentileSorted(sorted, 95)),
-		f1(stats.Mean(sorted)))
 }

@@ -25,9 +25,9 @@ func BenchmarkFleetCampaign(b *testing.B) {
 
 // BenchmarkFleetStreamCampaign is BenchmarkFleetCampaign in stream mode:
 // same simulated work, but campaign memory is O(shards) (histogram
-// shadows, bounded sketches, ~512 sampled sessions) instead of an O(UEs)
-// results slice. The bytes/UE metric prices the retained reduction state
-// per simulated session.
+// shadows and bounded sketches) instead of an O(UEs) results slice. The
+// bytes/UE metric prices the retained reduction state per simulated
+// session.
 func BenchmarkFleetStreamCampaign(b *testing.B) {
 	const ues = 8192
 	cfg := Config{Seed: 1, UEs: ues, Shards: 1, Mix: MixMixed, Stream: true}
@@ -41,8 +41,10 @@ func BenchmarkFleetStreamCampaign(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(ues)*float64(b.N)/b.Elapsed().Seconds(), "UEs/s")
-	retained := len(res.Stream.skTput.Values())*24*4 + len(res.Stream.sampled)*72 +
-		4*(len(tputBounds)+len(qoeBounds)+len(energyBounds)+len(stallBounds))*8
+	retained := 0
+	for i := range res.stream.hists {
+		retained += len(res.stream.sketches[i].Values())*24 + len(res.stream.hists[i].counts)*8
+	}
 	b.ReportMetric(float64(retained)/float64(ues), "retained_B/UE")
 }
 

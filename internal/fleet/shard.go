@@ -16,14 +16,28 @@ import (
 type shard struct {
 	cfg     Config
 	dep     *deployment
-	results []UEResult  // campaign-wide; this shard writes [lo, hi) only
-	stats   *ShardStats // stream mode: per-shard fold target (results is nil)
+	results []UEResult   // campaign-wide; this shard writes [lo, hi) only
+	stats   *streamStats // stream mode: per-shard fold target (results is nil)
 	nchunks int32
 	// rsrpBase is the running session's radio cache: each layer's
 	// shadow-free best base RSRP at the session's (static) position,
 	// filled once per session and read by serveCached every chunk.
 	rsrpBase []float64
-	events   uint64 // the shard's share of Result.Events
+	// The shard's shares of Result.Events and of the chunk counters.
+	events           uint64
+	chunks, nrChunks int64
+	// every is the trace sampling stride, 0 when the campaign does not
+	// trace; sampled holds the sessions of every every-th UE, in UE id
+	// order.
+	every   int
+	sampled []sessionSample
+}
+
+// sessionSample is one trace-sampled session, tagged with its UE id for
+// the trace record.
+type sessionSample struct {
+	ue int
+	u  UEResult
 }
 
 // session is one UE's state from arrival to idle. It lives on the stack of
@@ -73,6 +87,12 @@ func newShard(cfg Config, dep *deployment, results []UEResult) *shard {
 		sh.nchunks = 1
 	}
 	sh.rsrpBase = make([]float64, len(dep.layers))
+	if cfg.Stream {
+		sh.stats = newStreamStats(cfg)
+	}
+	if cfg.Spill != nil || cfg.Obs.Enabled() {
+		sh.every = cfg.TraceEvery
+	}
 	return sh
 }
 
@@ -258,7 +278,8 @@ func (sh *shard) stepChunk(s *session, now float64) float64 {
 
 // finalize writes the UE's result, its session over at now, into the
 // campaign slice (its own index: no cross-shard contention) or, in stream
-// mode, into the shard's stats.
+// mode, into the shard's stats. In both modes it counts the session's
+// chunks and keeps the session when its UE is trace-sampled.
 //
 //fgvet:noalloc
 func (sh *shard) finalize(s *session, now float64) {
@@ -281,9 +302,14 @@ func (sh *shard) finalize(s *session, now float64) {
 		NRChunks:  s.nr,
 	}
 	if sh.stats != nil {
-		sh.stats.observe(s.ue, u)
+		sh.stats.observe(s.ue, &u)
 	} else {
 		sh.results[s.ue] = u
+	}
+	sh.chunks += int64(chunks)
+	sh.nrChunks += int64(s.nr)
+	if sh.every > 0 && s.ue%sh.every == 0 {
+		sh.sampled = append(sh.sampled, sessionSample{ue: s.ue, u: u})
 	}
 }
 

@@ -89,20 +89,3 @@ func sessionRecord(ue int, u *UEResult, tags []obs.Field) obs.Record {
 	}
 	return r
 }
-
-// samples returns the shard's sampled sessions in UE id order. In exact
-// mode they come from the shard's slice of the results array; in stream
-// mode from the stats fold, which collects them as sessions finish, and a
-// shard finishes its sessions in UE id order (the set is the same: both
-// are the stride over the shard's id range).
-func (sh *shard) samples(rg Range, every int) []sessionSample {
-	if sh.stats != nil {
-		return sh.stats.sampled
-	}
-	first := rg.Lo + (every-rg.Lo%every)%every // first sampled id >= Lo
-	var out []sessionSample
-	for ue := first; ue < rg.Hi; ue += every {
-		out = append(out, sessionSample{ue: ue, u: sh.results[ue]})
-	}
-	return out
-}

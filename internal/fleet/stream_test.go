@@ -12,12 +12,14 @@ import (
 )
 
 // streamCampaignBytes runs one stream-mode campaign per mix at the given
-// shard count and renders everything stream mode can emit — the metric
-// summaries, the trace JSON, and the metrics CSV — as one byte string.
+// shard count and renders everything stream mode can emit — each metric's
+// column (sketch sample and mean, hex-exact), the trace JSON, and the
+// metrics CSV — as one byte string.
 func streamCampaignBytes(t *testing.T, shards int) string {
 	t.Helper()
 	root := obs.New()
 	var b bytes.Buffer
+	var sorter stats.RadixSorter
 	for _, mix := range fleet.AllMixes {
 		sub := obs.Sub(root)
 		res := mustRun(t, fleet.Config{
@@ -30,11 +32,11 @@ func streamCampaignBytes(t *testing.T, shards int) string {
 			Stream:  true,
 		})
 		root.MergeTagged(sub, obs.S("mix", mix.String()))
-		for _, s := range res.Stream.Summaries() {
-			fmt.Fprintf(&b, "%s n=%d mean=%x p=[%x %x %x %x %x]\n",
-				s.Name, s.N, s.Mean, s.P5, s.P25, s.P50, s.P75, s.P95)
+		for i := 0; i < fleet.NumMetrics; i++ {
+			sorted, mean := res.Column(i, nil, &sorter)
+			fmt.Fprintf(&b, "%s mean=%x sample=%x\n", fleet.MetricLabel(i), mean, sorted)
 		}
-		fmt.Fprintf(&b, "nr_share=%x ues=%d\n", res.Stream.NRShare(), res.Stream.UEs())
+		fmt.Fprintf(&b, "nr_share=%x\n", res.NRShare())
 	}
 	if err := obs.WriteTraceJSON(&b, "fleet", root.Trace()); err != nil {
 		t.Fatal(err)
@@ -121,60 +123,63 @@ func TestStreamHistogramCountsMatchExact(t *testing.T) {
 }
 
 // TestStreamQuantilesExactForSmallPopulations: with the population inside
-// the sketch capacity, the bottom-k sample IS the population, so stream
-// quantiles equal exact-mode percentiles bit for bit.
+// the sketch capacity, the bottom-k sample IS the population, so each
+// stream column equals the exact-mode column bit for bit, and its
+// fixed-point mean agrees with the exact mean to fixed-point precision.
 func TestStreamQuantilesExactForSmallPopulations(t *testing.T) {
 	cfg := fleet.Config{Seed: 7, UEs: 403, Shards: 4, WindowS: 60}
 	exact := mustRun(t, cfg)
 	cfg.Stream = true
 	streamed := mustRun(t, cfg)
-	pops := map[string][]float64{}
-	for _, u := range exact.UEs {
-		pops["tput_mbps"] = append(pops["tput_mbps"], u.MeanMbps)
-		pops["qoe"] = append(pops["qoe"], u.QoE)
-		pops["energy_j"] = append(pops["energy_j"], u.EnergyJ)
-		pops["stall_s"] = append(pops["stall_s"], u.StallS)
-	}
-	for _, s := range streamed.Stream.Summaries() {
-		sorted := stats.SortN(pops[s.Name])
-		for _, q := range []struct {
-			p   float64
-			got float64
-		}{{5, s.P5}, {25, s.P25}, {50, s.P50}, {75, s.P75}, {95, s.P95}} {
-			if want := stats.PercentileSorted(sorted, q.p); q.got != want {
-				t.Errorf("%s p%g: stream %g vs exact %g", s.Name, q.p, q.got, want)
-			}
+	var sorter stats.RadixSorter
+	for i := 0; i < fleet.NumMetrics; i++ {
+		want, wantMean := exact.Column(i, nil, &sorter)
+		got, gotMean := streamed.Column(i, nil, &sorter)
+		if fmt.Sprintf("%x", got) != fmt.Sprintf("%x", want) {
+			t.Errorf("%s: stream column differs from the exact column", fleet.MetricLabel(i))
+		}
+		if math.Abs(gotMean-wantMean) > 1e-9*math.Max(1, math.Abs(wantMean)) {
+			t.Errorf("%s: stream mean %g vs exact %g beyond fixed-point tolerance",
+				fleet.MetricLabel(i), gotMean, wantMean)
 		}
 	}
-	if got, want := streamed.Stream.NRShare(), exact.NRShare(); got != want {
+	if got, want := streamed.NRShare(), exact.NRShare(); got != want {
 		t.Errorf("NRShare: stream %g vs exact %g", got, want)
 	}
 }
 
 // TestStreamStateBounded: stream mode keeps no per-UE state — Result.UEs
-// is nil and sketches cap at K however large the population.
+// is nil and sketches cap at K however large the population — while the
+// histograms count, and the means average, every session.
 func TestStreamStateBounded(t *testing.T) {
-	res := mustRun(t, fleet.Config{
-		Seed: 3, UEs: 900, Shards: 4, WindowS: 60,
-		Stream: true, SketchK: 64,
-	})
+	cfg := fleet.Config{Seed: 3, UEs: 900, Shards: 4, WindowS: 60, SketchK: 64}
+	exact := mustRun(t, cfg)
+	cfg.Stream, cfg.Obs = true, obs.New()
+	res := mustRun(t, cfg)
 	if res.UEs != nil {
 		t.Fatalf("stream mode kept a %d-entry results slice", len(res.UEs))
 	}
-	if res.Stream.UEs() != 900 {
-		t.Fatalf("stream stats folded %d sessions, want 900", res.Stream.UEs())
-	}
-	for _, s := range res.Stream.Summaries() {
-		if s.N != 900 {
-			t.Fatalf("%s: N = %d, want 900", s.Name, s.N)
+	var sorter stats.RadixSorter
+	for _, name := range []string{"fleet.tput_mbps", "fleet.qoe", "fleet.energy_j", "fleet.stall_s"} {
+		if h := cfg.Obs.Meter().Hist(name, nil); h.N != 900 {
+			t.Fatalf("%s: N = %d, want 900", name, h.N)
 		}
 	}
-	// With k=64 << 900 the quantiles are estimates; sanity-bound them
-	// against the histogram-backed mean rather than requiring exactness.
-	for _, s := range res.Stream.Summaries() {
-		if s.P5 > s.P50 || s.P50 > s.P95 {
-			t.Errorf("%s: quantile estimates not monotone: p5=%g p50=%g p95=%g",
-				s.Name, s.P5, s.P50, s.P95)
+	for i := 0; i < fleet.NumMetrics; i++ {
+		label := fleet.MetricLabel(i)
+		sorted, mean := res.Column(i, nil, &sorter)
+		if len(sorted) != 64 {
+			t.Errorf("%s: sketch kept %d values, want 64", label, len(sorted))
+		}
+		// With k=64 << 900 the quantiles are estimates; sanity-bound them
+		// rather than requiring exactness. The mean is over every session.
+		p5, p50, p95 := stats.PercentileSorted(sorted, 5), stats.PercentileSorted(sorted, 50),
+			stats.PercentileSorted(sorted, 95)
+		if p5 > p50 || p50 > p95 {
+			t.Errorf("%s: quantile estimates not monotone: p5=%g p50=%g p95=%g", label, p5, p50, p95)
+		}
+		if _, want := exact.Column(i, nil, &sorter); math.Abs(mean-want) > 1e-9*math.Max(1, math.Abs(want)) {
+			t.Errorf("%s: stream mean %g vs exact %g beyond fixed-point tolerance", label, mean, want)
 		}
 	}
 }
