@@ -98,6 +98,12 @@ const DefaultBlockRecords = 4096
 // prefix fails with an error instead of an absurd allocation.
 const maxBlockBytes = 1 << 28
 
+// maxDictPerRecord bounds the dictionary entries a block may hold per
+// record: a record references at most its scope, Sub, Name and field
+// shape, plus a key and a string value for each of obs.Record's at most 8
+// fields. So a block with no records has no dictionary.
+const maxDictPerRecord = 4 + 2*8
+
 // nSections is the fixed column-section count of format version 1.
 const nSections = 7
 

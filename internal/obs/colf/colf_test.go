@@ -303,6 +303,49 @@ func TestCorruptInputFails(t *testing.T) {
 	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
 		t.Fatalf("decoding a %d-byte stream allocated %d bytes, want under 1 MB", len(huge), d)
 	}
+
+	// A block of no records and 2^20 empty dictionary entries, which no
+	// record can reference, fails before the dictionary is built, within
+	// TestDecodeAllocBoundedByInput's bound. The same entries in a block of
+	// 2^20/20+1 records, which may use 20 entries each, fail at the first
+	// record, and their dictionary costs at most 4 B per entry.
+	const entries = 1 << 20
+	none := dictStream(0, entries)
+	noneAlloc, err := decodeAlloc(none)
+	if err == nil || !strings.Contains(err.Error(), "dictionary count") {
+		t.Fatalf("record-less block of %d dictionary entries: err = %v, want a dictionary-count error", entries, err)
+	}
+	if limit := uint64(4*len(none) + 1<<20); noneAlloc > limit {
+		t.Fatalf("decoding a %d-byte stream allocated %d bytes, want at most %d", len(none), noneAlloc, limit)
+	}
+	full := dictStream(entries/maxDictPerRecord+1, entries)
+	fullAlloc, err := decodeAlloc(full)
+	if err == nil || !strings.Contains(err.Error(), "bad varint") {
+		t.Fatalf("block of %d dictionary entries and no section bytes: err = %v, want a bad-varint error", entries, err)
+	}
+	if limit := noneAlloc + 4*entries + 64<<10; fullAlloc > limit {
+		t.Fatalf("a dictionary of %d entries allocated %d bytes beyond the frame, want at most %d",
+			entries, fullAlloc-noneAlloc, limit-noneAlloc)
+	}
+}
+
+// decodeAlloc decodes a colf stream and returns the bytes decoding
+// allocated, and its error.
+func decodeAlloc(b []byte) (uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := DecodeToJSON(bytes.NewReader(b), io.Discard)
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, err
+}
+
+// dictStream is a colf stream of one frame whose block declares recs
+// records and entries empty dictionary entries, followed by its seven
+// empty sections.
+func dictStream(recs, entries int) []byte {
+	payload := appendUvarint(appendUvarint(nil, uint64(recs)), uint64(entries))
+	payload = append(payload, make([]byte, entries+nSections)...)
+	return append(appendUvarint([]byte(magic), uint64(len(payload))), payload...)
 }
 
 // TestCorruptRecordFailsInPlace: a bad scope id in a block's third record

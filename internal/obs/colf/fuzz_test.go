@@ -20,6 +20,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})                                    // no magic
 	f.Add(valid[:len(valid)/2])                        // truncated frame
 	f.Add(appendUvarint([]byte(magic), maxBlockBytes)) // corrupt frame length
+	f.Add(dictStream(0, 1<<10))                        // dictionary with no records
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Any error is a valid outcome; only a panic fails.
 		_ = DecodeToJSON(bytes.NewReader(data), io.Discard)

@@ -13,7 +13,8 @@ import (
 // Reader decodes a colf stream one record per Next. It buffers one block's
 // frame at a time, with the block's dictionary, and decodes a record only
 // when Next asks for it, so memory is O(frame) however large the artifact
-// and however many records a block holds.
+// and however many records a block holds. The strings of a returned
+// record are substrings of its block's dictionary.
 //
 // A corrupt frame, dictionary or section table fails the Next call that
 // reads it, before any record of its block. A corrupt record fails the
@@ -25,7 +26,13 @@ type Reader struct {
 	br *bufio.Reader
 
 	payload []byte
-	dict    []string
+
+	// The block's dictionary: its entries' bytes as one string, and each
+	// entry's end offset in it. A lookup is a substring, so a block
+	// allocates its strings once and 4 B per entry.
+	dict     string
+	dictEnds []uint32
+
 	secs    [nSections]blockCursor
 	left    uint64 // records of the current block not yet decoded
 	lastAt  uint64
@@ -172,11 +179,18 @@ func (r *Reader) startBlock(payload []byte) error {
 	if nDict > uint64(len(payload)) {
 		return fmt.Errorf("colf: dictionary count %d exceeds payload", nDict)
 	}
-	if uint64(cap(r.dict)) < nDict {
-		r.dict = make([]string, nDict)
+	if nDict > maxDictPerRecord*nRecs {
+		return fmt.Errorf("colf: dictionary count %d exceeds %d entries per record (%d records)",
+			nDict, maxDictPerRecord, nRecs)
 	}
-	r.dict = r.dict[:nDict]
-	for i := range r.dict {
+	if uint64(cap(r.dictEnds)) < nDict {
+		r.dictEnds = make([]uint32, 0, nDict)
+	}
+	r.dictEnds = r.dictEnds[:0]
+	// Each entry's bytes move left over the length prefixes before them,
+	// which no later read needs, so the dictionary ends up contiguous.
+	start, end := c.off, c.off
+	for i := uint64(0); i < nDict; i++ {
 		sz, err := c.uvarint()
 		if err != nil {
 			return err
@@ -185,8 +199,10 @@ func (r *Reader) startBlock(payload []byte) error {
 		if err != nil {
 			return err
 		}
-		r.dict[i] = string(b)
+		end += copy(payload[end:], b)
+		r.dictEnds = append(r.dictEnds, uint32(end-start))
 	}
+	r.dict = string(payload[start:end])
 	for i := range r.secs {
 		sz, err := c.uvarint()
 		if err != nil {
@@ -225,10 +241,14 @@ func (r *Reader) drained() error {
 
 // lookup returns dictionary entry id of the current block.
 func (r *Reader) lookup(id uint64) (string, error) {
-	if id >= uint64(len(r.dict)) {
-		return "", fmt.Errorf("colf: dictionary id %d out of range (%d entries)", id, len(r.dict))
+	if id >= uint64(len(r.dictEnds)) {
+		return "", fmt.Errorf("colf: dictionary id %d out of range (%d entries)", id, len(r.dictEnds))
 	}
-	return r.dict[id], nil
+	lo := uint32(0)
+	if id > 0 {
+		lo = r.dictEnds[id-1]
+	}
+	return r.dict[lo:r.dictEnds[id]], nil
 }
 
 // decodeRecord decodes the current block's next record from its sections
