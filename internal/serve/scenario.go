@@ -21,9 +21,12 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -431,14 +434,19 @@ func RunScenario(ctx context.Context, sc *Scenario, w io.Writer) error {
 }
 
 // RunFiles is Run for the CLIs: the tables go to table, and the trace and
-// metrics artifacts to files created at tracePath and metricsPath ("" skips
-// the artifact). The files are created before the run and closed on every
-// path, and a close error fails the run. Every file error names its path.
+// metrics artifacts to tracePath and metricsPath ("" skips the artifact).
+// A new path, or an existing regular file, is written through a temporary
+// file in its directory, renamed over the path only after the run, every
+// write and every close succeed; on failure the temporary file is removed,
+// so the path is left absent or with its previous bytes. An existing path
+// that is not a regular file (a device such as /dev/null, a FIFO, or a
+// symlink) is written in place, since a rename would replace it. Every
+// file error names the path the caller gave.
 func RunFiles(ctx context.Context, sc *Scenario, table io.Writer, tracePath, metricsPath string) (rep *Report, err error) {
-	var files []*os.File
+	var files []*artifactFile
 	defer func() {
 		for _, f := range files {
-			if cerr := f.Close(); err == nil {
+			if cerr := f.close(err == nil); err == nil {
 				err = cerr
 			}
 		}
@@ -450,7 +458,7 @@ func RunFiles(ctx context.Context, sc *Scenario, table io.Writer, tracePath, met
 		if path == "" {
 			return nil, nil
 		}
-		f, err := os.Create(path)
+		f, err := createArtifact(path)
 		if err != nil {
 			return nil, err
 		}
@@ -465,4 +473,74 @@ func RunFiles(ctx context.Context, sc *Scenario, table io.Writer, tracePath, met
 		return nil, err
 	}
 	return Run(ctx, sc, out)
+}
+
+// artifactFile is one CLI artifact being written: either the file at path
+// itself, or a temporary file tmp that close renames over path.
+type artifactFile struct {
+	f         *os.File
+	path, tmp string // tmp is "" when f is path itself
+}
+
+// createArtifact opens path's artifact file for writing (see RunFiles). A
+// temporary file is created exclusively with mode 0666 before the umask,
+// as os.Create creates a file, and takes an existing file's permission
+// bits, as os.Create's truncation keeps them.
+func createArtifact(path string) (*artifactFile, error) {
+	fi, err := os.Lstat(path)
+	if err == nil && !fi.Mode().IsRegular() {
+		f, err := os.Create(path)
+		return &artifactFile{f: f, path: path}, err
+	}
+	// The process id keeps concurrent runs apart; the counter, one run's
+	// trace and metrics at one path, or a stale file of a dead process.
+	a := &artifactFile{path: path}
+	dir, base := filepath.Split(path)
+	for i := 0; a.f == nil; i++ {
+		a.tmp = filepath.Join(dir, fmt.Sprintf(".%s.%d-%d.tmp", base, os.Getpid(), i))
+		a.f, err = os.OpenFile(a.tmp, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if err != nil && (!errors.Is(err, fs.ErrExist) || i == 99) {
+			return nil, fmt.Errorf("creating %s: %w", path, err)
+		}
+	}
+	if fi != nil {
+		if err := a.f.Chmod(fi.Mode().Perm()); err != nil {
+			return nil, errors.Join(a.named(err), a.close(false))
+		}
+	}
+	return a, nil
+}
+
+// Write writes to the file; an error names the caller's path.
+func (a *artifactFile) Write(p []byte) (int, error) {
+	n, err := a.f.Write(p)
+	return n, a.named(err)
+}
+
+// close closes the file. A temporary file is then renamed over the path
+// when ok, and removed otherwise or when the close or rename fails.
+func (a *artifactFile) close(ok bool) error {
+	err := a.named(a.f.Close())
+	if a.tmp == "" {
+		return err
+	}
+	if ok && err == nil {
+		err = os.Rename(a.tmp, a.path)
+	}
+	if !ok || err != nil {
+		if rerr := os.Remove(a.tmp); err == nil {
+			err = rerr
+		}
+	}
+	return err
+}
+
+// named replaces the temporary file's name in a file error with the
+// caller's path.
+func (a *artifactFile) named(err error) error {
+	var pe *fs.PathError
+	if errors.As(err, &pe) && pe.Path == a.f.Name() {
+		pe.Path = a.path
+	}
+	return err
 }
