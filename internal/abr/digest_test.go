@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -106,6 +107,60 @@ func always5GIsPlayback(t *testing.T, v Video, algo Algorithm, tr5 []float64, r 
 		if !on5G {
 			t.Errorf("%s: always-5G session on 4G in second %d", algo.Name(), s)
 			break
+		}
+	}
+}
+
+// expProbe is an input on which the three math.Exp paths this repository
+// runs on return three different results: amd64's assembly with FMA, the
+// same assembly without it (GODEBUG=cpu.fma=off), and the pure-Go exp
+// (GOARCH=386 and every other port without Exp assembly).
+const expProbe = 14.25
+
+// pensieveWeightDigests holds, per math path (keyed by the bits of
+// math.Exp(expProbe)), the SHA-256 of fmt %v over the weights of fig17's
+// two trained Pensieve policies, 5G then 4G. Training calls math.Exp (the
+// softmax), math.Tanh and math.Log, so the weights differ by path.
+var pensieveWeightDigests = map[uint64][2]string{
+	0x41378fee7792e44b: { // amd64, FMA
+		"0cf18889ac973439b7a40233311efbffa8fea344579efbdb762bea8afc714a25",
+		"fad5cee3045e3710a12ae35b046faf8ae779f7fb5d1a20c608a1f1fd00df6a79",
+	},
+	0x41378fee7792e44a: { // amd64, GODEBUG=cpu.fma=off
+		"8b07df62090aef27b30f96c0842be0eee8c42f5ee9b8f7615e2390ddcbc814bf",
+		"35504a892975e49865fb10cc7354c7a1aa994995b25465b1c2810bb7878fff03",
+	},
+	0x41378fee7792e44c: { // pure-Go exp (386)
+		"9c4a87b95cc61a499728463d4b0595ba50b7e4f7ae043f185f74e5eb6162c01b",
+		"e2815fc1c1798c4dc02ff5c2f20e6331b11ed3b50d57e8d8079722fb5b28bbf6",
+	},
+}
+
+// TestPensieveWeightsDigest pins the weights of both fig17 policies at
+// seed 1: TrainPensieve with seed 8 on GenSet5G/GenSet4G(30, 400, 99) for
+// the §5.1 ladders. Any change to the network's arithmetic order, to the
+// gradient step or to the teacher shows here.
+func TestPensieveWeightsDigest(t *testing.T) {
+	probe := math.Float64bits(math.Exp(expProbe))
+	want, ok := pensieveWeightDigests[probe]
+	if !ok {
+		t.Fatalf("unknown math.Exp path: Exp(%v) has bits %#x; add its digests", expProbe, probe)
+	}
+	for i, c := range []struct {
+		v      Video
+		traces [][]float64
+	}{
+		{video5G(t), trace.GenSet5G(30, 400, 99)},
+		{video4G(t), trace.GenSet4G(30, 400, 99)},
+	} {
+		p, err := TrainPensieve(c.v, c.traces, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256([]byte(fmt.Sprintf("%v", p.policy.Net)))
+		if got := hex.EncodeToString(sum[:]); got != want[i] {
+			t.Errorf("policy %d (%s ladder) weights digest = %s, want %s",
+				i, []string{"5G", "4G"}[i], got, want[i])
 		}
 	}
 }

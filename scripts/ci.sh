@@ -75,13 +75,14 @@ echo "== goldens and kernel pins with amd64's other Exp path (FMA off) =="
 # different bits on some inputs. The fleet and battery bytes, the fleet
 # kernel digest (whose chunk loss draw calls Exp inside its bracket), the
 # dataset gendata writes, the transport kernel digest, the TCP loss-draw
-# bracket and the video player digest must not notice. (On a CPU without
-# FMA both runs take the same path.)
+# bracket and the video player digest must not notice. The Pensieve
+# weights pin holds one digest per Exp path and checks this path's. (On a
+# CPU without FMA both runs take the same path.)
 GODEBUG=cpu.fma=off go test ./internal/fleet -run 'TestGoldenArtifacts|TestStreamGoldenArtifacts|TestSpillMatchesCentral|TestFleetKernelDigest' -count=1
 GODEBUG=cpu.fma=off go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -count=1
 GODEBUG=cpu.fma=off go test ./cmd/gendata -run 'TestSmallDatasetDigest' -count=1
 GODEBUG=cpu.fma=off go test ./internal/transport -run 'TestKernelDigest|TestLossBracketOracle' -count=1
-GODEBUG=cpu.fma=off go test ./internal/abr -run 'TestPlayerDigest' -count=1
+GODEBUG=cpu.fma=off go test ./internal/abr -run 'TestPlayerDigest|TestPensieveWeightsDigest' -count=1
 
 echo "== golden artifacts under GOARCH=386 (pure-Go math, 32-bit int) =="
 # The same goldens built for 386, which amd64 hosts run natively. The 386
@@ -90,7 +91,8 @@ echo "== golden artifacts under GOARCH=386 (pure-Go math, 32-bit int) =="
 # trace path with a 32-bit int. The fleet kernel digest, the transport
 # kernel digest, the loss-draw bracket oracle, the MPC brute-force oracle
 # and the video player digest run here too, so the pins on the fleet and
-# the two battery kernels hold under the pure-Go Exp. So do all of obs's
+# the two battery kernels hold under the pure-Go Exp, and the Pensieve
+# weights pin checks its pure-Go digest. So do all of obs's
 # tests (the merge oracle, the tracer footprint pin, colf's round trip and
 # fuzz seed corpora): the tracer's compact store keeps each record's
 # shape (Sub, Name, field count, kind mask and keys) in a per-tracer table,
@@ -102,7 +104,7 @@ GOARCH=386 go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -cou
 GOARCH=386 go test ./cmd/gendata -run 'TestSmallDatasetDigest' -count=1
 GOARCH=386 go test ./internal/obs/... -count=1
 GOARCH=386 go test ./internal/transport -run 'TestKernelDigest|TestLossBracketOracle' -count=1
-GOARCH=386 go test ./internal/abr -run 'TestMPCMatchesBruteForce|TestNewMPCMatchesOldDFS|TestPlayerDigest' -count=1
+GOARCH=386 go test ./internal/abr -run 'TestMPCMatchesBruteForce|TestNewMPCMatchesOldDFS|TestPlayerDigest|TestPensieveWeightsDigest' -count=1
 
 echo "== battery determinism (serial vs parallel) =="
 # The whole-campaign contract: rendered tables are byte-identical for any
