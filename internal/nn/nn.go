@@ -74,9 +74,28 @@ func (m *MLP) forwardInto(acts [][]float64, x []float64) {
 			next = make([]float64, out)
 			acts[l+1] = next
 		}
-		for o := 0; o < out; o++ {
-			s := m.b[l][o]
-			row := m.w[l][o*in : (o+1)*in]
+		// Four rows per pass share each load of cur and keep four
+		// independent add chains in flight; every row still sums its
+		// inputs in order from its bias, so each output keeps its bits.
+		w, b := m.w[l], m.b[l]
+		o := 0
+		for ; o+4 <= out; o += 4 {
+			s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
+			r0 := w[o*in : (o+1)*in]
+			r1 := w[(o+1)*in : (o+2)*in]
+			r2 := w[(o+2)*in : (o+3)*in]
+			r3 := w[(o+3)*in : (o+4)*in]
+			for i, v := range cur {
+				s0 += r0[i] * v
+				s1 += r1[i] * v
+				s2 += r2[i] * v
+				s3 += r3[i] * v
+			}
+			next[o], next[o+1], next[o+2], next[o+3] = s0, s1, s2, s3
+		}
+		for ; o < out; o++ {
+			s := b[o]
+			row := w[o*in : (o+1)*in]
 			for i, v := range cur {
 				s += row[i] * v
 			}
@@ -238,23 +257,25 @@ func (p *Policy) Step(states [][]float64, actions []int, advantages []float64, l
 			p.delta = make([]float64, len(logits))
 		}
 		delta := p.delta[:len(logits)]
+		// The sample's entropy H, summed once: dH/dlogit_i needs it for
+		// every i.
+		h := 0.0
+		if entropy > 0 {
+			for _, pj := range probs {
+				if pj > 0 {
+					h -= pj * math.Log(pj)
+				}
+			}
+		}
 		for i := range logits {
 			ind := 0.0
 			if i == a {
 				ind = 1
 			}
 			delta[i] = advantages[k] * (ind - probs[i])
-			if entropy > 0 {
+			if entropy > 0 && probs[i] > 0 {
 				// dH/dlogit_i = -p_i * (log p_i + H)
-				h := 0.0
-				for _, pj := range probs {
-					if pj > 0 {
-						h -= pj * math.Log(pj)
-					}
-				}
-				if probs[i] > 0 {
-					delta[i] += entropy * (-probs[i] * (math.Log(probs[i]) + h))
-				}
+				delta[i] += entropy * (-probs[i] * (math.Log(probs[i]) + h))
 			}
 		}
 		// Backpropagate delta through the layers.
@@ -272,14 +293,33 @@ func (p *Policy) Step(states [][]float64, actions []int, advantages []float64, l
 			if l == 0 {
 				break
 			}
-			// Gradient w.r.t. previous activation, through tanh.
+			// Gradient w.r.t. previous activation, through tanh. Four
+			// columns per pass walk each weight row in order instead of
+			// striding down a column; each column still sums over the
+			// outputs in order.
 			next := p.back[l]
-			for i := 0; i < in; i++ {
-				s := 0.0
-				for o := range grad {
-					s += grad[o] * m.w[l][o*in+i]
+			w := m.w[l]
+			i := 0
+			for ; i+4 <= in; i += 4 {
+				s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+				for o, g := range grad {
+					r := w[o*in+i : o*in+i+4]
+					s0 += g * r[0]
+					s1 += g * r[1]
+					s2 += g * r[2]
+					s3 += g * r[3]
 				}
-				next[i] = s * (1 - prev[i]*prev[i]) // tanh'
+				next[i] = s0 * (1 - prev[i]*prev[i]) // tanh'
+				next[i+1] = s1 * (1 - prev[i+1]*prev[i+1])
+				next[i+2] = s2 * (1 - prev[i+2]*prev[i+2])
+				next[i+3] = s3 * (1 - prev[i+3]*prev[i+3])
+			}
+			for ; i < in; i++ {
+				s := 0.0
+				for o, g := range grad {
+					s += g * w[o*in+i]
+				}
+				next[i] = s * (1 - prev[i]*prev[i])
 			}
 			grad = next
 		}
