@@ -33,7 +33,7 @@ func Example() {
 		log.Fatal("no carrier server found")
 	}
 	client := speedtest.NewClient(ue, network, geo.Minneapolis.Loc, seed)
-	sum := client.Repeat(near, speedtest.Multi, 10)
+	sum := client.Repeat(near, speedtest.Multi, 10, speedtest.Both)
 	fmt.Println("speedtest (multi-connection, p95 of 10 runs):")
 	fmt.Printf("  %s\n\n", sum)
 

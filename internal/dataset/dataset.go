@@ -161,7 +161,7 @@ func WriteSpeedtests(dir string, o Options) error {
 	reg := geo.NewCarrierRegistry("Verizon")
 	for _, mode := range []speedtest.ConnMode{speedtest.Single, speedtest.Multi} {
 		client := speedtest.NewClient(spec, radio.VerizonNSAmmWave, geo.Minneapolis.Loc, o.Seed)
-		for _, sum := range client.Campaign(reg.SortedByDistance(geo.Minneapolis.Loc), mode, o.SpeedtestRepeats) {
+		for _, sum := range client.Campaign(reg.SortedByDistance(geo.Minneapolis.Loc), mode, o.SpeedtestRepeats, speedtest.Both) {
 			rows = append(rows, []string{
 				sum.Server.Name, sum.Server.City.String(), ftoa(sum.DistanceKm),
 				mode.String(), ftoa(sum.RTTMs), ftoa(sum.DLp95Mbps), ftoa(sum.ULp95Mbps)})

@@ -66,7 +66,7 @@ func Fig1(cfg Config) []*Table {
 	c := speedtest.NewClient(mustUE(device.S20U), radio.VerizonNSAmmWave, geo.Minneapolis.Loc, cfg.Seed)
 	reg := geo.NewCarrierRegistry("Verizon")
 	repeats := cfg.pick(3, 10)
-	for _, sum := range c.Campaign(reg.SortedByDistance(geo.Minneapolis.Loc), speedtest.Single, repeats) {
+	for _, sum := range c.Campaign(reg.SortedByDistance(geo.Minneapolis.Loc), speedtest.Single, repeats, speedtest.RTTOnly) {
 		t.AddRow(sum.Server.City.String(), f0(sum.DistanceKm), f1(sum.RTTMs))
 	}
 	t.Notes = append(t.Notes, "paper: lowest RTT ~6 ms at ~3 km; doubles by ~320 km")
@@ -116,10 +116,14 @@ func throughputVsDistance(cfg Config, id, title string, n radio.Network, ue devi
 	idxs := []int{0, len(sorted) / 5, 2 * len(sorted) / 5, 3 * len(sorted) / 5,
 		4 * len(sorted) / 5, len(sorted) - 1}
 	repeats := cfg.pick(3, 10)
+	read := speedtest.DL
+	if dir == radio.Uplink {
+		read = speedtest.UL
+	}
 	for _, i := range idxs {
 		s := sorted[i]
-		multi := c.Repeat(s, speedtest.Multi, repeats)
-		single := c.Repeat(s, speedtest.Single, repeats)
+		multi := c.Repeat(s, speedtest.Multi, repeats, read)
+		single := c.Repeat(s, speedtest.Single, repeats, read)
 		mv, sv := multi.DLp95Mbps, single.DLp95Mbps
 		if dir == radio.Uplink {
 			mv, sv = multi.ULp95Mbps, single.ULp95Mbps
@@ -219,8 +223,8 @@ func Fig23(cfg Config) []*Table {
 	repeats := cfg.pick(3, 10)
 	for _, m := range []device.Model{device.PX5, device.S20U} {
 		c := speedtest.NewClient(mustUE(m), radio.VerizonNSAmmWave, geo.Minneapolis.Loc, cfg.Seed)
-		multi := c.Repeat(near, speedtest.Multi, repeats)
-		single := c.Repeat(near, speedtest.Single, repeats)
+		multi := c.Repeat(near, speedtest.Multi, repeats, speedtest.Both)
+		single := c.Repeat(near, speedtest.Single, repeats, speedtest.DL)
 		t.AddRow(m.Short(), d(mustUE(m).MmWaveDLCC), f0(multi.DLp95Mbps),
 			f0(single.DLp95Mbps), f0(multi.ULp95Mbps))
 	}
@@ -235,7 +239,7 @@ func Fig24(cfg Config) []*Table {
 	c := speedtest.NewClient(mustUE(device.S20U), radio.VerizonNSAmmWave, geo.Minneapolis.Loc, cfg.Seed)
 	reg := geo.NewMinnesotaRegistry("Verizon")
 	repeats := cfg.pick(2, 5)
-	for i, sum := range c.Campaign(reg.Servers, speedtest.Multi, repeats) {
+	for i, sum := range c.Campaign(reg.Servers, speedtest.Multi, repeats, speedtest.DL) {
 		cap := "-"
 		if sum.Server.CapMbps > 0 {
 			cap = f0(sum.Server.CapMbps)

@@ -12,6 +12,7 @@ package speedtest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"fivegsim/internal/device"
@@ -40,6 +41,23 @@ func (m ConnMode) String() string {
 	return "single"
 }
 
+// Dirs is the set of transfer directions a caller reads from a test. A
+// direction outside the set is not simulated (see Client.Run).
+type Dirs uint8
+
+const (
+	// RTTOnly reads neither transfer, only the latency probes.
+	RTTOnly Dirs = 0
+	// DL reads the downlink transfer.
+	DL Dirs = 1 << radio.Downlink
+	// UL reads the uplink transfer.
+	UL Dirs = 1 << radio.Uplink
+	// Both reads both transfers.
+	Both = DL | UL
+)
+
+func (s Dirs) has(d radio.Direction) bool { return s&(1<<d) != 0 }
+
 // Client runs Speedtest-style measurements for one UE on one network. The
 // UE stands at the band's clear-LoS peak signal (the stationary outdoor
 // methodology of §3.1), and the servers run tuned TCP send buffers:
@@ -63,9 +81,9 @@ type Measurement struct {
 	DistanceKm float64
 	Mode       ConnMode
 	RTTMs      float64 // lowest of the latency probes (Speedtest's metric)
-	DLMbps     float64
-	ULMbps     float64
-	Conns      int // connections actually used
+	DLMbps     float64 // NaN when the run does not read DL
+	ULMbps     float64 // NaN when the run does not read UL
+	Conns      int     // connections actually used
 }
 
 // path builds the netpath for a server with per-run signal variation.
@@ -76,8 +94,13 @@ func (c *Client) path(s geo.Server) netpath.Path {
 	return p
 }
 
-// Run performs one full test (latency + downlink + uplink) against a server.
-func (c *Client) Run(s geo.Server, mode ConnMode) Measurement {
+// Run performs one test against a server: the latency probes, then a
+// downlink and an uplink transfer. A transfer in a direction that read
+// does not hold is not simulated and its field reads NaN; the client's
+// stream still advances by exactly the draws the transfer would take, so
+// every value read, in this run and later ones, is the same bits as when
+// both directions are read.
+func (c *Client) Run(s geo.Server, mode ConnMode, read Dirs) Measurement {
 	p := c.path(s)
 	m := Measurement{Server: s, DistanceKm: p.DistanceKm, Mode: mode}
 
@@ -95,13 +118,24 @@ func (c *Client) Run(s geo.Server, mode ConnMode) Measurement {
 	}
 	m.Conns = conns
 
-	dl := transport.SimulateTCP(p.Params(radio.Downlink), transport.TCPOptions{
-		Flows: conns, WmemBytes: transport.TunedWmemBytes}, c.rng)
-	m.DLMbps = dl.MeanMbps
-	ul := transport.SimulateTCP(p.Params(radio.Uplink), transport.TCPOptions{
-		Flows: conns, WmemBytes: transport.TunedWmemBytes}, c.rng)
-	m.ULMbps = ul.MeanMbps
+	m.DLMbps = c.transfer(p, radio.Downlink, conns, read)
+	m.ULMbps = c.transfer(p, radio.Uplink, conns, read)
 	return m
+}
+
+// transfer returns the mean goodput of one TCP transfer of conns
+// connections in direction d, or NaN after advancing the client's stream
+// by the transfer's draws when read does not hold d.
+func (c *Client) transfer(p netpath.Path, d radio.Direction, conns int, read Dirs) float64 {
+	params := p.Params(d)
+	o := transport.TCPOptions{Flows: conns, WmemBytes: transport.TunedWmemBytes}
+	if !read.has(d) {
+		for n := transport.TCPDraws(params, o); n > 0; n-- {
+			c.rng.Float64()
+		}
+		return math.NaN()
+	}
+	return transport.SimulateTCP(params, o, c.rng).MeanMbps
 }
 
 // Summary aggregates repeated runs against one server, reporting the paper's
@@ -112,8 +146,8 @@ type Summary struct {
 	Mode       ConnMode
 	Runs       int
 	RTTMs      float64 // median across runs (of per-run minimum pings)
-	DLp95Mbps  float64
-	ULp95Mbps  float64
+	DLp95Mbps  float64 // NaN when the runs do not read DL
+	ULp95Mbps  float64 // NaN when the runs do not read UL
 }
 
 func (s Summary) String() string {
@@ -122,40 +156,50 @@ func (s Summary) String() string {
 }
 
 // Repeat runs n tests against a server and summarises them. The paper
-// repeats each <UE, carrier, server, mode> setting at least 10 times.
-func (c *Client) Repeat(s geo.Server, mode ConnMode, n int) Summary {
+// repeats each <UE, carrier, server, mode> setting at least 10 times. The
+// p95 of a direction that read does not hold is NaN.
+func (c *Client) Repeat(s geo.Server, mode ConnMode, n int, read Dirs) Summary {
 	if n < 1 {
 		n = 1
 	}
 	var rtts, dls, uls []float64
 	for i := 0; i < n; i++ {
-		m := c.Run(s, mode)
+		m := c.Run(s, mode, read)
 		rtts = append(rtts, m.RTTMs)
 		dls = append(dls, m.DLMbps)
 		uls = append(uls, m.ULMbps)
 	}
 	p := c.path(s)
-	// A NaN in any series would shift every rank below (NaNs sort first);
-	// the model must never produce one, so fail loudly instead of
-	// summarising corrupted order statistics.
-	if stats.HasNaN(rtts) || stats.HasNaN(dls) || stats.HasNaN(uls) {
+	// A NaN in a measured series would shift every rank below (NaNs sort
+	// first); the model must never produce one, so fail loudly instead of
+	// summarising corrupted order statistics. An unread series is all NaN.
+	if stats.HasNaN(rtts) || read.has(radio.Downlink) && stats.HasNaN(dls) ||
+		read.has(radio.Uplink) && stats.HasNaN(uls) {
 		panic(fmt.Sprintf("speedtest: NaN in measurement series for server %s", s.Name))
 	}
 	// The per-run series are owned by this call: sort in place once instead
 	// of letting each percentile copy-and-sort.
-	return Summary{
+	sum := Summary{
 		Server: s, DistanceKm: p.DistanceKm, Mode: mode, Runs: n,
 		RTTMs:     stats.PercentileSorted(stats.SortN(rtts), 50),
-		DLp95Mbps: stats.PercentileSorted(stats.SortN(dls), 95),
-		ULp95Mbps: stats.PercentileSorted(stats.SortN(uls), 95),
+		DLp95Mbps: math.NaN(),
+		ULp95Mbps: math.NaN(),
 	}
+	if read.has(radio.Downlink) {
+		sum.DLp95Mbps = stats.PercentileSorted(stats.SortN(dls), 95)
+	}
+	if read.has(radio.Uplink) {
+		sum.ULp95Mbps = stats.PercentileSorted(stats.SortN(uls), 95)
+	}
+	return sum
 }
 
-// Campaign measures every server in the pool with n repeats per server.
-func (c *Client) Campaign(servers []geo.Server, mode ConnMode, n int) []Summary {
+// Campaign measures every server in the pool with n repeats per server,
+// reading the directions in read.
+func (c *Client) Campaign(servers []geo.Server, mode ConnMode, n int, read Dirs) []Summary {
 	out := make([]Summary, 0, len(servers))
 	for _, s := range servers {
-		out = append(out, c.Repeat(s, mode, n))
+		out = append(out, c.Repeat(s, mode, n, read))
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package speedtest
 
 import (
+	"math"
 	"testing"
 
 	"fivegsim/internal/device"
@@ -30,7 +31,7 @@ func TestMultiConnMmWaveFlatAcrossDistance(t *testing.T) {
 	c := client(t, device.S20U, radio.VerizonNSAmmWave, 1)
 	near, far := nearFar(t)
 	for _, s := range []geo.Server{near, far} {
-		sum := c.Repeat(s, Multi, 10)
+		sum := c.Repeat(s, Multi, 10, Both)
 		if sum.DLp95Mbps < 3000 {
 			t.Errorf("%s: multi-conn DL p95 = %.0f, want > 3000", s.Name, sum.DLp95Mbps)
 		}
@@ -42,8 +43,8 @@ func TestSingleConnDecaysWithDistance(t *testing.T) {
 	// reaches near-peak against the closest server.
 	c := client(t, device.S20U, radio.VerizonNSAmmWave, 2)
 	near, far := nearFar(t)
-	nearSum := c.Repeat(near, Single, 10)
-	farSum := c.Repeat(far, Single, 10)
+	nearSum := c.Repeat(near, Single, 10, Both)
+	farSum := c.Repeat(far, Single, 10, Both)
 	if nearSum.DLp95Mbps < 2500 {
 		t.Errorf("near single-conn DL = %.0f, want ~3000", nearSum.DLp95Mbps)
 	}
@@ -58,7 +59,7 @@ func TestUplinkAround220(t *testing.T) {
 	c := client(t, device.S20U, radio.VerizonNSAmmWave, 3)
 	near, _ := nearFar(t)
 	for _, mode := range []ConnMode{Single, Multi} {
-		sum := c.Repeat(near, mode, 10)
+		sum := c.Repeat(near, mode, 10, Both)
 		if sum.ULp95Mbps < 180 || sum.ULp95Mbps > 240 {
 			t.Errorf("%s uplink p95 = %.0f, want ~220", mode, sum.ULp95Mbps)
 		}
@@ -70,9 +71,9 @@ func TestRTTIncreasesWithDistance(t *testing.T) {
 	c := client(t, device.S20U, radio.VerizonNSAmmWave, 4)
 	reg := geo.NewCarrierRegistry("Verizon")
 	sorted := reg.SortedByDistance(geo.Minneapolis.Loc)
-	nearSum := c.Repeat(sorted[0], Single, 5)
-	midSum := c.Repeat(sorted[len(sorted)/2], Single, 5)
-	farSum := c.Repeat(sorted[len(sorted)-1], Single, 5)
+	nearSum := c.Repeat(sorted[0], Single, 5, Both)
+	midSum := c.Repeat(sorted[len(sorted)/2], Single, 5, Both)
+	farSum := c.Repeat(sorted[len(sorted)-1], Single, 5, Both)
 	if !(nearSum.RTTMs < midSum.RTTMs && midSum.RTTMs < farSum.RTTMs) {
 		t.Errorf("RTT not increasing: %.1f, %.1f, %.1f",
 			nearSum.RTTMs, midSum.RTTMs, farSum.RTTMs)
@@ -85,8 +86,8 @@ func TestRTTIncreasesWithDistance(t *testing.T) {
 func TestSAHalfOfNSA(t *testing.T) {
 	// Figs. 6/7: T-Mobile SA reaches about half of NSA in both directions.
 	near, _ := nearFar(t)
-	nsa := client(t, device.S20U, radio.TMobileNSALowBand, 5).Repeat(near, Multi, 10)
-	sa := client(t, device.S20U, radio.TMobileSALowBand, 5).Repeat(near, Multi, 10)
+	nsa := client(t, device.S20U, radio.TMobileNSALowBand, 5).Repeat(near, Multi, 10, Both)
+	sa := client(t, device.S20U, radio.TMobileSALowBand, 5).Repeat(near, Multi, 10, Both)
 	dlRatio := sa.DLp95Mbps / nsa.DLp95Mbps
 	if dlRatio < 0.35 || dlRatio > 0.65 {
 		t.Errorf("SA/NSA DL ratio = %.2f, want ~0.5", dlRatio)
@@ -100,8 +101,8 @@ func TestSAHalfOfNSA(t *testing.T) {
 func TestPX5VsS20U(t *testing.T) {
 	// Fig. 23: the 8CC S20U improves 50-60% over the 4CC PX5.
 	near, _ := nearFar(t)
-	px5 := client(t, device.PX5, radio.VerizonNSAmmWave, 6).Repeat(near, Multi, 10)
-	s20 := client(t, device.S20U, radio.VerizonNSAmmWave, 6).Repeat(near, Multi, 10)
+	px5 := client(t, device.PX5, radio.VerizonNSAmmWave, 6).Repeat(near, Multi, 10, Both)
+	s20 := client(t, device.S20U, radio.VerizonNSAmmWave, 6).Repeat(near, Multi, 10, Both)
 	gain := s20.DLp95Mbps/px5.DLp95Mbps - 1
 	if gain < 0.4 || gain > 0.8 {
 		t.Errorf("S20U over PX5 gain = %.0f%%, want ~50-60%%", gain*100)
@@ -112,7 +113,7 @@ func TestPortCappedServers(t *testing.T) {
 	// Fig. 24: third-party servers bounded by 1/2 Gbps port caps.
 	c := client(t, device.S20U, radio.VerizonNSAmmWave, 7)
 	reg := geo.NewMinnesotaRegistry("Verizon")
-	sums := c.Campaign(reg.Servers, Multi, 5)
+	sums := c.Campaign(reg.Servers, Multi, 5, Both)
 	if sums[0].DLp95Mbps < 3000 {
 		t.Errorf("carrier server DL = %.0f, want > 3000", sums[0].DLp95Mbps)
 	}
@@ -137,20 +138,20 @@ func TestMultiConnCount(t *testing.T) {
 	c := client(t, device.S20U, radio.VerizonNSAmmWave, 8)
 	near, _ := nearFar(t)
 	for i := 0; i < 20; i++ {
-		m := c.Run(near, Multi)
+		m := c.Run(near, Multi, Both)
 		if m.Conns < 15 || m.Conns > 25 {
 			t.Fatalf("multi-conn count = %d, want 15-25", m.Conns)
 		}
 	}
-	if m := c.Run(near, Single); m.Conns != 1 {
+	if m := c.Run(near, Single, Both); m.Conns != 1 {
 		t.Errorf("single mode used %d connections", m.Conns)
 	}
 }
 
 func TestRepeatDeterministic(t *testing.T) {
 	near, _ := nearFar(t)
-	a := client(t, device.S20U, radio.VerizonNSAmmWave, 99).Repeat(near, Multi, 5)
-	b := client(t, device.S20U, radio.VerizonNSAmmWave, 99).Repeat(near, Multi, 5)
+	a := client(t, device.S20U, radio.VerizonNSAmmWave, 99).Repeat(near, Multi, 5, Both)
+	b := client(t, device.S20U, radio.VerizonNSAmmWave, 99).Repeat(near, Multi, 5, Both)
 	if a.DLp95Mbps != b.DLp95Mbps || a.RTTMs != b.RTTMs {
 		t.Error("campaign not deterministic for equal seeds")
 	}
@@ -158,7 +159,7 @@ func TestRepeatDeterministic(t *testing.T) {
 
 func TestSummaryString(t *testing.T) {
 	near, _ := nearFar(t)
-	sum := client(t, device.S20U, radio.VerizonNSAmmWave, 1).Repeat(near, Single, 2)
+	sum := client(t, device.S20U, radio.VerizonNSAmmWave, 1).Repeat(near, Single, 2, Both)
 	if sum.String() == "" {
 		t.Error("empty summary string")
 	}
@@ -169,8 +170,68 @@ func TestSummaryString(t *testing.T) {
 
 func TestRepeatClampsN(t *testing.T) {
 	near, _ := nearFar(t)
-	sum := client(t, device.S20U, radio.VerizonNSAmmWave, 1).Repeat(near, Single, 0)
+	sum := client(t, device.S20U, radio.VerizonNSAmmWave, 1).Repeat(near, Single, 0, Both)
 	if sum.Runs != 1 {
 		t.Errorf("Repeat(0) ran %d times, want 1", sum.Runs)
+	}
+}
+
+// TestUnreadDirectionKeepsStream: a test that reads fewer directions
+// returns the read values with the same bits as one that reads both, reads
+// NaN in the others, and leaves the client's stream where the full test
+// does, so the next test is the same too. Three tests run back to back per
+// set, over both connection modes, the nearest and farthest server, and a
+// mmWave and a low-band network.
+func TestUnreadDirectionKeepsStream(t *testing.T) {
+	near, far := nearFar(t)
+	for _, n := range []radio.Network{radio.VerizonNSAmmWave, radio.TMobileNSALowBand} {
+		for _, s := range []geo.Server{near, far} {
+			for _, mode := range []ConnMode{Single, Multi} {
+				full := client(t, device.S20U, n, 11)
+				var want [3]Measurement
+				for i := range want {
+					want[i] = full.Run(s, mode, Both)
+				}
+				wantNext := full.rng.Int63()
+				for _, read := range []Dirs{RTTOnly, DL, UL} {
+					c := client(t, device.S20U, n, 11)
+					for i, w := range want {
+						m := c.Run(s, mode, read)
+						if m.RTTMs != w.RTTMs || m.Conns != w.Conns {
+							t.Fatalf("%v %s %s read %b, test %d: rtt %v, %d conns, want %v, %d",
+								n, s.Name, mode, read, i, m.RTTMs, m.Conns, w.RTTMs, w.Conns)
+						}
+						for _, d := range []struct {
+							dir       radio.Direction
+							got, full float64
+						}{{radio.Downlink, m.DLMbps, w.DLMbps}, {radio.Uplink, m.ULMbps, w.ULMbps}} {
+							if read.has(d.dir) && math.Float64bits(d.got) != math.Float64bits(d.full) ||
+								!read.has(d.dir) && !math.IsNaN(d.got) {
+								t.Fatalf("%v %s %s read %b, test %d: %s %v, want %v (NaN if unread)",
+									n, s.Name, mode, read, i, d.dir, d.got, d.full)
+							}
+						}
+					}
+					if got := c.rng.Int63(); got != wantNext {
+						t.Fatalf("%v %s %s read %b: next draw %d, want %d", n, s.Name, mode, read, got, wantNext)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRepeatUnreadDirectionIsNaN: Repeat summarises only what it reads;
+// the other direction's p95 is NaN, and the read one equals Both's.
+func TestRepeatUnreadDirectionIsNaN(t *testing.T) {
+	near, _ := nearFar(t)
+	both := client(t, device.S20U, radio.VerizonNSAmmWave, 3).Repeat(near, Multi, 3, Both)
+	dl := client(t, device.S20U, radio.VerizonNSAmmWave, 3).Repeat(near, Multi, 3, DL)
+	ul := client(t, device.S20U, radio.VerizonNSAmmWave, 3).Repeat(near, Multi, 3, UL)
+	if dl.DLp95Mbps != both.DLp95Mbps || !math.IsNaN(dl.ULp95Mbps) || dl.RTTMs != both.RTTMs {
+		t.Errorf("DL-only summary %+v, want DL %v, UL NaN, RTT %v", dl, both.DLp95Mbps, both.RTTMs)
+	}
+	if ul.ULp95Mbps != both.ULp95Mbps || !math.IsNaN(ul.DLp95Mbps) || ul.RTTMs != both.RTTMs {
+		t.Errorf("UL-only summary %+v, want UL %v, DL NaN, RTT %v", ul, both.ULp95Mbps, both.RTTMs)
 	}
 }

@@ -24,10 +24,7 @@ import (
 //     sender-side socket, whatever the congestion control).
 func SimulateBBR(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 	o = o.withDefaults()
-	rtt := p.RTTSeconds
-	if rtt <= 0 {
-		rtt = 0.001
-	}
+	rtt := p.rtt()
 	capPkts := p.CapacityMbps * 1e6 * rtt / 8 / MSSBytes
 	if capPkts < 1 {
 		capPkts = 1

@@ -142,10 +142,7 @@ type cubicFlow struct {
 // do, so the result does not depend on the host's Exp.
 func SimulateTCP(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 	o = o.withDefaults()
-	rtt := p.RTTSeconds
-	if rtt <= 0 {
-		rtt = 0.001
-	}
+	rtt := p.rtt()
 	capPkts := p.CapacityMbps * 1e6 * rtt / 8 / MSSBytes // pkts the link drains per RTT
 	if capPkts < 1 {
 		capPkts = 1
@@ -182,7 +179,7 @@ func SimulateTCP(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 		cwndHist = o.Obs.Meter().Hist("transport.cwnd_pkts", cwndBounds)
 	}
 	now := 0.0
-	for now < o.DurationS {
+	for n := rttSteps(o.DurationS, rtt); n > 0; n-- {
 		// Demand this RTT.
 		demand := 0.0
 		for i := range flows {
@@ -290,6 +287,36 @@ func SimulateTCP(p PathParams, o TCPOptions, rng *rand.Rand) Result {
 	}
 	res.finish(o.DurationS)
 	return res
+}
+
+// TCPDraws returns how many uniform draws SimulateTCP(p, o, rng) takes
+// from rng: one per flow per RTT step. Calling rng.Float64 that many times
+// leaves rng exactly where the simulation would, so a caller that does not
+// read a run's result can skip the run and keep every later draw.
+func TCPDraws(p PathParams, o TCPOptions) int {
+	o = o.withDefaults()
+	return o.Flows * rttSteps(o.DurationS, p.rtt())
+}
+
+// rttSteps returns how many RTT steps SimulateTCP takes over durationS: it
+// adds rtt to a float clock until the clock reaches the duration, and the
+// rounded sum does not follow the division (15 s of 10 ms steps is 1501
+// steps, where math.Ceil(15/0.01) is 1500).
+func rttSteps(durationS, rtt float64) int {
+	n := 0
+	for now := 0.0; now < durationS; now += rtt {
+		n++
+	}
+	return n
+}
+
+// rtt is the path's round-trip time as the simulators step it: a
+// non-positive RTTSeconds means 1 ms.
+func (p PathParams) rtt() float64 {
+	if p.RTTSeconds <= 0 {
+		return 0.001
+	}
+	return p.RTTSeconds
 }
 
 // finish sets MeanMbps over the run's durationS and SteadyMbps over the

@@ -276,3 +276,69 @@ func TestTransferTimeMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTCPDrawsMatchesSimulateTCP pins the draw count a caller uses to skip
+// a run: TCPDraws against hand-checked counts (the float clock takes 1501
+// steps of 10 ms over 15 s and 501 of 30 ms, one more than the division
+// says), and over random paths, a stream advanced by TCPDraws calls to
+// Float64 against one that ran SimulateTCP. Both cover the defaults (RTT
+// of 0 or below, 0 flows, a 0 s duration) and durations that are not a
+// multiple of the RTT.
+func TestTCPDrawsMatchesSimulateTCP(t *testing.T) {
+	for _, c := range []struct {
+		rtt  float64
+		o    TCPOptions
+		want int
+	}{
+		{0.01, TCPOptions{Flows: 1, DurationS: 15}, 1501},
+		{0.03, TCPOptions{Flows: 20}, 20 * 501},
+		{0, TCPOptions{}, 15001},
+		{-0.02, TCPOptions{Flows: 3, DurationS: 0.5}, 3 * 500},
+		{0.007, TCPOptions{Flows: 2, DurationS: 2.5}, 2 * 358},
+		{0.02, TCPOptions{Flows: 25, DurationS: 0.05}, 25 * 3},
+	} {
+		if got := TCPDraws(mmWavePath(c.rtt), c.o); got != c.want {
+			t.Errorf("TCPDraws(rtt %v, %+v) = %d, want %d", c.rtt, c.o, got, c.want)
+		}
+	}
+
+	gen := rand.New(rand.NewSource(5))
+	for i := 0; i < 300; i++ {
+		p := PathParams{CapacityMbps: 10 + gen.Float64()*4000, LossRate: gen.Float64() * 1e-3,
+			LossEventRate: gen.Float64() * 2}
+		switch i % 6 {
+		case 0:
+			p.RTTSeconds = 0
+		case 1:
+			p.RTTSeconds = -gen.Float64()
+		case 2:
+			p.RTTSeconds = float64(1+gen.Intn(60)) / 1000 // round RTTs: 1-60 ms
+		default:
+			p.RTTSeconds = 0.002 + gen.Float64()*0.08
+		}
+		o := TCPOptions{Flows: gen.Intn(26), WmemBytes: float64(1+gen.Intn(64)) * (1 << 20)}
+		switch i % 5 {
+		case 0:
+			o.DurationS = 0
+		case 1:
+			o.DurationS = float64(1 + gen.Intn(15)) // whole seconds
+		default:
+			o.DurationS = 0.01 + gen.Float64()*4
+		}
+		if p.RTTSeconds <= 0 && o.DurationS == 0 {
+			o.DurationS = 0.5 // 15 s of 1 ms steps is slow under -race
+		}
+		seed := gen.Int63()
+		ran, skipped := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		SimulateTCP(p, o, ran)
+		for n := TCPDraws(p, o); n > 0; n-- {
+			skipped.Float64()
+		}
+		for k := 0; k < 4; k++ {
+			if a, b := ran.Int63(), skipped.Int63(); a != b {
+				t.Fatalf("case %d (%+v, flows %d, %v s): draw %d after SimulateTCP is %d, after %d skipped draws %d",
+					i, p, o.Flows, o.DurationS, k, a, TCPDraws(p, o), b)
+			}
+		}
+	}
+}
