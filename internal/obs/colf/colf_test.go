@@ -388,20 +388,14 @@ func TestCorruptRecordFailsInPlace(t *testing.T) {
 // so what it allocates follows the bytes it reads, not the record count.
 // The stream is one block of 2^20 zero-field records, 6 bytes of input
 // each; decoding a whole block before returning its first record cost 440
-// B per record, about 400 times the input.
+// B per record, about 400 times the input. A frame just over 2^20 bytes
+// costs under twice its length: buffers that double from 4096 bytes
+// would take 2^21 bytes before the last one, three times the frame. A
+// corrupt frame length that runs out after a quarter of the frame keeps
+// within the same bound as the whole block.
 func TestDecodeAllocBoundedByInput(t *testing.T) {
 	const n = 1 << 20
-	var enc bytes.Buffer
-	w := NewWriterSize(&enc, n)
-	rec := obs.Ev(0, "s", "e")
-	for i := 0; i < n; i++ {
-		if err := w.Add("x", &rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	enc := zeroFieldStream(t, n)
 	var lines countingWriter
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -418,6 +412,43 @@ func TestDecodeAllocBoundedByInput(t *testing.T) {
 	if alloc > limit {
 		t.Fatalf("decoding %d B of input allocated %d B, want at most %d", enc.Len(), alloc, limit)
 	}
+
+	over := zeroFieldStream(t, (1<<20)/6+2)
+	alloc, err = decodeAlloc(over.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := uint64(2*over.Len() + 64<<10); over.Len() <= 1<<20 || alloc > limit {
+		t.Fatalf("decoding a %d-byte frame allocated %d B, want at most %d", over.Len(), alloc, limit)
+	}
+
+	short := append(appendUvarint([]byte(magic), 4<<20-1), make([]byte, 1<<20+1)...)
+	alloc, err = decodeAlloc(short)
+	if err == nil || !strings.Contains(err.Error(), "truncated block") {
+		t.Fatalf("%d-byte stream with a %d-byte frame: err = %v, want a truncated-block error",
+			len(short), 4<<20-1, err)
+	}
+	if limit := uint64(4*len(short) + 1<<20); alloc > limit {
+		t.Fatalf("decoding a %d-byte stream that claims a %d-byte frame allocated %d B, want at most %d",
+			len(short), 4<<20-1, alloc, limit)
+	}
+}
+
+// zeroFieldStream encodes n zero-field records in one block.
+func zeroFieldStream(t *testing.T, n int) *bytes.Buffer {
+	t.Helper()
+	var enc bytes.Buffer
+	w := NewWriterSize(&enc, n)
+	rec := obs.Ev(0, "s", "e")
+	for i := 0; i < n; i++ {
+		if err := w.Add("x", &rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return &enc
 }
 
 // countingWriter counts the newlines written to it.
