@@ -119,53 +119,53 @@ func RunManyCtx(ctx context.Context, cfg Config, ids []string, workers int) ([]R
 // keeps the last worker from starting a 650 ms experiment when every other
 // worker has already drained its queue.
 var expectedWallMs = map[string]float64{
-	"fig17":                     655,
-	"fig24":                     241,
+	"fig17":                     671,
+	"fig24":                     222,
+	"fig18a":                    206,
 	"fleet":                     148,
-	"fig18a":                    147,
-	"fig18b":                    107,
-	"ablation-chunk-buffer":     106,
-	"fig7":                      94.7,
-	"fig6":                      75.7,
-	"fig23":                     63.1,
-	"fig4":                      52.9,
-	"fig15":                     50.9,
-	"fig3":                      48.7,
-	"fig16":                     48.3,
-	"fig18c":                    43.6,
-	"table4":                    43.4,
-	"extension-abandon":         42.9,
-	"fig9":                      38.5,
-	"ablation-switch-threshold": 24.9,
-	"table6":                    19,
-	"fig22":                     15.8,
-	"fig1":                      13.9,
-	"fig8":                      11.5,
-	"validation":                7,
-	"extension-bbr":             6.4,
-	"fig13":                     5.5,
-	"fig14":                     5.3,
-	"fig25":                     5,
-	"table7":                    4.6,
-	"fig20":                     4.6,
-	"longitudinal":              3.1,
-	"fig10":                     3,
+	"fig18b":                    102,
+	"ablation-chunk-buffer":     100,
+	"fig23":                     85.5,
+	"fig16":                     72.9,
+	"fig15":                     66.6,
+	"fig7":                      65.8,
+	"fig6":                      62.6,
+	"fig9":                      53,
+	"fig4":                      51.1,
+	"fig18c":                    45.8,
+	"fig3":                      43.8,
+	"extension-abandon":         40.8,
+	"table4":                    39.5,
+	"table6":                    26.2,
+	"ablation-switch-threshold": 25.4,
+	"fig22":                     22.4,
+	"fig8":                      18.5,
+	"validation":                10.7,
+	"fig13":                     8.7,
+	"fig25":                     7.5,
+	"extension-bbr":             7.5,
+	"fig14":                     6.1,
+	"longitudinal":              5.5,
+	"table7":                    5.5,
+	"fig20":                     5.1,
+	"fig19":                     5,
+	"fig1":                      5,
+	"fig10":                     3.8,
 	"fig21":                     2.9,
-	"fig19":                     2.9,
-	"ablation-wmem":             2,
-	"table5":                    1,
+	"ablation-wmem":             2.4,
+	"table5":                    1.2,
 	"table9":                    0.36,
 	"table1":                    0.06,
 	"fig11":                     0.04,
 	"table8":                    0.04,
 	"ablation-tail":             0.03,
+	"fig12":                     0.03,
 	"table3":                    0.03,
-	"extension-midband":         0.02,
-	"fig12":                     0.02,
 	"fig26":                     0.02,
-	"fig27":                     0.02,
 	"table2":                    0.02,
+	"extension-midband":         0.01,
 	"fig2":                      0.01,
+	"fig27":                     0.01,
 	"fig5":                      0.01,
 }
 
