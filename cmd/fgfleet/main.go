@@ -7,7 +7,7 @@
 //	fgfleet                        # 100k UEs per mix, all mixes
 //	fgfleet -ues 1000000 -mix mmwave
 //	fgfleet -ues 403 -shards 7 -trace t.json -metrics m.csv
-//	fgfleet -stream -trace t.colf -trace-format colf
+//	fgfleet -trace t.colf -trace-format colf
 //	fgrepro colf2json t.colf       # decode a colf trace to JSON Lines
 //
 // Flags:
@@ -18,8 +18,6 @@
 //	-mix NAME       low-band, mmwave, mixed, or all (default all)
 //	-window S       arrival window in sim seconds (default 600)
 //	-session S      video session length in sim seconds (default 32)
-//	-stream         O(shards) campaign memory: fold sessions into streaming
-//	                shard stats instead of a per-UE results slice
 //	-trace FILE     write sampled per-session trace records to FILE
 //	-trace-format F trace encoding: jsonl (JSON Lines) or colf (columnar
 //	                binary; decode with fgrepro colf2json)
@@ -39,8 +37,8 @@
 // fleet.Spill, which encodes them serially. Trace memory is one campaign's
 // sampled sessions, about 512 at the default stride whatever -ues is. The
 // fleet determinism contract applies: stdout and both artifacts are
-// byte-identical for any -shards value, including 1, in both formats and
-// both modes. Only -stats output (wall-clock) varies between runs.
+// byte-identical for any -shards value, including 1, in both formats. Only
+// -stats output (wall-clock) varies between runs.
 package main
 
 import (
@@ -72,7 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	mixName := fs.String("mix", "all", "deployment mix: low-band, mmwave, mixed, or all")
 	window := fs.Float64("window", 600, "arrival window (sim seconds)")
 	session := fs.Float64("session", 32, "video session length (sim seconds)")
-	stream := fs.Bool("stream", false, "stream mode: O(shards) campaign memory, sketch-based percentiles")
 	traceOut := fs.String("trace", "", "write sampled per-session trace records to this file")
 	traceFormat := "jsonl"
 	fs.Func("trace-format", `trace encoding: jsonl or colf (default "jsonl")`, func(v string) error {
@@ -99,7 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			Mix:      *mixName,
 			WindowS:  *window,
 			SessionS: *session,
-			Stream:   *stream,
 		},
 	}
 	if err := sc.Validate(); err != nil {

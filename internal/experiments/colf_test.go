@@ -52,13 +52,13 @@ func TestWriteTraceColfByteIdentical(t *testing.T) {
 
 // fleetCampaigns runs one campaign per mix at the given shard count, merging
 // each sub-collector into root in mix order — the fgfleet wiring.
-func fleetCampaigns(root *obs.Obs, shards int, stream bool) []*fleet.Result {
+func fleetCampaigns(root *obs.Obs, shards int) []*fleet.Result {
 	rs := make([]*fleet.Result, 0, len(fleet.AllMixes))
 	for _, mix := range fleet.AllMixes {
 		sub := obs.Sub(root)
 		r, err := fleet.Run(fleet.Config{
 			Seed: 7, UEs: 403, Shards: shards, Mix: mix, WindowS: 60,
-			Obs: sub, Stream: stream,
+			Obs: sub,
 		})
 		if err != nil {
 			panic(err)
@@ -76,7 +76,7 @@ func fleetCampaigns(root *obs.Obs, shards int, stream bool) []*fleet.Result {
 func TestFleetColfSpillShardInvariance(t *testing.T) {
 	encodeColf := func(shards int) string {
 		root := obs.New()
-		fleetCampaigns(root, shards, false)
+		fleetCampaigns(root, shards)
 		var buf bytes.Buffer
 		// A small block size forces many block boundaries mid-campaign;
 		// colf bytes must not depend on where the shards split the UEs.
@@ -99,7 +99,7 @@ func TestFleetColfSpillShardInvariance(t *testing.T) {
 	}
 
 	root := obs.New()
-	fleetCampaigns(root, 3, false)
+	fleetCampaigns(root, 3)
 	var jsonl bytes.Buffer
 	if err := obs.WriteTraceJSON(&jsonl, "fleet", root.Trace()); err != nil {
 		t.Fatal(err)
@@ -111,17 +111,5 @@ func TestFleetColfSpillShardInvariance(t *testing.T) {
 	if decoded.String() != jsonl.String() {
 		t.Errorf("decoded colf differs from direct JSONL (%d vs %d bytes)",
 			decoded.Len(), jsonl.Len())
-	}
-}
-
-// TestFleetStreamTableMatchesExact: with the population inside the sketch
-// capacity the stream table renders the same bytes as the exact table — the
-// sketch keeps every session, and the fixed-point means agree with the
-// float means at table precision.
-func TestFleetStreamTableMatchesExact(t *testing.T) {
-	exact := FleetTable(fleetCampaigns(nil, 4, false))
-	streamed := FleetTable(fleetCampaigns(nil, 4, true))
-	if got, want := streamed.String(), exact.String(); got != want {
-		t.Errorf("stream table differs from exact table:\n--- exact ---\n%s--- stream ---\n%s", want, got)
 	}
 }

@@ -23,31 +23,6 @@ func BenchmarkFleetCampaign(b *testing.B) {
 	b.ReportMetric(float64(ues)*float64(b.N)/b.Elapsed().Seconds(), "UEs/s")
 }
 
-// BenchmarkFleetStreamCampaign is BenchmarkFleetCampaign in stream mode:
-// same simulated work, but campaign memory is O(shards) (histogram
-// shadows and bounded sketches) instead of an O(UEs) results slice. The
-// bytes/UE metric prices the retained reduction state per simulated
-// session.
-func BenchmarkFleetStreamCampaign(b *testing.B) {
-	const ues = 8192
-	cfg := Config{Seed: 1, UEs: ues, Shards: 1, Mix: MixMixed, Stream: true}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var res *Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		if res, err = Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(ues)*float64(b.N)/b.Elapsed().Seconds(), "UEs/s")
-	retained := 0
-	for i := range res.stream.hists {
-		retained += len(res.stream.sketches[i].Values())*24 + len(res.stream.hists[i].counts)*8
-	}
-	b.ReportMetric(float64(retained)/float64(ues), "retained_B/UE")
-}
-
 // benchShardCounts returns the shard counts the scaling benchmarks sweep:
 // 1 (the serial baseline), 4, and GOMAXPROCS when it differs from both.
 // Identity tests guarantee the output is the same at every count, so the
@@ -69,24 +44,6 @@ func BenchmarkFleetCampaignShards(b *testing.B) {
 	for _, shards := range benchShardCounts() {
 		b.Run("shards="+strconv.Itoa(shards), func(b *testing.B) {
 			cfg := Config{Seed: 1, UEs: ues, Shards: shards, Mix: MixMixed}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(ues)*float64(b.N)/b.Elapsed().Seconds(), "UEs/s")
-		})
-	}
-}
-
-// BenchmarkFleetStreamCampaignShards is the stream-mode shard sweep.
-func BenchmarkFleetStreamCampaignShards(b *testing.B) {
-	const ues = 8192
-	for _, shards := range benchShardCounts() {
-		b.Run("shards="+strconv.Itoa(shards), func(b *testing.B) {
-			cfg := Config{Seed: 1, UEs: ues, Shards: shards, Mix: MixMixed, Stream: true}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -15,19 +15,13 @@
 //  1. Per-UE randomness derives from (campaignSeed, ueID) only (rng.go).
 //  2. UEs never interact: a session reads the shared read-only deployment,
 //     its own state, and its own stream; a shard writes only its own range
-//     of the results slice (exact mode) or its own stream stats.
+//     of the results slice.
 //  3. No float is folded in an order a partition can change. Each shard
 //     counts integers and samples sessions in UE id order; once every shard
 //     joins, Run sums the counts and concatenates the samples in shard
-//     order, and the serial reduce folds exact mode's per-UE results in UE
-//     id order — the battery's rule of folding results in a fixed order,
-//     never completion order. Stream mode folds only integers and sketches,
-//     whose merge is order-invariant (stream.go).
-//
-// Exact and stream mode differ in two places only, and only this package
-// knows which mode ran: Result.Column (every UE's value against a sketch
-// and a fixed-point mean) and reduce (float histogram and stall sums in UE
-// id order against integer nanounits).
+//     order, and the serial reduce folds the per-UE results in UE id order
+//     — the battery's rule of folding results in a fixed order, never
+//     completion order.
 package fleet
 
 import (
@@ -63,18 +57,6 @@ type Config struct {
 	// TraceEvery samples every k-th UE for a per-session trace record;
 	// 0 derives a stride targeting ~512 records per campaign.
 	TraceEvery int
-	// Stream, when true, drops the O(UEs) results slice: each shard folds
-	// its sessions into integer histograms and bounded sketches as they
-	// finish, so the campaign keeps O(shards) state — per shard, one running
-	// session and its stats (see stream.go). Result.UEs is nil. The trace
-	// artifact and the counters are byte-identical to exact mode; the
-	// table's percentiles and means come from the sketches and fixed-point
-	// sums (Result.Column), and so do the metrics' histogram and stall sums.
-	// Every artifact stays byte-identical across shard counts.
-	Stream bool
-	// SketchK is the per-metric quantile sketch size in stream mode;
-	// 0 means DefaultSketchK.
-	SketchK int
 	// Spill, when non-nil, receives the sampled per-session trace records
 	// instead of Obs's tracer: Run encodes them into the spill's artifact
 	// writer once the shards join (see Spill). Metrics and histograms
@@ -110,9 +92,6 @@ func (c Config) withDefaults() Config {
 	if c.SessionS == 0 {
 		c.SessionS = 32
 	}
-	if c.SketchK == 0 {
-		c.SketchK = DefaultSketchK
-	}
 	if c.TraceEvery == 0 {
 		// A stride targeting ~512 sampled sessions per campaign.
 		c.TraceEvery = c.UEs/512 + 1
@@ -147,7 +126,7 @@ const (
 
 // metrics declares each population metric once: the obs histogram the
 // reduce folds it into, its FleetTable label, and the histogram's bucket
-// bounds. Metric i's stream sketch is salted 16+i (stream.go).
+// bounds.
 var metrics = [NumMetrics]struct {
 	hist, label string
 	bounds      []float64
@@ -174,12 +153,11 @@ func (u *UEResult) metric(i int) float64 {
 	return u.StallS
 }
 
-// Result is a completed campaign: per-UE results in exact mode, merged
-// streaming stats in stream mode.
+// Result is a completed campaign: every UE's result and the campaign's
+// counts.
 type Result struct {
-	Cfg    Config
-	UEs    []UEResult   // indexed by UE id; nil in stream mode
-	stream *streamStats // merged streaming stats; nil in exact mode
+	Cfg Config
+	UEs []UEResult // indexed by UE id
 	// Events counts simulation events: per session, one per chunk (chunk
 	// 0 shares the admission event), one for the end of the RRC tail, and
 	// one for the end of any cascade. It does not depend on the partition.
@@ -197,18 +175,10 @@ func (r *Result) NRShare() float64 {
 	return float64(r.nrChunks) / float64(r.chunks)
 }
 
-// Column returns population metric i as FleetTable renders it: the sorted
-// values its percentiles are read from, and the mean. In exact mode these
-// are every UE's values, filled into buf (grown as needed) and sorted with
-// sorter, and their mean. In stream mode they are the metric's bottom-k
-// sketch sample, which is the whole population when UEs <= SketchK, and
-// the fixed-point mean over every session; buf and sorter go unused.
+// Column returns population metric i as FleetTable renders it: every UE's
+// value, filled into buf (grown as needed) and sorted with sorter, which
+// the percentiles are read from, and their mean.
 func (r *Result) Column(i int, buf []float64, sorter *stats.RadixSorter) (sorted []float64, mean float64) {
-	if st := r.stream; st != nil {
-		// Every session was observed, and a campaign has at least one.
-		h := &st.hists[i]
-		return st.sketches[i].Values(), fromNano(h.sumNano) / float64(h.n)
-	}
 	if cap(buf) < len(r.UEs) {
 		buf = make([]float64, len(r.UEs))
 	}
@@ -265,10 +235,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var results []UEResult
-	if !cfg.Stream {
-		results = make([]UEResult, cfg.UEs)
-	}
+	results := make([]UEResult, cfg.UEs)
 	ranges := Partition(cfg.UEs, cfg.Shards)
 	shards := make([]*shard, len(ranges))
 	var wg sync.WaitGroup
@@ -276,8 +243,8 @@ func Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func(si int, rg Range) {
 			defer wg.Done()
-			// Shards touch only results[rg.Lo:rg.Hi] (exact mode) and
-			// their own state.
+			// Shards touch only results[rg.Lo:rg.Hi] and their own
+			// state.
 			sh := newShard(cfg, dep, results)
 			sh.run(rg.Lo, rg.Hi)
 			shards[si] = sh
@@ -287,21 +254,13 @@ func Run(cfg Config) (*Result, error) {
 	if err := traceSamples(cfg, shards); err != nil {
 		return nil, fmt.Errorf("fleet: trace spill: %w", err)
 	}
-	// Sum the shards' integer counts, and in stream mode merge their stats
-	// into the first shard's. The order is fixed, but nothing depends on
-	// it: every merged component is order-invariant (see stream.go).
-	res := &Result{Cfg: cfg, UEs: results, stream: shards[0].stats}
-	for si, sh := range shards {
+	// Sum the shards' integer counts; integer addition does not depend on
+	// the order.
+	res := &Result{Cfg: cfg, UEs: results}
+	for _, sh := range shards {
 		res.Events += sh.events
 		res.chunks += sh.chunks
 		res.nrChunks += sh.nrChunks
-		if si > 0 && res.stream != nil {
-			if err := res.stream.merge(sh.stats); err != nil {
-				// Unreachable: all shard sketches share cfg-derived
-				// geometry. Fail loudly rather than drop a shard.
-				panic(err)
-			}
-		}
 	}
 	reduce(cfg, res)
 	return res, nil
@@ -310,8 +269,8 @@ func Run(cfg Config) (*Result, error) {
 // traceSamples hands the campaign's sampled sessions, each shard's in UE
 // id order and the shards in shard order, to its one trace sink: the Spill
 // when set, Obs's tracer otherwise. Shards own ascending UE id ranges, so
-// the records leave in UE id order at any shard count, in exact and stream
-// mode alike. Only a Spill write can fail.
+// the records leave in UE id order at any shard count. Only a Spill write
+// can fail.
 func traceSamples(cfg Config, shards []*shard) error {
 	sp := cfg.Spill
 	tr := cfg.Obs.Trace()
@@ -334,9 +293,8 @@ func traceSamples(cfg Config, shards []*shard) error {
 // reduce folds the campaign into the obs collector. Shard boundaries are
 // invisible here: every observation and counter depends only on the UE ids
 // and their results, so the artifact bytes cannot depend on the shard
-// count. The modes differ only in the histogram and stall sums: exact mode
-// adds floats one UE at a time in UE id order, stream mode converts the
-// merged integer nanounits once.
+// count. The histogram and stall sums add floats one UE at a time in UE id
+// order.
 func reduce(cfg Config, res *Result) {
 	if !cfg.Obs.Enabled() {
 		return
@@ -346,19 +304,12 @@ func reduce(cfg Config, res *Result) {
 	for i := range hists {
 		hists[i] = m.Hist(metrics[i].hist, metrics[i].bounds)
 	}
-	if st := res.stream; st != nil {
+	for j := range res.UEs {
+		u := &res.UEs[j]
 		for i, h := range hists {
-			st.hists[i].foldInto(h)
+			h.Observe(u.metric(i))
 		}
-		m.Add("fleet.stall_s_total", fromNano(st.hists[metricStall].sumNano))
-	} else {
-		for j := range res.UEs {
-			u := &res.UEs[j]
-			for i, h := range hists {
-				h.Observe(u.metric(i))
-			}
-			m.Add("fleet.stall_s_total", u.StallS)
-		}
+		m.Add("fleet.stall_s_total", u.StallS)
 	}
 	// The chunk counters are integers, summed exactly as int64 and added
 	// once. res.Events is deliberately NOT folded into obs: it is run

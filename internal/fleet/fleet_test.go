@@ -105,9 +105,9 @@ func TestRunCompletesEverySession(t *testing.T) {
 }
 
 // TestEventCounts pins Result.Events, which -stats prints, to the per-mix
-// counts of the per-shard event calendar the session loop replaced, in
-// exact and stream mode at several shard counts. A 10 s session is not a
-// multiple of the 4 s chunk, so it covers the chunk-count ceiling.
+// counts of the per-shard event calendar the session loop replaced, at
+// several shard counts. A 10 s session is not a multiple of the 4 s chunk,
+// so it covers the chunk-count ceiling.
 func TestEventCounts(t *testing.T) {
 	cases := []struct {
 		sessionS float64
@@ -118,17 +118,15 @@ func TestEventCounts(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, mix := range AllMixes {
-			for _, stream := range []bool{false, true} {
-				for _, shards := range []int{1, 3, 7} {
-					r, err := Run(Config{Seed: 7, UEs: 403, Shards: shards, Mix: mix,
-						WindowS: 60, SessionS: c.sessionS, Stream: stream})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if r.Events != c.want[mix] {
-						t.Errorf("session %v s, %v, stream=%t, shards=%d: %d events, want %d",
-							c.sessionS, mix, stream, shards, r.Events, c.want[mix])
-					}
+			for _, shards := range []int{1, 3, 7} {
+				r, err := Run(Config{Seed: 7, UEs: 403, Shards: shards, Mix: mix,
+					WindowS: 60, SessionS: c.sessionS})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Events != c.want[mix] {
+					t.Errorf("session %v s, %v, shards=%d: %d events, want %d",
+						c.sessionS, mix, shards, r.Events, c.want[mix])
 				}
 			}
 		}

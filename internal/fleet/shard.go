@@ -16,8 +16,7 @@ import (
 type shard struct {
 	cfg     Config
 	dep     *deployment
-	results []UEResult   // campaign-wide; this shard writes [lo, hi) only
-	stats   *streamStats // stream mode: per-shard fold target (results is nil)
+	results []UEResult // campaign-wide; this shard writes [lo, hi) only
 	nchunks int32
 	// rsrpBase is the running session's radio cache: each layer's
 	// shadow-free best base RSRP at the session's (static) position,
@@ -87,9 +86,6 @@ func newShard(cfg Config, dep *deployment, results []UEResult) *shard {
 		sh.nchunks = 1
 	}
 	sh.rsrpBase = make([]float64, len(dep.layers))
-	if cfg.Stream {
-		sh.stats = newStreamStats(cfg)
-	}
 	if cfg.Spill != nil || cfg.Obs.Enabled() {
 		sh.every = cfg.TraceEvery
 	}
@@ -277,9 +273,8 @@ func (sh *shard) stepChunk(s *session, now float64) float64 {
 }
 
 // finalize writes the UE's result, its session over at now, into the
-// campaign slice (its own index: no cross-shard contention) or, in stream
-// mode, into the shard's stats. In both modes it counts the session's
-// chunks and keeps the session when its UE is trace-sampled.
+// campaign slice (its own index: no cross-shard contention), counts the
+// session's chunks and keeps the session when its UE is trace-sampled.
 //
 //fgvet:noalloc
 func (sh *shard) finalize(s *session, now float64) {
@@ -301,11 +296,7 @@ func (sh *shard) finalize(s *session, now float64) {
 		Chunks:    chunks,
 		NRChunks:  s.nr,
 	}
-	if sh.stats != nil {
-		sh.stats.observe(s.ue, &u)
-	} else {
-		sh.results[s.ue] = u
-	}
+	sh.results[s.ue] = u
 	sh.chunks += int64(chunks)
 	sh.nrChunks += int64(s.nr)
 	if sh.every > 0 && s.ue%sh.every == 0 {

@@ -11,8 +11,8 @@ import (
 
 // The spill acceptance gates: the Spill must produce byte-identical
 // artifacts to the central reduce rendered in memory, in both formats, at
-// any shard count, in both exact and stream mode, across sequential
-// multi-mix campaigns whose colf block boundary falls inside a campaign.
+// any shard count, across sequential multi-mix campaigns whose colf block
+// boundary falls inside a campaign.
 
 // spillUEs is the population of each of the three campaigns. Every UE is
 // sampled, so the 4500 records cross the default 4096-record colf block
@@ -23,14 +23,14 @@ const spillUEs = 1500
 // pipeline: campaign reduce emits into a sub-collector, MergeTagged stamps
 // the mix tag, and the root trace is rendered once, in memory, the way the
 // battery renders its artifacts.
-func centralTrace(t *testing.T, format string, shards int, stream bool) []byte {
+func centralTrace(t *testing.T, format string, shards int) []byte {
 	t.Helper()
 	root := obs.New()
 	for _, mix := range fleet.AllMixes {
 		sub := obs.Sub(root)
 		mustRun(t, fleet.Config{
 			Seed: 7, UEs: spillUEs, Shards: shards, Mix: mix, WindowS: 60,
-			TraceEvery: 1, Obs: sub, Stream: stream,
+			TraceEvery: 1, Obs: sub,
 		})
 		root.MergeTagged(sub, obs.S("mix", mix.String()))
 	}
@@ -61,7 +61,7 @@ func renderTrace(t *testing.T, tr *obs.Tracer, format string, blockRecs int) []b
 
 // spilledTrace renders the same artifact through one Spill across all
 // three mixes.
-func spilledTrace(t *testing.T, format string, shards int, stream bool) []byte {
+func spilledTrace(t *testing.T, format string, shards int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	var sp *fleet.Spill
@@ -73,8 +73,7 @@ func spilledTrace(t *testing.T, format string, shards int, stream bool) []byte {
 	for _, mix := range fleet.AllMixes {
 		mustRun(t, fleet.Config{
 			Seed: 7, UEs: spillUEs, Shards: shards, Mix: mix, WindowS: 60,
-			TraceEvery: 1, Stream: stream,
-			Spill: sp, SpillTags: []obs.Field{obs.S("mix", mix.String())},
+			TraceEvery: 1, Spill: sp, SpillTags: []obs.Field{obs.S("mix", mix.String())},
 		})
 	}
 	if err := sp.Close(); err != nil {
@@ -87,28 +86,13 @@ func spilledTrace(t *testing.T, format string, shards int, stream bool) []byte {
 // central-pipeline bytes for every (format, shard count) combination.
 func TestSpillMatchesCentral(t *testing.T) {
 	for _, format := range []string{"colf", "jsonl"} {
-		want := centralTrace(t, format, 3, false)
+		want := centralTrace(t, format, 3)
 		if len(want) == 0 {
 			t.Fatalf("%s: central reference artifact is empty", format)
 		}
 		for _, shards := range []int{1, 2, 4, 7} {
-			if got := spilledTrace(t, format, shards, false); !bytes.Equal(got, want) {
+			if got := spilledTrace(t, format, shards); !bytes.Equal(got, want) {
 				t.Errorf("%s: spilled artifact at %d shards differs from central (%d vs %d bytes)",
-					format, shards, len(got), len(want))
-			}
-		}
-	}
-}
-
-// TestSpillStreamMatchesExact: stream-mode campaigns spill the same bytes
-// as exact-mode ones — the sampled UE set and values are identical, only
-// the collection path (stats fold vs results slice) differs.
-func TestSpillStreamMatchesExact(t *testing.T) {
-	for _, format := range []string{"colf", "jsonl"} {
-		want := spilledTrace(t, format, 3, false)
-		for _, shards := range []int{1, 4} {
-			if got := spilledTrace(t, format, shards, true); !bytes.Equal(got, want) {
-				t.Errorf("%s: stream-mode spill at %d shards differs from exact (%d vs %d bytes)",
 					format, shards, len(got), len(want))
 			}
 		}

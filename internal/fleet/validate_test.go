@@ -18,7 +18,7 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"valid minimal", func(c *Config) {}, ""},
 		{"zero knobs mean defaults", func(c *Config) {
-			c.WindowS, c.SessionS, c.Shards, c.SketchK, c.TraceEvery = 0, 0, 0, 0, 0
+			c.WindowS, c.SessionS, c.Shards, c.TraceEvery = 0, 0, 0, 0
 		}, ""},
 		{"zero ues", func(c *Config) { c.UEs = 0 }, "UEs must be >= 1"},
 		{"negative ues", func(c *Config) { c.UEs = -5 }, "UEs must be >= 1"},
@@ -28,7 +28,6 @@ func TestConfigValidate(t *testing.T) {
 		{"Inf session", func(c *Config) { c.SessionS = math.Inf(1) }, "SessionS must be finite"},
 		{"negative session", func(c *Config) { c.SessionS = -1 }, "SessionS must be >= 0"},
 		{"session chunks overflow int32", func(c *Config) { c.SessionS = 1e10 }, "SessionS must be <="},
-		{"negative sketch", func(c *Config) { c.SketchK = -1 }, "SketchK must be >= 0"},
 		{"negative trace stride", func(c *Config) { c.TraceEvery = -2 }, "TraceEvery must be >= 0"},
 		{"unknown mix", func(c *Config) { c.Mix = Mix(99) }, "unknown mix"},
 	}

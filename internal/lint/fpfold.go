@@ -11,8 +11,8 @@ import (
 // summing per-shard values in whatever order they arrive makes the final
 // ulps a function of the shard count, which is exactly the drift the fleet
 // byte-identity gates keep catching at runtime. The deterministic merge
-// points — UE-id/shard-order reduces over int64 nanounit sums,
-// stats.Sketch merges — accumulate integers and are naturally exempt.
+// points — a serial reduce in UE-id or shard order, an int64 nanounit
+// sum — fold in a fixed order or over integers and are naturally exempt.
 //
 // Two patterns are flagged: (1) a float += fold inside a range over a
 // channel (receive order is scheduling-dependent) or over a value whose
@@ -36,7 +36,7 @@ func FpFoldCheck() *Check {
 					}
 					if acc := floatAccumIn(info, nd.Body); acc != nil {
 						pass.Reportf(acc.Pos(),
-							"float accumulation over %s is order-sensitive: float addition does not associate, so the result depends on iteration order; merge deterministically (shard-order reduce, int64 nanounits, or stats.Sketch)", why)
+							"float accumulation over %s is order-sensitive: float addition does not associate, so the result depends on iteration order; merge deterministically (a serial reduce in UE-id or shard order, or int64 nanounits)", why)
 					}
 				case *ast.CallExpr:
 					callee := calleeFunc(info, nd)

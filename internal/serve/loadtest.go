@@ -102,7 +102,6 @@ func loadScenarios() []Scenario {
 		{Kind: "fleet", Artifact: ArtifactTrace, Fleet: &FleetScenario{UEs: 97, Mix: "mixed", WindowS: 30, SessionS: 8}},
 		{Kind: "fleet", Artifact: ArtifactTrace, TraceFormat: "colf", Fleet: &FleetScenario{UEs: 97, Mix: "mixed", WindowS: 30, SessionS: 8}},
 		{Kind: "fleet", Artifact: ArtifactMetrics, Fleet: &FleetScenario{UEs: 97, Mix: "mixed", WindowS: 30, SessionS: 8}},
-		{Kind: "fleet", Seed: seed(3), Fleet: &FleetScenario{UEs: 97, Mix: "mixed", WindowS: 30, SessionS: 8, Stream: true}},
 		{Kind: "battery", Quick: true, Experiments: []string{"table7", "fig11"}},
 		{Kind: "battery", Quick: true, Seed: seed(5), Experiments: []string{"fig2", "table8"}},
 		{Kind: "battery", Quick: true, Artifact: ArtifactTrace, Experiments: []string{"fig11", "fig2"}},

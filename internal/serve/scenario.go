@@ -84,8 +84,6 @@ type FleetScenario struct {
 	Mix        string  `json:"mix,omitempty"`
 	WindowS    float64 `json:"window_s,omitempty"`
 	SessionS   float64 `json:"session_s,omitempty"`
-	Stream     bool    `json:"stream,omitempty"`
-	SketchK    int     `json:"sketch_k,omitempty"`
 	TraceEvery int     `json:"trace_every,omitempty"`
 }
 
@@ -152,8 +150,6 @@ func (sc *Scenario) fleetConfig(mix fleet.Mix) fleet.Config {
 		Mix:        mix,
 		WindowS:    f.WindowS,
 		SessionS:   f.SessionS,
-		Stream:     f.Stream,
-		SketchK:    f.SketchK,
 		TraceEvery: f.TraceEvery,
 	}.Defaulted()
 }
@@ -239,13 +235,7 @@ func (sc *Scenario) Validate() error {
 // A fleet key names only the knobs that can change the requested artifact:
 //   - shard count never: by the fleet determinism contract it cannot change
 //     a byte of output;
-//   - the trace stride only in trace keys, because it reaches nothing else;
-//   - mode only in table and metrics keys, because the trace is the same
-//     bytes in exact and stream mode (metrics are not: stream histogram
-//     sums differ from exact ones in the last ulps);
-//   - sketch size only in stream-mode table keys, because only the table's
-//     percentiles read the sketches (stream metrics come from integer
-//     histograms and counters).
+//   - the trace stride only in trace keys, because it reaches nothing else.
 func (sc *Scenario) CanonicalKey() string {
 	var b strings.Builder
 	b.WriteString(sc.Kind)
@@ -273,11 +263,6 @@ func (sc *Scenario) CanonicalKey() string {
 			strconv.FormatFloat(cfg.SessionS, 'g', -1, 64))
 		if sc.artifact() == ArtifactTrace {
 			fmt.Fprintf(&b, " every=%d", cfg.TraceEvery)
-		} else {
-			fmt.Fprintf(&b, " stream=%t", cfg.Stream)
-			if cfg.Stream && sc.artifact() == ArtifactTable {
-				fmt.Fprintf(&b, " sketchk=%d", cfg.SketchK)
-			}
 		}
 	}
 	return b.String()

@@ -42,6 +42,8 @@ var parseRejects = []struct {
 	{"fleet with experiments", `{"kind":"fleet","experiments":["table7"],"fleet":{"ues":10}}`},
 	{"fleet with battery fields", `{"kind":"fleet","quick":true,"experiments":["nope"],"fleet":{"ues":10}}`},
 	{"workers is CLI-only", `{"kind":"battery","workers":2}`},
+	{"fleet stream is retired", `{"kind":"fleet","fleet":{"ues":10,"stream":true}}`},
+	{"fleet sketch_k is retired", `{"kind":"fleet","fleet":{"ues":10,"sketch_k":64}}`},
 }
 
 // TestParseScenarioRejects: malformed JSON, unknown fields, and invalid
@@ -114,12 +116,6 @@ func TestCanonicalKeyNormalizes(t *testing.T) {
 		{"fleet mix all spelled out",
 			Scenario{Kind: "fleet", Fleet: &FleetScenario{UEs: 50}},
 			Scenario{Kind: "fleet", Fleet: &FleetScenario{UEs: 50, Mix: "all"}}},
-		{"stream sketch_k default",
-			Scenario{Kind: "fleet", Fleet: &FleetScenario{UEs: 50, Stream: true}},
-			Scenario{Kind: "fleet", Fleet: &FleetScenario{UEs: 50, Stream: true, SketchK: fleet.DefaultSketchK}}},
-		{"exact mode ignores sketch_k",
-			Scenario{Kind: "fleet", Fleet: &FleetScenario{UEs: 50}},
-			Scenario{Kind: "fleet", Fleet: &FleetScenario{UEs: 50, SketchK: 64}}},
 		{"trace_every derived stride",
 			Scenario{Kind: "fleet", Artifact: ArtifactTrace, Fleet: &FleetScenario{UEs: 5000}},
 			Scenario{Kind: "fleet", Artifact: ArtifactTrace, Fleet: &FleetScenario{UEs: 5000, TraceEvery: 5000/512 + 1}}},
@@ -129,12 +125,6 @@ func TestCanonicalKeyNormalizes(t *testing.T) {
 		{"metrics ignores trace_every",
 			Scenario{Kind: "fleet", Artifact: ArtifactMetrics, Fleet: &FleetScenario{UEs: 50}},
 			Scenario{Kind: "fleet", Artifact: ArtifactMetrics, Fleet: &FleetScenario{UEs: 50, TraceEvery: 3}}},
-		{"metrics ignores sketch_k",
-			Scenario{Kind: "fleet", Artifact: ArtifactMetrics, Fleet: &FleetScenario{UEs: 50, Stream: true}},
-			Scenario{Kind: "fleet", Artifact: ArtifactMetrics, Fleet: &FleetScenario{UEs: 50, Stream: true, SketchK: 64}}},
-		{"trace ignores stream and sketch_k",
-			Scenario{Kind: "fleet", Artifact: ArtifactTrace, Fleet: &FleetScenario{UEs: 50}},
-			Scenario{Kind: "fleet", Artifact: ArtifactTrace, Fleet: &FleetScenario{UEs: 50, Stream: true, SketchK: 64}}},
 	}
 	for _, tc := range pairs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -157,24 +147,19 @@ func TestCanonicalKeyNormalizes(t *testing.T) {
 // The last case is the negative: a knob that changes the bytes must change
 // the key.
 func TestSharedKeySharesBytes(t *testing.T) {
-	fleetSc := func(artifact, format string, every int, stream bool, sketchK int) *Scenario {
-		return &Scenario{Kind: "fleet", Artifact: artifact, TraceFormat: format,
-			Fleet: &FleetScenario{UEs: 300, Mix: "mixed", WindowS: 30, SessionS: 8,
-				TraceEvery: every, Stream: stream, SketchK: sketchK}}
+	fleetSc := func(artifact string, ues, every int) *Scenario {
+		return &Scenario{Kind: "fleet", Artifact: artifact,
+			Fleet: &FleetScenario{UEs: ues, Mix: "mixed", WindowS: 30, SessionS: 8,
+				TraceEvery: every}}
 	}
 	cases := []struct {
 		name   string
 		a, b   *Scenario
 		merged bool
 	}{
-		{"table trace_every", fleetSc(ArtifactTable, "", 0, false, 0), fleetSc(ArtifactTable, "", 3, false, 0), true},
-		{"metrics trace_every", fleetSc(ArtifactMetrics, "", 0, false, 0), fleetSc(ArtifactMetrics, "", 3, false, 0), true},
-		{"metrics stream sketch_k", fleetSc(ArtifactMetrics, "", 0, true, 0), fleetSc(ArtifactMetrics, "", 0, true, 64), true},
-		{"jsonl trace stream", fleetSc(ArtifactTrace, "", 0, false, 0), fleetSc(ArtifactTrace, "", 0, true, 0), true},
-		{"jsonl trace stream sketch_k", fleetSc(ArtifactTrace, "", 0, false, 0), fleetSc(ArtifactTrace, "", 0, true, 64), true},
-		{"colf trace stream", fleetSc(ArtifactTrace, "colf", 0, false, 0), fleetSc(ArtifactTrace, "colf", 0, true, 0), true},
-		{"colf trace stream sketch_k", fleetSc(ArtifactTrace, "colf", 0, false, 0), fleetSc(ArtifactTrace, "colf", 0, true, 64), true},
-		{"table exact vs stream sketch_k", fleetSc(ArtifactTable, "", 0, false, 0), fleetSc(ArtifactTable, "", 0, true, 64), false},
+		{"table trace_every", fleetSc(ArtifactTable, 300, 0), fleetSc(ArtifactTable, 300, 3), true},
+		{"metrics trace_every", fleetSc(ArtifactMetrics, 300, 0), fleetSc(ArtifactMetrics, 300, 3), true},
+		{"table 300 vs 301 ues", fleetSc(ArtifactTable, 300, 0), fleetSc(ArtifactTable, 301, 0), false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

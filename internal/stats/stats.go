@@ -261,3 +261,15 @@ func RelError(pred, truth float64) float64 {
 	}
 	return pred / truth * 100
 }
+
+// SplitMix64 advances a stream of Steele et al.'s SplitMix64 one step and
+// returns 64 uniform bits. Applied to a copy of a value it is the
+// generator's finalizer: a bijective mix with full 64-bit avalanche, which
+// derives independent stream states from seeds.
+func SplitMix64(s *uint64) uint64 {
+	*s += 0x9e3779b97f4a7c15
+	x := *s
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}

@@ -3,7 +3,7 @@
 # transport, fleet, and colf hot-path micro-benchmarks, emit BENCH_<n>.json:
 # {"<name>": {"ns_per_op": ..., "bytes_per_op": ..., "allocs_per_op": ...,
 # ["ues_per_s": ...], ["bytes_per_event": ...], ["mb_per_s": ...],
-# ["x_vs_jsonl": ...], ["retained_b_per_ue": ...]}, ...}, plus a derived
+# ["x_vs_jsonl": ...]}, ...}, plus a derived
 # "FleetParallelScaling" entry (speedup and per-shard efficiency of the
 # FleetCampaignShards sweep), and print the per-benchmark delta against the
 # previous recording so the perf trajectory is tracked PR over PR.
@@ -46,8 +46,8 @@ trap 'rm -f "$raw"' EXIT
 # tracing-disabled-overhead numbers (must stay 0 extra allocs/op),
 # BenchmarkEnabledEmit / BenchmarkSimulateTCPObs price the enabled path.
 # internal/fleet: city-scale campaign throughput (BenchmarkFleetCampaign
-# reports UEs/s), the 0-alloc per-session contract (BenchmarkFleetSession),
-# and the stream-mode reducer (retained_B/UE prices the O(shards) state).
+# reports UEs/s) and the 0-alloc per-session contract
+# (BenchmarkFleetSession).
 # internal/obs/colf: the columnar artifact codec — bytes/event and encode
 # MB/s are the ≥5x-smaller-than-JSONL artifact contract.
 go test -run '^$' -bench '^Benchmark' -benchmem -benchtime "$benchtime" \
@@ -61,7 +61,7 @@ BEGIN { n = 0 }
     sub(/^Benchmark/, "", name)
     sub(/-[0-9]+$/, "", name)
     ns = ""; bytes = ""; allocs = ""; ues = ""
-    bpe = ""; mbs = ""; ratio = ""; retained = ""
+    bpe = ""; mbs = ""; ratio = ""
     for (i = 2; i <= NF; i++) {
         if ($i == "ns/op")         ns       = $(i - 1)
         if ($i == "B/op")          bytes    = $(i - 1)
@@ -70,7 +70,6 @@ BEGIN { n = 0 }
         if ($i == "bytes/event")   bpe      = $(i - 1)
         if ($i == "MB/s")          mbs      = $(i - 1)
         if ($i == "x_vs_jsonl")    ratio    = $(i - 1)
-        if ($i == "retained_B/UE") retained = $(i - 1)
     }
     if (ns == "") next
     if (n++) printf(",\n")
@@ -80,7 +79,6 @@ BEGIN { n = 0 }
     if (bpe != "")      printf(", \"bytes_per_event\": %s", bpe)
     if (mbs != "")      printf(", \"mb_per_s\": %s", mbs)
     if (ratio != "")    printf(", \"x_vs_jsonl\": %s", ratio)
-    if (retained != "") printf(", \"retained_b_per_ue\": %s", retained)
     printf("}")
 }
 END { if (n) printf("\n") }

@@ -63,10 +63,10 @@ echo "== golden artifacts (chunk-kernel and battery bit-identity) =="
 # makes that step explicit. The spill test holds the streaming trace
 # encoder (fleet.Spill) to the bytes of the central reduce rendered in
 # memory, in both formats, at shard counts {1,2,4,7}, with a colf block
-# boundary inside a campaign. The stream golden pins stream mode's own
-# bytes (sketch percentiles, fixed-point sums) at 5000 UEs, which the
-# shard-count diffs below compare only with themselves.
-go test ./internal/fleet -run 'TestGoldenArtifacts|TestStreamGoldenArtifacts|TestSpillMatchesCentral' -count=1
+# boundary inside a campaign. The large golden pins the 5000-UE campaign,
+# whose table columns are radix-sorted as in every default fgfleet run,
+# which the shard-count diffs below compare only with themselves.
+go test ./internal/fleet -run 'TestGoldenArtifacts|TestLargeGoldenArtifacts|TestSpillMatchesCentral' -count=1
 go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -count=1
 
 echo "== goldens and kernel pins with amd64's other Exp path (FMA off) =="
@@ -78,7 +78,7 @@ echo "== goldens and kernel pins with amd64's other Exp path (FMA off) =="
 # bracket and the video player digest must not notice. The Pensieve
 # weights pin holds one digest per Exp path and checks this path's. (On a
 # CPU without FMA both runs take the same path.)
-GODEBUG=cpu.fma=off go test ./internal/fleet -run 'TestGoldenArtifacts|TestStreamGoldenArtifacts|TestSpillMatchesCentral|TestFleetKernelDigest' -count=1
+GODEBUG=cpu.fma=off go test ./internal/fleet -run 'TestGoldenArtifacts|TestLargeGoldenArtifacts|TestSpillMatchesCentral|TestFleetKernelDigest' -count=1
 GODEBUG=cpu.fma=off go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -count=1
 GODEBUG=cpu.fma=off go test ./cmd/gendata -run 'TestSmallDatasetDigest' -count=1
 GODEBUG=cpu.fma=off go test ./internal/transport -run 'TestKernelDigest|TestLossBracketOracle' -count=1
@@ -99,7 +99,7 @@ echo "== golden artifacts under GOARCH=386 (pure-Go math, 32-bit int) =="
 # with the field count and kind mask packed into bytes, and must hold with
 # 4-byte ints and 8-byte strings too. The gendata dataset digest runs here
 # as well.
-GOARCH=386 go test ./internal/fleet -run 'TestGoldenArtifacts|TestStreamGoldenArtifacts|TestSpillMatchesCentral|TestFleetKernelDigest' -count=1
+GOARCH=386 go test ./internal/fleet -run 'TestGoldenArtifacts|TestLargeGoldenArtifacts|TestSpillMatchesCentral|TestFleetKernelDigest' -count=1
 GOARCH=386 go test ./internal/experiments -run 'TestBatteryGoldenArtifacts' -count=1
 GOARCH=386 go test ./cmd/gendata -run 'TestSmallDatasetDigest' -count=1
 GOARCH=386 go test ./internal/obs/... -count=1
@@ -148,20 +148,19 @@ go build -o "$tmpdir/fgfleet" ./cmd/fgfleet
 "$tmpdir/fgfleet" -ues 403 -shards 7 -seed 7 -window 60 \
     -trace "$tmpdir/fleet-trace-7.jsonl" -metrics "$tmpdir/fleet-metrics-7.csv" \
     > "$tmpdir/fleet-7.txt"
-# Stream mode at 5000 UEs, where the 2048-entry bottom-k sketches
-# subsample: the sketch merge and each shard's fold order must not reach a
-# byte either.
+# 5000 UEs, above the radix sorter's threshold: the radix-sorted table
+# columns must not depend on the shard count either.
 for shards in 1 7; do
-    "$tmpdir/fgfleet" -ues 5000 -shards "$shards" -seed 3 -stream \
-        -trace "$tmpdir/fleet-stream-trace-$shards.jsonl" \
-        -metrics "$tmpdir/fleet-stream-metrics-$shards.csv" \
-        > "$tmpdir/fleet-stream-$shards.txt"
+    "$tmpdir/fgfleet" -ues 5000 -shards "$shards" -seed 3 \
+        -trace "$tmpdir/fleet-large-trace-$shards.jsonl" \
+        -metrics "$tmpdir/fleet-large-metrics-$shards.csv" \
+        > "$tmpdir/fleet-large-$shards.txt"
 done
 for pair in "fleet-1.txt fleet-7.txt" "fleet-trace-1.jsonl fleet-trace-7.jsonl" \
             "fleet-metrics-1.csv fleet-metrics-7.csv" \
-            "fleet-stream-1.txt fleet-stream-7.txt" \
-            "fleet-stream-trace-1.jsonl fleet-stream-trace-7.jsonl" \
-            "fleet-stream-metrics-1.csv fleet-stream-metrics-7.csv"; do
+            "fleet-large-1.txt fleet-large-7.txt" \
+            "fleet-large-trace-1.jsonl fleet-large-trace-7.jsonl" \
+            "fleet-large-metrics-1.csv fleet-large-metrics-7.csv"; do
     set -- $pair
     if ! diff -q "$tmpdir/$1" "$tmpdir/$2" >/dev/null; then
         echo "fleet output differs between serial and sharded runs: $1 vs $2" >&2
@@ -172,23 +171,17 @@ done
 
 echo "== colf determinism (binary artifacts) =="
 # The binary trace format inherits every byte-identity contract: colf
-# bytes are identical serial vs 7-shard (and in stream mode), and decoding
-# with colf2json reproduces the JSONL artifact exactly — for the fleet
-# campaign and for the whole quick battery.
+# bytes are identical serial vs 7-shard, and decoding with colf2json
+# reproduces the JSONL artifact exactly — for the fleet campaign and for
+# the whole quick battery.
 "$tmpdir/fgfleet" -ues 403 -shards 1 -seed 7 -window 60 \
     -trace "$tmpdir/fleet-1.colf" -trace-format colf > /dev/null
 "$tmpdir/fgfleet" -ues 403 -shards 7 -seed 7 -window 60 \
     -trace "$tmpdir/fleet-7.colf" -trace-format colf > /dev/null
-"$tmpdir/fgfleet" -ues 403 -shards 7 -seed 7 -window 60 -stream \
-    -trace "$tmpdir/fleet-s.colf" -trace-format colf > "$tmpdir/fleet-stream.txt"
-for pair in "fleet-1.colf fleet-7.colf" "fleet-1.colf fleet-s.colf" \
-            "fleet-1.txt fleet-stream.txt"; do
-    set -- $pair
-    if ! diff -q "$tmpdir/$1" "$tmpdir/$2" >/dev/null; then
-        echo "colf/stream fleet output mismatch: $1 vs $2" >&2
-        exit 1
-    fi
-done
+if ! diff -q "$tmpdir/fleet-1.colf" "$tmpdir/fleet-7.colf" >/dev/null; then
+    echo "colf fleet output mismatch: fleet-1.colf vs fleet-7.colf" >&2
+    exit 1
+fi
 "$tmpdir/fgrepro" colf2json "$tmpdir/fleet-7.colf" > "$tmpdir/fleet-7.decoded.jsonl"
 if ! diff -q "$tmpdir/fleet-trace-1.jsonl" "$tmpdir/fleet-7.decoded.jsonl" >/dev/null; then
     echo "decoded fleet colf trace differs from direct JSONL" >&2

@@ -15,8 +15,8 @@
 #            without the wall-clock column
 #   quick    fgrepro -quick all at seeds 1-5 (-parallel 0) and at seed 1
 #            serially: tables, JSONL trace, metrics
-#   fleet    fgfleet defaults in exact and -stream mode, at -shards 1
-#            and 7, with a JSONL and a colf trace: tables, trace, metrics
+#   fleet    fgfleet defaults at -shards 1 and 7, with a JSONL and a colf
+#            trace: tables, trace, metrics
 #   gendata  gendata -small -seed 1: every file it writes
 #   fgvet    fgvet -json on the head tree and on the nine check fixtures
 #            (internal/lint/testdata/* but loader), run by both binaries,
@@ -98,16 +98,12 @@ run_side() {
             > "$out/quick-s1-p1.txt"
     fi
     if want fleet; then
-        for mode in exact stream; do
-            flag=()
-            [ "$mode" = stream ] && flag=(-stream)
-            for sh in 1 7; do
-                for fmt in jsonl colf; do
-                    name="fleet-$mode-sh$sh-$fmt"
-                    "$bin/fgfleet" "${flag[@]}" -shards "$sh" \
-                        -trace "$out/$name.$fmt" -trace-format "$fmt" \
-                        -metrics "$out/$name.csv" > "$out/$name.txt"
-                done
+        for sh in 1 7; do
+            for fmt in jsonl colf; do
+                name="fleet-sh$sh-$fmt"
+                "$bin/fgfleet" -shards "$sh" \
+                    -trace "$out/$name.$fmt" -trace-format "$fmt" \
+                    -metrics "$out/$name.csv" > "$out/$name.txt"
             done
         done
     fi
