@@ -304,28 +304,24 @@ func TestCorruptInputFails(t *testing.T) {
 		t.Fatalf("decoding a %d-byte stream allocated %d bytes, want under 1 MB", len(huge), d)
 	}
 
-	// A block of no records and 2^20 empty dictionary entries, which no
-	// record can reference, fails before the dictionary is built, within
-	// TestDecodeAllocBoundedByInput's bound. The same entries in a block of
-	// 2^20/20+1 records, which may use 20 entries each, fail at the first
-	// record, and their dictionary costs at most 4 B per entry.
+	// A block of 2^20 empty dictionary entries fails before the dictionary
+	// is built, within TestDecodeAllocBoundedByInput's bound, both with no
+	// records, which can reference no entry, and with 2^20/20+1 records,
+	// which may use 20 entries each but whose seven empty sections
+	// reference none: every entry costs its length prefix and at least one
+	// referencing byte.
 	const entries = 1 << 20
-	none := dictStream(0, entries)
-	noneAlloc, err := decodeAlloc(none)
-	if err == nil || !strings.Contains(err.Error(), "dictionary count") {
-		t.Fatalf("record-less block of %d dictionary entries: err = %v, want a dictionary-count error", entries, err)
-	}
-	if limit := uint64(4*len(none) + 1<<20); noneAlloc > limit {
-		t.Fatalf("decoding a %d-byte stream allocated %d bytes, want at most %d", len(none), noneAlloc, limit)
-	}
-	full := dictStream(entries/maxDictPerRecord+1, entries)
-	fullAlloc, err := decodeAlloc(full)
-	if err == nil || !strings.Contains(err.Error(), "bad varint") {
-		t.Fatalf("block of %d dictionary entries and no section bytes: err = %v, want a bad-varint error", entries, err)
-	}
-	if limit := noneAlloc + 4*entries + 64<<10; fullAlloc > limit {
-		t.Fatalf("a dictionary of %d entries allocated %d bytes beyond the frame, want at most %d",
-			entries, fullAlloc-noneAlloc, limit-noneAlloc)
+	for _, recs := range []int{0, entries/maxDictPerRecord + 1} {
+		b := dictStream(recs, entries)
+		alloc, err := decodeAlloc(b)
+		if err == nil || !strings.Contains(err.Error(), "dictionary count") {
+			t.Fatalf("block of %d records and %d dictionary entries: err = %v, want a dictionary-count error",
+				recs, entries, err)
+		}
+		if limit := uint64(4*len(b) + 1<<20); alloc > limit {
+			t.Fatalf("decoding a %d-byte stream allocated %d bytes, want at most %d", len(b), alloc, limit)
+		}
+		t.Logf("%d records: decoding %d B allocated %d B", recs, len(b), alloc)
 	}
 }
 

@@ -183,8 +183,11 @@ func (r *Reader) startBlock(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if nDict > uint64(len(payload)) {
-		return fmt.Errorf("colf: dictionary count %d exceeds payload", nDict)
+	// Every entry costs its length prefix plus at least one byte that
+	// references it, in a section or in a shape entry, so a dictionary the
+	// rest of the payload cannot reference fails before it is built.
+	if rest := uint64(len(payload) - c.off); nDict > rest/2 {
+		return fmt.Errorf("colf: dictionary count %d exceeds what %d payload bytes can reference", nDict, rest)
 	}
 	if nDict > maxDictPerRecord*nRecs {
 		return fmt.Errorf("colf: dictionary count %d exceeds %d entries per record (%d records)",
