@@ -13,10 +13,7 @@ import (
 
 func Example() {
 	corpus := web.GenCorpus(1000, 1)
-	ms, err := web.MeasureCorpus(corpus, 4, 2)
-	if err != nil {
-		log.Fatal(err)
-	}
+	ms := web.MeasureCorpus(corpus, 4, 2)
 
 	// The headline tradeoff: 5G is faster, 4G is cheaper.
 	var p4, p5, e4, e5 []float64

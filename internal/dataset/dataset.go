@@ -184,12 +184,8 @@ func WriteWeb(dir string, o Options) error {
 	if err := writeCSV(filepath.Join(dir, "web", "corpus.csv"), rows); err != nil {
 		return err
 	}
-	ms, err := web.MeasureCorpus(corpus, 8, o.Seed+1)
-	if err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
 	rows = [][]string{{"rank", "plt_5g_s", "plt_4g_s", "energy_5g_j", "energy_4g_j"}}
-	for _, m := range ms {
+	for _, m := range web.MeasureCorpus(corpus, 8, o.Seed+1) {
 		rows = append(rows, []string{itoa(m.Site.Rank), ftoa(m.PLT5G), ftoa(m.PLT4G),
 			ftoa(m.Energy5GJ), ftoa(m.Energy4GJ)})
 	}

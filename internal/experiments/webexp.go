@@ -21,11 +21,7 @@ func webDataset(cfg Config) []web.Measurement {
 	sites := cfg.pick(400, 1500)
 	repeats := cfg.pick(2, 8)
 	corpus := web.GenCorpus(sites, cfg.Seed)
-	ms, err := web.MeasureCorpus(corpus, repeats, cfg.Seed+1)
-	if err != nil {
-		panic(err)
-	}
-	return ms
+	return web.MeasureCorpus(corpus, repeats, cfg.Seed+1)
 }
 
 // Table5 lists the Table 5 factors and their corpus statistics.

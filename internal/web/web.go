@@ -200,7 +200,7 @@ func waves(numObjects int) float64 {
 // Load simulates loading a website over a profile. The rng perturbs
 // per-load conditions (server jitter, cache variation); pass a seeded
 // source for reproducibility.
-func Load(w Website, p NetProfile, rng *rand.Rand) (PageLoad, error) {
+func Load(w Website, p NetProfile, rng *rand.Rand) PageLoad {
 	rttS := p.EffRTTMs / 1000 * (0.95 + 0.15*rng.Float64())
 	bw := p.BwMbps * (0.85 + 0.15*rng.Float64())
 
@@ -228,7 +228,7 @@ func Load(w Website, p NetProfile, rng *rand.Rand) (PageLoad, error) {
 		PLTSeconds: plt,
 		EnergyJ:    energy,
 		MeanMbps:   mean,
-	}, nil
+	}
 }
 
 // Measurement pairs the 4G and 5G loads of one website (averaged over
@@ -245,7 +245,7 @@ type Measurement struct {
 // MeasureCorpus loads every site over both profiles with the given number
 // of repeats and returns per-site averages — the paper's 30,000+ page-load
 // dataset in miniature (1500 sites x repeats x 2 radios).
-func MeasureCorpus(sites []Website, repeats int, seed int64) ([]Measurement, error) {
+func MeasureCorpus(sites []Website, repeats int, seed int64) []Measurement {
 	if repeats < 1 {
 		repeats = 1
 	}
@@ -254,14 +254,8 @@ func MeasureCorpus(sites []Website, repeats int, seed int64) ([]Measurement, err
 	for _, w := range sites {
 		m := Measurement{Site: w, repeats: repeats}
 		for r := 0; r < repeats; r++ {
-			l5, err := Load(w, Profile5G, rng)
-			if err != nil {
-				return nil, err
-			}
-			l4, err := Load(w, Profile4G, rng)
-			if err != nil {
-				return nil, err
-			}
+			l5 := Load(w, Profile5G, rng)
+			l4 := Load(w, Profile4G, rng)
 			m.PLT5G += l5.PLTSeconds
 			m.PLT4G += l4.PLTSeconds
 			m.Energy5GJ += l5.EnergyJ
@@ -276,5 +270,5 @@ func MeasureCorpus(sites []Website, repeats int, seed int64) ([]Measurement, err
 		m.EnergySavingPct = (m.Energy5GJ - m.Energy4GJ) / m.Energy5GJ * 100
 		out = append(out, m)
 	}
-	return out, nil
+	return out
 }
