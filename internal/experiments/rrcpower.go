@@ -7,6 +7,7 @@ import (
 	"fivegsim/internal/radio"
 	"fivegsim/internal/rrc"
 	"fivegsim/internal/rrcprobe"
+	"fivegsim/internal/stats"
 )
 
 func init() {
@@ -34,25 +35,33 @@ var fig25Networks = []radio.Network{
 	radio.TMobileLTE,
 }
 
+// probeSweep builds network n's RRC-Probe and runs the sweep Fig. 10/25
+// and Table 7 share: cfg.pick(10, 25) probes per 0.5 s idle-gap step up to
+// a 16 s gap, or 40 s for Verizon NSA low-band, whose 18.8 s LTE tail
+// needs the longer sweep, and 18 s for T-Mobile SA. It returns the prober,
+// whose events the caller counts, the samples and the largest gap.
+func probeSweep(cfg Config, n radio.Network) (*rrcprobe.Prober, []rrcprobe.Sample, float64) {
+	p, err := rrcprobe.New(n, cfg.Seed)
+	if err != nil {
+		panic(err)
+	}
+	maxGap := 16.0
+	switch n.Key() {
+	case radio.VerizonNSALowBand.Key():
+		maxGap = 40
+	case radio.TMobileSALowBand.Key():
+		maxGap = 18
+	}
+	return p, p.Run(maxGap, 0.5, cfg.pick(10, 25)), maxGap
+}
+
 // probeScatter runs RRC-Probe for a set of networks and reports the
 // RTT-versus-idle-gap profile (the scatter of Fig. 10/25) summarised per
 // gap, plus the per-network state inference.
 func probeScatter(cfg Config, id, title string, nets []radio.Network) []*Table {
 	var out []*Table
-	perGap := cfg.pick(10, 25)
 	for _, n := range nets {
-		p, err := rrcprobe.New(n, cfg.Seed)
-		if err != nil {
-			panic(err)
-		}
-		maxGap := 16.0
-		if n.Key() == radio.VerizonNSALowBand.Key() {
-			maxGap = 40 // the 18.8 s LTE tail needs the longer sweep
-		}
-		if n.Key() == radio.TMobileSALowBand.Key() {
-			maxGap = 18
-		}
-		samples := p.Run(maxGap, 0.5, perGap)
+		p, samples, maxGap := probeSweep(cfg, n)
 		cfg.countEvents(p.Events)
 		t := &Table{ID: id, Title: fmt.Sprintf("%s: %s RTT vs idle gap", title, n),
 			Header: []string{"Idle gap (s)", "min RTT (ms)", "median RTT (ms)", "reply radio"}}
@@ -103,23 +112,11 @@ func probeScatter(cfg Config, id, title string, nets []radio.Network) []*Table {
 	return out
 }
 
+// minMed returns the smallest value of xs and its upper median, from a
+// sorted copy.
 func minMed(xs []float64) (min, med float64) {
-	min = xs[0]
-	for _, v := range xs {
-		if v < min {
-			min = v
-		}
-	}
-	// median via partial sort copy
-	c := append([]float64(nil), xs...)
-	for i := 0; i < len(c); i++ {
-		for j := i + 1; j < len(c); j++ {
-			if c[j] < c[i] {
-				c[i], c[j] = c[j], c[i]
-			}
-		}
-	}
-	return min, c[len(c)/2]
+	c := stats.SortN(append([]float64(nil), xs...))
+	return c[0], c[len(c)/2]
 }
 
 // Fig10 is the four-network RRC-Probe scatter.
@@ -181,21 +178,10 @@ func Table7(cfg Config) []*Table {
 	t := &Table{ID: "table7", Title: "RRC parameters inferred by RRC-Probe (ms)",
 		Header: []string{"Carrier", "Radio type", "UE-inactivity timer", "(LTE tail)",
 			"Long DRX", "IDLE DRX", "4G promo", "5G promo"}}
-	perGap := cfg.pick(10, 25)
 	for _, n := range radio.AllNetworks {
 		c := rrc.MustConfig(n)
-		p, err := rrcprobe.New(n, cfg.Seed)
-		if err != nil {
-			panic(err)
-		}
-		maxGap := 16.0
-		switch n.Key() {
-		case radio.VerizonNSALowBand.Key():
-			maxGap = 40
-		case radio.TMobileSALowBand.Key():
-			maxGap = 18
-		}
-		inf, err := rrcprobe.Infer(p.Run(maxGap, 0.5, perGap))
+		p, samples, _ := probeSweep(cfg, n)
+		inf, err := rrcprobe.Infer(samples)
 		if err != nil {
 			panic(fmt.Sprintf("table7: %s: %v", n, err))
 		}
