@@ -33,9 +33,10 @@
 // and fleet.Config.Validate refuse them for every front end alike.
 //
 // The trace artifact streams to FILE as each campaign completes: after the
-// shards join, fleet.Run hands the campaign's sampled sessions to
-// fleet.Spill, which encodes them serially. Trace memory is one campaign's
-// sampled sessions, about 512 at the default stride whatever -ues is. The
+// shards join, fleet.Run's one pass over the campaign's results hands
+// every sampled session to fleet.Spill, which encodes it serially. Trace
+// memory is one campaign's JSON Lines, about 512 records at the default
+// stride whatever -ues is, or one colf block; the shards keep no copy. The
 // fleet determinism contract applies: stdout and both artifacts are
 // byte-identical for any -shards value, including 1, in both formats. Only
 // -stats output (wall-clock) varies between runs.

@@ -81,7 +81,7 @@ func RunFleet(ctx context.Context, base fleet.Config, mixes []fleet.Mix, o *obs.
 // behind fgfleet and fgservd, and the byte-identity tests, so "the table"
 // means the same bytes everywhere. Each row reads its sorted values and
 // mean from Result.Column, through one reused column buffer and one radix
-// sorter; which mode the campaign ran in stays inside the fleet package.
+// sorter.
 func FleetTable(rs []*fleet.Result) *Table {
 	t := &Table{
 		ID:     "fleet",

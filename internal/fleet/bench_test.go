@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+
+	"fivegsim/internal/obs"
 )
 
 // BenchmarkFleetCampaign measures end-to-end campaign throughput in UEs/sec
@@ -58,8 +60,8 @@ func BenchmarkFleetCampaignShards(b *testing.B) {
 
 // sessionShard builds a one-shard campaign of the given mix whose sessions
 // can be run one at a time, exactly as Run drives them.
-func sessionShard(mix Mix, ues int) *shard {
-	cfg := Config{Seed: 1, UEs: ues, Mix: mix}.withDefaults()
+func sessionShard(cfg Config) *shard {
+	cfg = cfg.Defaulted()
 	dep, err := newDeployment(cfg.Mix)
 	if err != nil {
 		panic(err)
@@ -76,7 +78,7 @@ func BenchmarkFleetSession(b *testing.B) {
 	const ues = 1 << 10
 	for _, mix := range AllMixes {
 		b.Run(mix.String(), func(b *testing.B) {
-			sh := sessionShard(mix, ues)
+			sh := sessionShard(Config{Seed: 1, UEs: ues, Mix: mix})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -89,11 +91,14 @@ func BenchmarkFleetSession(b *testing.B) {
 // TestSessionZeroAlloc is the red/green form of BenchmarkFleetSession: once
 // the shard is built, a session must not allocate. Any new per-session or
 // per-chunk allocation (a closure, a boxed value, a growing slice) fails
-// here before it shows up as a benchmark regression.
+// here before it shows up as a benchmark regression. A traced campaign's
+// shard runs its whole range without allocating too: the range is one run,
+// because AllocsPerRun divides the mallocs by the runs as integers, which
+// hides an amortized append spread over per-session runs.
 func TestSessionZeroAlloc(t *testing.T) {
 	const ues = 256
 	for _, mix := range AllMixes {
-		sh := sessionShard(mix, ues)
+		sh := sessionShard(Config{Seed: 1, UEs: ues, Mix: mix})
 		ue := 0
 		avg := testing.AllocsPerRun(ues-1, func() {
 			sh.session(ue)
@@ -101,6 +106,10 @@ func TestSessionZeroAlloc(t *testing.T) {
 		})
 		if avg != 0 {
 			t.Errorf("%v: a session allocates %.3f objects, want 0", mix, avg)
+		}
+		sh = sessionShard(Config{Seed: 1, UEs: ues, Mix: mix, Obs: obs.New(), TraceEvery: 1})
+		if n := testing.AllocsPerRun(1, func() { sh.run(0, ues) }); n != 0 {
+			t.Errorf("%v: a traced shard's %d sessions allocate %.0f objects, want 0", mix, ues, n)
 		}
 	}
 }

@@ -16,12 +16,11 @@
 //  2. UEs never interact: a session reads the shared read-only deployment,
 //     its own state, and its own stream; a shard writes only its own range
 //     of the results slice.
-//  3. No float is folded in an order a partition can change. Each shard
-//     counts integers and samples sessions in UE id order; once every shard
-//     joins, Run sums the counts and concatenates the samples in shard
-//     order, and the serial reduce folds the per-UE results in UE id order
-//     — the battery's rule of folding results in a fixed order, never
-//     completion order.
+//  3. All aggregation happens in one serial reduce over the results slice,
+//     in UE id order, after every shard joins: the chunk and event counts,
+//     the obs metrics and the trace sample all derive from it, and a shard
+//     keeps nothing else. That is the battery's rule of folding results in
+//     a fixed order, never completion order.
 package fleet
 
 import (
@@ -70,22 +69,12 @@ type Config struct {
 }
 
 // Defaulted returns the config with every zero-means-default knob resolved
-// to its actual value (Shards excepted: it stays 0 for GOMAXPROCS, since the
-// resolved value is host-dependent and — by the determinism contract —
+// to its actual value (Shards excepted: Run resolves 0 to GOMAXPROCS, since
+// the resolved value is host-dependent and — by the determinism contract —
 // cannot affect campaign output). Canonical scenario keys (internal/serve)
 // are built from the defaulted config so "window omitted" and "window 600"
 // cache as the same campaign.
 func (c Config) Defaulted() Config {
-	shards := c.Shards
-	c = c.withDefaults()
-	c.Shards = shards
-	return c
-}
-
-func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
 	if c.WindowS == 0 {
 		c.WindowS = 600
 	}
@@ -163,7 +152,7 @@ type Result struct {
 	// one for the end of any cascade. It does not depend on the partition.
 	Events uint64
 	// chunks and nrChunks count every session's chunks and NR-served
-	// chunks, summed over the shards like Events.
+	// chunks.
 	chunks, nrChunks int64
 }
 
@@ -230,86 +219,79 @@ func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.Defaulted()
 	dep, err := newDeployment(cfg.Mix)
 	if err != nil {
 		return nil, err
 	}
+	shards := cfg.Shards
+	if shards <= 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
 	results := make([]UEResult, cfg.UEs)
-	ranges := Partition(cfg.UEs, cfg.Shards)
-	shards := make([]*shard, len(ranges))
 	var wg sync.WaitGroup
-	for si, rg := range ranges {
+	for _, rg := range Partition(cfg.UEs, shards) {
 		wg.Add(1)
-		go func(si int, rg Range) {
+		go func() {
 			defer wg.Done()
-			// Shards touch only results[rg.Lo:rg.Hi] and their own
-			// state.
-			sh := newShard(cfg, dep, results)
-			sh.run(rg.Lo, rg.Hi)
-			shards[si] = sh
-		}(si, rg)
+			// A shard writes results[rg.Lo:rg.Hi] and nothing else.
+			newShard(cfg, dep, results).run(rg.Lo, rg.Hi)
+		}()
 	}
 	wg.Wait()
-	if err := traceSamples(cfg, shards); err != nil {
+	res := &Result{Cfg: cfg, UEs: results}
+	if err := reduce(cfg, dep, res); err != nil {
 		return nil, fmt.Errorf("fleet: trace spill: %w", err)
 	}
-	// Sum the shards' integer counts; integer addition does not depend on
-	// the order.
-	res := &Result{Cfg: cfg, UEs: results}
-	for _, sh := range shards {
-		res.Events += sh.events
-		res.chunks += sh.chunks
-		res.nrChunks += sh.nrChunks
-	}
-	reduce(cfg, res)
 	return res, nil
 }
 
-// traceSamples hands the campaign's sampled sessions, each shard's in UE
-// id order and the shards in shard order, to its one trace sink: the Spill
-// when set, Obs's tracer otherwise. Shards own ascending UE id ranges, so
-// the records leave in UE id order at any shard count. Only a Spill write
-// can fail.
-func traceSamples(cfg Config, shards []*shard) error {
-	sp := cfg.Spill
-	tr := cfg.Obs.Trace()
-	for _, sh := range shards {
-		for i := range sh.sampled {
-			ss := &sh.sampled[i]
-			if sp == nil {
-				tr.Emit(sessionRecord(ss.ue, &ss.u, nil))
-			} else if err := sp.add(sessionRecord(ss.ue, &ss.u, cfg.SpillTags)); err != nil {
-				return err
-			}
-		}
+// reduce is the campaign's one pass over its results, in UE id order, once
+// every shard has joined. It counts the chunks and events, folds the
+// population metrics into Obs, and hands every TraceEvery-th UE's session
+// record, from UE 0, to the one trace sink: the Spill when set, Obs's
+// tracer otherwise. Shard boundaries
+// are invisible here, so no count, metric or record can depend on the
+// shard count; the histogram and stall sums add floats one UE at a time in
+// UE id order. Only a Spill write can fail.
+func reduce(cfg Config, dep *deployment, res *Result) error {
+	// Per session, one event per chunk (chunk 0 shares the admission
+	// event), one for the end of the RRC tail and one for the end of any
+	// cascade.
+	perUE := uint64(1)
+	if dep.hasCascade {
+		perUE++
 	}
-	if sp == nil {
-		return nil
-	}
-	return sp.endCampaign()
-}
-
-// reduce folds the campaign into the obs collector. Shard boundaries are
-// invisible here: every observation and counter depends only on the UE ids
-// and their results, so the artifact bytes cannot depend on the shard
-// count. The histogram and stall sums add floats one UE at a time in UE id
-// order.
-func reduce(cfg Config, res *Result) {
-	if !cfg.Obs.Enabled() {
-		return
-	}
+	on := cfg.Obs.Enabled()
 	m := cfg.Obs.Meter()
 	var hists [NumMetrics]*obs.Histogram
 	for i := range hists {
 		hists[i] = m.Hist(metrics[i].hist, metrics[i].bounds)
 	}
-	for j := range res.UEs {
-		u := &res.UEs[j]
-		for i, h := range hists {
-			h.Observe(u.metric(i))
+	sp, tr := cfg.Spill, cfg.Obs.Trace()
+	next := len(res.UEs) // the next trace-sampled UE; none when nothing traces
+	if sp != nil || on {
+		next = 0
+	}
+	for ue := range res.UEs {
+		u := &res.UEs[ue]
+		res.Events += uint64(u.Chunks) + perUE
+		res.chunks += int64(u.Chunks)
+		res.nrChunks += int64(u.NRChunks)
+		if on {
+			for i, h := range hists {
+				h.Observe(u.metric(i))
+			}
+			m.Add("fleet.stall_s_total", u.StallS)
 		}
-		m.Add("fleet.stall_s_total", u.StallS)
+		if ue == next {
+			next += cfg.TraceEvery
+			if sp == nil {
+				tr.Emit(sessionRecord(ue, u, nil))
+			} else if err := sp.add(sessionRecord(ue, u, cfg.SpillTags)); err != nil {
+				return err
+			}
+		}
 	}
 	// The chunk counters are integers, summed exactly as int64 and added
 	// once. res.Events is deliberately NOT folded into obs: it is run
@@ -318,4 +300,8 @@ func reduce(cfg Config, res *Result) {
 	m.Add("fleet.chunks", float64(res.chunks))
 	m.Add("fleet.nr_chunks", float64(res.nrChunks))
 	m.Add("fleet.ues", float64(cfg.UEs))
+	if sp == nil {
+		return nil
+	}
+	return sp.endCampaign()
 }

@@ -22,21 +22,6 @@ type shard struct {
 	// shadow-free best base RSRP at the session's (static) position,
 	// filled once per session and read by serveCached every chunk.
 	rsrpBase []float64
-	// The shard's shares of Result.Events and of the chunk counters.
-	events           uint64
-	chunks, nrChunks int64
-	// every is the trace sampling stride, 0 when the campaign does not
-	// trace; sampled holds the sessions of every every-th UE, in UE id
-	// order.
-	every   int
-	sampled []sessionSample
-}
-
-// sessionSample is one trace-sampled session, tagged with its UE id for
-// the trace record.
-type sessionSample struct {
-	ue int
-	u  UEResult
 }
 
 // session is one UE's state from arrival to idle. It lives on the stack of
@@ -86,9 +71,6 @@ func newShard(cfg Config, dep *deployment, results []UEResult) *shard {
 		sh.nchunks = 1
 	}
 	sh.rsrpBase = make([]float64, len(dep.layers))
-	if cfg.Spill != nil || cfg.Obs.Enabled() {
-		sh.every = cfg.TraceEvery
-	}
 	return sh
 }
 
@@ -126,19 +108,16 @@ func (sh *shard) session(ue int) {
 	// shadow-free best base RSRP is resolved once here; serveCached
 	// replays only the shadow add and the floor clamp per chunk.
 	d.baseRSRP(s.pos, sh.rsrpBase)
-	sh.events++ // admission, which also fetches chunk 0
 	for s.chunk < sh.nchunks {
 		if delay := sh.stepChunk(&s, now); delay > 0 {
 			now += delay
 		}
-		sh.events++ // the next chunk, or the end of the RRC tail
 	}
 	s.energyJ += d.tailJ
 	if d.hasCascade {
 		// The NSA LTE-anchored tail (at tail power) or the SA
 		// RRC_INACTIVE dwell (at inactive power); cascadeS > 0.
 		now += d.cascadeS
-		sh.events++
 		s.energyJ += d.cascadeJ
 	}
 	sh.finalize(&s, now)
@@ -273,8 +252,7 @@ func (sh *shard) stepChunk(s *session, now float64) float64 {
 }
 
 // finalize writes the UE's result, its session over at now, into the
-// campaign slice (its own index: no cross-shard contention), counts the
-// session's chunks and keeps the session when its UE is trace-sampled.
+// campaign slice (its own index: no cross-shard contention).
 //
 //fgvet:noalloc
 func (sh *shard) finalize(s *session, now float64) {
@@ -285,7 +263,7 @@ func (sh *shard) finalize(s *session, now float64) {
 	if s.activeS > 0 {
 		mean = s.mb / s.activeS
 	}
-	u := UEResult{
+	sh.results[s.ue] = UEResult{
 		ArrivalS:  s.arrive,
 		DurationS: now - s.arrive,
 		MeanMbps:  mean,
@@ -295,12 +273,6 @@ func (sh *shard) finalize(s *session, now float64) {
 		EnergyJ:   s.energyJ,
 		Chunks:    chunks,
 		NRChunks:  s.nr,
-	}
-	sh.results[s.ue] = u
-	sh.chunks += int64(chunks)
-	sh.nrChunks += int64(s.nr)
-	if sh.every > 0 && s.ue%sh.every == 0 {
-		sh.sampled = append(sh.sampled, sessionSample{ue: s.ue, u: u})
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 // an artifact writer, instead of collecting them in Obs's tracer for a
 // render after the last campaign.
 //
-// Run hands the spill each campaign's sampled sessions once the shards
-// join, in UE id order, and the spill encodes them serially: as colf
-// records through one colf.Writer, or as JSON Lines rendered into a buffer
-// and written once per campaign. The artifact is byte-identical to the
+// Run's one pass over a campaign's results hands the spill each sampled
+// session once the shards join, in UE id order, and the spill encodes them
+// serially: as colf records through one colf.Writer, or as JSON Lines
+// rendered into a buffer and written once per campaign. The artifact is byte-identical to the
 // central pipeline (Config.Obs, then WriteTraceJSON or a colf Writer over
 // the merged tracer) at any shard count, because both receive the same
 // records in the same order. Serial encoding is cheap next to the

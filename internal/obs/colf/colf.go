@@ -16,7 +16,7 @@
 //
 //	payload := uvarint(nRecs)
 //	           dict                  string-interning dictionary
-//	           section*              9 length-prefixed column sections
+//	           section*              7 length-prefixed column sections
 //	dict    := uvarint(nStrings) { uvarint(len) bytes }*
 //	section := uvarint(len) bytes
 //

@@ -306,9 +306,10 @@ type Report struct {
 // Obs collection turns on only when an artifact needs it, and no artifact's
 // bytes depend on which others were requested, so fgservd's one-artifact
 // responses equal the fgrepro and fgfleet files for the same scenario.
-// Fleet traces stream through fleet.Spill campaign by campaign, so trace
-// memory is one campaign's sampled sessions: about 512 at the default
-// stride, O(UEs/TraceEvery) in general.
+// Fleet traces stream through fleet.Spill campaign by campaign, straight
+// from each campaign's results, so trace memory is one campaign's JSON
+// Lines (about 512 records at the default stride, O(UEs/TraceEvery) in
+// general) or one colf block.
 //
 // Cancellation is cooperative at reduce-step granularity: between battery
 // experiments (RunManyCtx) and between fleet campaigns (RunFleet). A
@@ -426,8 +427,13 @@ func RunScenario(ctx context.Context, sc *Scenario, w io.Writer) error {
 // so the path is left absent or with its previous bytes. An existing path
 // that is not a regular file (a device such as /dev/null, a FIFO, or a
 // symlink) is written in place, since a rename would replace it. Every
-// file error names the path the caller gave.
+// file error names the path the caller gave. A trace and metrics path that
+// name one regular or new file are an error before anything is created:
+// the second rename would replace the first artifact.
 func RunFiles(ctx context.Context, sc *Scenario, table io.Writer, tracePath, metricsPath string) (rep *Report, err error) {
+	if tracePath != "" && metricsPath != "" && sameFile(tracePath, metricsPath) {
+		return nil, fmt.Errorf("the trace %s and the metrics %s name the same file", tracePath, metricsPath)
+	}
 	var files []*artifactFile
 	defer func() {
 		for _, f := range files {
@@ -458,6 +464,21 @@ func RunFiles(ctx context.Context, sc *Scenario, table io.Writer, tracePath, met
 		return nil, err
 	}
 	return Run(ctx, sc, out)
+}
+
+// sameFile reports whether paths a and b name one regular or new file:
+// one file, when both exist (os.Stat follows symlinks), or else one name in
+// one directory. A device or FIFO is written in place, so two artifacts may
+// share one.
+func sameFile(a, b string) bool {
+	fa, erra := os.Stat(a)
+	fb, errb := os.Stat(b)
+	if erra == nil && errb == nil {
+		return fa.Mode().IsRegular() && os.SameFile(fa, fb)
+	}
+	da, erra := os.Stat(filepath.Dir(a))
+	db, errb := os.Stat(filepath.Dir(b))
+	return erra == nil && errb == nil && os.SameFile(da, db) && filepath.Base(a) == filepath.Base(b)
 }
 
 // artifactFile is one CLI artifact being written: either the file at path

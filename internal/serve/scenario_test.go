@@ -272,7 +272,9 @@ func TestRunScenarioCanceled(t *testing.T) {
 // canceled run leaves a fresh path absent and an existing file as it was;
 // a finished run leaves no temporary file behind, writes Run's bytes,
 // keeps an existing file's permission bits and gives a new file
-// os.Create's. A FIFO is written in place and stays a FIFO.
+// os.Create's. A trace and metrics path naming one regular or new file
+// fail before anything is created, while two artifacts may share a
+// device. A FIFO is written in place and stays a FIFO.
 func TestRunFilesAtomic(t *testing.T) {
 	sc := &Scenario{Kind: "fleet", Fleet: &FleetScenario{UEs: 10, WindowS: 20, SessionS: 8}}
 	if err := sc.Validate(); err != nil {
@@ -294,6 +296,30 @@ func TestRunFilesAtomic(t *testing.T) {
 			names = append(names, e.Name())
 		}
 		return names
+	}
+
+	link := filepath.Join(t.TempDir(), "link")
+	if err := os.Symlink(dir, link); err != nil {
+		t.Fatal(err)
+	}
+	for _, paths := range [][2]string{
+		{old, old},
+		{old, dir + "/../" + filepath.Base(dir) + "/metrics.csv"},
+		{fresh, dir + "/./trace.jsonl"},
+		{fresh, filepath.Join(link, "trace.jsonl")},
+	} {
+		if _, err := RunFiles(context.Background(), sc, io.Discard, paths[0], paths[1]); err == nil {
+			t.Errorf("RunFiles(%q, %q) returned nil error for one file named twice", paths[0], paths[1])
+		}
+		if got := listing(); !slices.Equal(got, []string{"metrics.csv"}) {
+			t.Errorf("after naming one file twice the directory holds %q, want only metrics.csv", got)
+		}
+		if b, err := os.ReadFile(old); err != nil || !bytes.Equal(b, prev) {
+			t.Errorf("naming one file twice left the existing artifact %d bytes (%v), want its previous %d", len(b), err, len(prev))
+		}
+	}
+	if _, err := RunFiles(context.Background(), sc, io.Discard, os.DevNull, os.DevNull); err != nil {
+		t.Errorf("trace and metrics both to %s: %v", os.DevNull, err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -30,16 +30,17 @@ type entry struct {
 	set [][]float64
 }
 
-// Cache memoizes generated trace sets across experiments and fleet shards.
+// Cache memoizes generated trace sets across experiments.
 // Sets are keyed by (kind, duration, seed) — deliberately not by count: the
 // cache stores the longest set generated so far for each key and hands out
 // prefixes, so an experiment asking for 15 traces and another asking for 50
 // with the same seed share the first 15 generations.
 //
-// Generation is single-flight per key: when N fleet shards request the same
-// (kind, dur, seed) set at startup, exactly one generates each trace and
-// the rest block until it is cached, rather than all N paying the
-// generation cost (or serializing unrelated keys behind one global lock).
+// Generation is single-flight per key: when N experiments on the battery's
+// workers request the same (kind, dur, seed) set, exactly one generates
+// each trace and the rest block until it is cached, rather than all N
+// paying the generation cost (or serializing unrelated keys behind one
+// global lock).
 //
 // Returned sets and their traces are shared and MUST be treated as
 // read-only; every simulation in this repo only ever reads traces.

@@ -16,7 +16,8 @@
 #   quick    fgrepro -quick all at seeds 1-5 (-parallel 0) and at seed 1
 #            serially: tables, JSONL trace, metrics
 #   fleet    fgfleet defaults at -shards 1 and 7, with a JSONL and a colf
-#            trace: tables, trace, metrics
+#            trace: tables, trace, metrics, and each run's -stats UEs and
+#            events per mix, without the wall-clock and UEs/s columns
 #   gendata  gendata -small -seed 1: every file it writes
 #   fgvet    fgvet -json on the head tree and on the nine check fixtures
 #            (internal/lint/testdata/* but loader), run by both binaries,
@@ -101,9 +102,11 @@ run_side() {
         for sh in 1 7; do
             for fmt in jsonl colf; do
                 name="fleet-sh$sh-$fmt"
-                "$bin/fgfleet" -shards "$sh" \
+                "$bin/fgfleet" -shards "$sh" -stats \
                     -trace "$out/$name.$fmt" -trace-format "$fmt" \
-                    -metrics "$out/$name.csv" > "$out/$name.txt"
+                    -metrics "$out/$name.csv" > "$out/$name.txt" 2> "$work/stats.raw"
+                # The -stats table without its wall-clock and UEs/s columns.
+                awk '{print $1, $2, $NF}' "$work/stats.raw" > "$out/$name.stats"
             done
         done
     fi
@@ -167,7 +170,12 @@ for name in $names; do
         fi
     elif cmp -s "$a" "$b"; then
         extra=""
-        case "$name" in *.stats) extra=" ($(awk '$1 == "total" {print "events " $2 ", records " $3}' "$b"))" ;; esac
+        # A total row holds events and records in fgrepro's stats, UEs
+        # and events in fgfleet's.
+        case "$name" in
+        fleet-*.stats) extra=" ($(awk '$1 == "total" {print "UEs " $2 ", events " $3}' "$b"))" ;;
+        *.stats) extra=" ($(awk '$1 == "total" {print "events " $2 ", records " $3}' "$b"))" ;;
+        esac
         echo "same  $name$extra"
     else
         extra=""
